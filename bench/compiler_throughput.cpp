@@ -70,36 +70,33 @@ void BM_Print(benchmark::State &State) {
 }
 BENCHMARK(BM_Print)->Arg(1)->Arg(8)->Arg(64);
 
-void runPipelineBench(benchmark::State &State, bool T, bool C, bool A) {
+void benchTransform(benchmark::State &State, const std::string &Pipeline) {
   std::string Source = makeSource(State.range(0));
-  PipelineOptions Options;
-  Options.EnableThresholding = T;
-  Options.EnableCoarsening = C;
-  Options.EnableAggregation = A;
   for (auto _ : State) {
     DiagnosticEngine Diags;
-    std::string Out = transformSource(Source, Options, Diags);
+    std::string Out = transformSourceWithPipeline(Source, Pipeline,
+                                                  PassPipelineConfig(), Diags);
     benchmark::DoNotOptimize(Out);
   }
 }
 
 void BM_Thresholding(benchmark::State &State) {
-  runPipelineBench(State, true, false, false);
+  benchTransform(State, "threshold");
 }
 BENCHMARK(BM_Thresholding)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_Coarsening(benchmark::State &State) {
-  runPipelineBench(State, false, true, false);
+  benchTransform(State, "coarsen");
 }
 BENCHMARK(BM_Coarsening)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_Aggregation(benchmark::State &State) {
-  runPipelineBench(State, false, false, true);
+  benchTransform(State, "aggregate");
 }
 BENCHMARK(BM_Aggregation)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_FullPipeline(benchmark::State &State) {
-  runPipelineBench(State, true, true, true);
+  benchTransform(State, "threshold,coarsen,aggregate");
 }
 BENCHMARK(BM_FullPipeline)->Arg(1)->Arg(8)->Arg(64);
 
@@ -131,43 +128,27 @@ BENCHMARK(BM_AnalysisManagerHit)->Arg(1)->Arg(8)->Arg(64);
 
 // The textual pipeline front end (parse spec, registry lookup, run).
 void BM_PipelineFromText(benchmark::State &State) {
-  std::string Source = makeSource(State.range(0));
-  for (auto _ : State) {
-    DiagnosticEngine Diags;
-    std::string Out = transformSourceWithPipeline(
-        Source, "threshold,coarsen,aggregate[multiblock:8]",
-        PassPipelineConfig(), Diags);
-    benchmark::DoNotOptimize(Out);
-  }
+  benchTransform(State, "threshold,coarsen,aggregate[multiblock:8]");
 }
 BENCHMARK(BM_PipelineFromText)->Arg(1)->Arg(8)->Arg(64);
 
 // A tuner-produced configuration compiled through the manager: the path
 // autotuning workflows take after picking a config.
 void BM_TunedConfigTransform(benchmark::State &State) {
-  std::string Source = makeSource(State.range(0));
   ExecConfig Config;
   Config.Threshold = 1024;
   Config.CoarsenFactor = 8;
   Config.Agg = AggGranularity::MultiBlock;
   Config.AggGroupBlocks = 8;
-  PipelineOptions Options = pipelineOptionsFor(Config);
-  for (auto _ : State) {
-    DiagnosticEngine Diags;
-    std::string Out = transformSource(Source, Options, Diags);
-    benchmark::DoNotOptimize(Out);
-  }
+  benchTransform(State, passPipelineTextFor(Config));
 }
 BENCHMARK(BM_TunedConfigTransform)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_VmCompile(benchmark::State &State) {
   std::string Source = makeSource(State.range(0));
-  PipelineOptions Options;
-  Options.EnableThresholding = Options.EnableCoarsening =
-      Options.EnableAggregation = true;
-  Options.useLiteralKnobs();
   DiagnosticEngine Diags;
-  std::string Transformed = transformSource(Source, Options, Diags);
+  std::string Transformed = transformSourceWithPipeline(
+      Source, "threshold,coarsen,aggregate", literalKnobConfig(), Diags);
   for (auto _ : State) {
     DiagnosticEngine D2;
     ASTContext Ctx;

@@ -43,7 +43,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "parse/Parser.h"
 #include "transform/Pipeline.h"
 #include "vm/VM.h"
 
@@ -206,20 +205,15 @@ void BM_QuickstartExec(benchmark::State &State, ExecMode Mode) {
 /// decoded series adds the bytecode -> ExecIR lowering.
 void BM_DeviceBuild(benchmark::State &State, ExecMode Mode) {
   DiagnosticEngine Diags;
-  ASTContext Ctx;
-  TranslationUnit *TU = parseSource(QuickstartSource, Ctx, Diags);
-  if (!TU) {
-    State.SkipWithError("parse failed");
-    return;
-  }
-  VmProgram Program = compileProgram(TU, Diags, {});
-  if (Diags.hasErrors()) {
+  std::optional<VmProgram> Program = compileWithPipeline(
+      QuickstartSource, "", PassPipelineConfig(), VmCompileOptions(), Diags);
+  if (!Program) {
     State.SkipWithError("compile failed");
     return;
   }
   uint64_t DecodedInstrs = 0;
   for (auto _ : State) {
-    Device Dev(Program, 1ull << 20, Mode);
+    Device Dev(*Program, 1ull << 20, Mode);
     DecodedInstrs += Dev.decodeStats().InstrsOut;
     benchmark::DoNotOptimize(Dev.execMode());
   }
@@ -231,12 +225,9 @@ void BM_DeviceBuild(benchmark::State &State, ExecMode Mode) {
 void BM_Coarsened(benchmark::State &State, bool Optimize) {
   // Thread-coarsen the child (factor 4): each child thread serializes
   // four work items — the Fig. 9 "CDP+C" variant of the same program.
-  PipelineOptions Options;
-  Options.EnableCoarsening = true;
-  Options.Coarsening.Factor = 4;
-  Options.useLiteralKnobs();
   DiagnosticEngine Diags;
-  std::string Transformed = transformSource(QuickstartSource, Options, Diags);
+  std::string Transformed = transformSourceWithPipeline(
+      QuickstartSource, "coarsen[4]", literalKnobConfig(), Diags);
   if (Transformed.empty()) {
     fprintf(stderr, "coarsening failed:\n%s\n", Diags.str().c_str());
     abort();

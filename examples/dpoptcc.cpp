@@ -17,17 +17,17 @@
 ///           [--tune-report=FILE] [--print-pass-stats] [--list-passes]
 ///           [input.cu] [-o output.cu]
 ///
-/// The -t/-c/-a flags build the paper's Fig. 8(a) pipeline; -passes= runs
-/// an arbitrary pipeline through the PassManager (grammar below and in
+/// The -t/-c/-a flags spell the paper's Fig. 8(a) pipeline as text;
+/// -passes= gives an arbitrary pipeline (grammar below and in
 /// src/transform/README.md); --tune= asks the autotuner (analytic
 /// simulator sweep, empirical VM-in-the-loop search, or the hybrid of
-/// both) to pick the pipeline. All paths share one AnalysisManager, so
-/// --print-pass-stats shows per-pass timings and analysis-cache hits.
+/// both) to pick the pipeline. The chosen pipeline is rendered once as
+/// canonical text with the knob flags filled in; that text is what gets
+/// measured and emitted. --print-pass-stats shows per-pass timings and
+/// analysis-cache hits.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "ast/ASTPrinter.h"
-#include "parse/Parser.h"
 #include "profile/Profile.h"
 #include "service/CompileService.h"
 #include "support/StringUtils.h"
@@ -449,7 +449,10 @@ static void listPasses() {
 }
 
 int main(int argc, char **argv) {
-  PipelineOptions Options;
+  // The -t/-c/-a flags pick passes; the knob flags fill one config that
+  // also supplies the defaults of a -passes= pipeline.
+  PassPipelineConfig Knobs;
+  bool Threshold = false, Coarsen = false, Aggregate = false;
   std::string Input, Output, PassText;
   bool AnyPass = false;
   bool PrintPassStats = false;
@@ -467,21 +470,21 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg == "-t") {
-      Options.EnableThresholding = AnyPass = true;
+      Threshold = AnyPass = true;
     } else if (Arg == "-c") {
-      Options.EnableCoarsening = AnyPass = true;
+      Coarsen = AnyPass = true;
     } else if (Arg == "-a") {
-      Options.EnableAggregation = AnyPass = true;
+      Aggregate = AnyPass = true;
     } else if (Arg.rfind("--granularity=", 0) == 0) {
       std::string G = Arg.substr(14);
       if (G == "warp")
-        Options.Aggregation.Granularity = AggGranularity::Warp;
+        Knobs.Aggregation.Granularity = AggGranularity::Warp;
       else if (G == "block")
-        Options.Aggregation.Granularity = AggGranularity::Block;
+        Knobs.Aggregation.Granularity = AggGranularity::Block;
       else if (G == "multiblock")
-        Options.Aggregation.Granularity = AggGranularity::MultiBlock;
+        Knobs.Aggregation.Granularity = AggGranularity::MultiBlock;
       else if (G == "grid")
-        Options.Aggregation.Granularity = AggGranularity::Grid;
+        Knobs.Aggregation.Granularity = AggGranularity::Grid;
       else {
         std::fprintf(stderr, "error: unknown granularity '%s'\n", G.c_str());
         usage();
@@ -489,20 +492,19 @@ int main(int argc, char **argv) {
       }
     } else if (Arg.rfind("--threshold=", 0) == 0) {
       if (!parseCountFlag("--threshold", Arg.substr(12),
-                          Options.Thresholding.Threshold))
+                          Knobs.Thresholding.Threshold))
         return 1;
     } else if (Arg.rfind("--factor=", 0) == 0) {
-      if (!parseCountFlag("--factor", Arg.substr(9),
-                          Options.Coarsening.Factor))
+      if (!parseCountFlag("--factor", Arg.substr(9), Knobs.Coarsening.Factor))
         return 1;
     } else if (Arg.rfind("--group=", 0) == 0) {
       if (!parseCountFlag("--group", Arg.substr(8),
-                          Options.Aggregation.GroupSize))
+                          Knobs.Aggregation.GroupSize))
         return 1;
     } else if (Arg.rfind("--agg-threshold=", 0) == 0) {
-      Options.Aggregation.UseAggregationThreshold = true;
+      Knobs.Aggregation.UseAggregationThreshold = true;
       if (!parseCountFlag("--agg-threshold", Arg.substr(16),
-                          Options.Aggregation.AggregationThreshold))
+                          Knobs.Aggregation.AggregationThreshold))
         return 1;
     } else if (Arg.rfind("-passes=", 0) == 0) {
       PassText = Arg.substr(8);
@@ -618,8 +620,7 @@ int main(int argc, char **argv) {
   // record step of the profile-guided workflow; explicit -t/-c/-a or
   // -passes= still select a pipeline to record under.
   if (PassText.empty() && !AnyPass && !Tune && ProfileOutPath.empty())
-    Options.EnableThresholding = Options.EnableCoarsening =
-        Options.EnableAggregation = true;
+    Threshold = Coarsen = Aggregate = true;
   if (Input.empty() && TuneReport.empty() && !PrintVmStats && !Calibrate &&
       ProfileOutPath.empty()) {
     usage();
@@ -643,7 +644,7 @@ int main(int argc, char **argv) {
                    ProfileInPath.c_str(), PErr.c_str());
       return 1;
     }
-    Options.Profile = &ProfileData;
+    Knobs.Profile = &ProfileData;
     HaveProfile = true;
   }
 
@@ -730,44 +731,26 @@ int main(int argc, char **argv) {
         return 0; // tune-only mode
     }
     PassText = R.Pipeline;
-    if (PassText.empty()) {
-      // Nothing to do: the tuner chose the untransformed program.
-      if ((PrintVmStats || !ProfileOutPath.empty()) &&
-          !runVmPipeline("", WorkloadSpec, TuneOpts,
-                         HaveProfile ? &ProfileData : nullptr, ProfileOutPath,
-                         PrintVmStats))
-        return 1;
-      if (Input.empty())
-        return 0; // stats-only mode
-      std::ifstream TuneIn(Input);
-      if (!TuneIn) {
-        std::fprintf(stderr, "error: cannot open '%s'\n", Input.c_str());
-        return 1;
-      }
-      std::stringstream Copy;
-      Copy << TuneIn.rdbuf();
-      if (Output.empty())
-        std::cout << Copy.str();
-      else {
-        std::ofstream Out(Output);
-        Out << Copy.str();
-        std::fprintf(stderr, "wrote %s\n", Output.c_str());
-      }
-      return 0;
-    }
+  } else if (PassText.empty()) {
+    // The -t/-c/-a flags, in the Fig. 8(a) order.
+    PassText = std::string(Threshold ? "threshold," : "") +
+               (Coarsen ? "coarsen," : "") + (Aggregate ? "aggregate," : "");
+    if (!PassText.empty())
+      PassText.pop_back();
+  }
+
+  // One spelling from here on: the canonical text of the pipeline with
+  // the knob flags filled in, so `-passes=threshold --threshold=256`
+  // measures and emits the same threshold[256] the -t form would.
+  std::string Pipeline, PipelineError;
+  if (!canonicalPipelineText(PassText, Knobs, Pipeline, PipelineError)) {
+    std::fprintf(stderr, "error: invalid pass pipeline: %s\n",
+                 PipelineError.c_str());
+    return 1;
   }
 
   if (PrintVmStats || !ProfileOutPath.empty()) {
-    // Measure the pipeline about to run. The -t/-c/-a form renders to the
-    // same textual spelling the pass manager would report, so the measured
-    // pipeline and the emitted source always agree.
-    std::string VmPipeline = PassText;
-    if (VmPipeline.empty()) {
-      PassManager Render;
-      buildPassPipeline(Render, Options);
-      VmPipeline = Render.pipelineText();
-    }
-    if (!runVmPipeline(VmPipeline, WorkloadSpec, TuneOpts,
+    if (!runVmPipeline(Pipeline, WorkloadSpec, TuneOpts,
                        HaveProfile ? &ProfileData : nullptr, ProfileOutPath,
                        PrintVmStats))
       return 1;
@@ -783,39 +766,21 @@ int main(int argc, char **argv) {
   std::stringstream Buffer;
   Buffer << In.rdbuf();
 
-  // Build the pipeline: either the textual spec or the -t/-c/-a flags.
-  // Knob flags double as the textual pipeline's defaults, so
-  // `-passes=threshold --threshold=256` works as expected.
-  PassManager PM;
-  std::string Error;
-  if (!PassText.empty()) {
-    if (!parsePassPipeline(PM, PassText, pipelineConfigFrom(Options), Error)) {
-      std::fprintf(stderr, "error: invalid pass pipeline: %s\n",
-                   Error.c_str());
+  // An empty pipeline (the tuner chose the untransformed program, or a
+  // record-only run) copies the input through unchanged.
+  std::string Result = Buffer.str();
+  if (!Pipeline.empty()) {
+    DiagnosticEngine Diags;
+    std::string Stats;
+    Result = transformSourceWithPipeline(Result, Pipeline, Knobs, Diags,
+                                         PrintPassStats ? &Stats : nullptr);
+    std::fputs(Stats.c_str(), stderr);
+    for (const Diagnostic &D : Diags.diagnostics())
+      std::fprintf(stderr, "%s:%u:%u: %s\n", Input.c_str(), D.Loc.Line,
+                   D.Loc.Column, D.Message.c_str());
+    if (Result.empty())
       return 1;
-    }
-  } else {
-    buildPassPipeline(PM, Options);
   }
-
-  DiagnosticEngine Diags;
-  ASTContext Ctx;
-  TranslationUnit *TU = parseSource(Buffer.str(), Ctx, Diags);
-  bool Ok = TU != nullptr;
-  std::string Result;
-  if (Ok) {
-    AnalysisManager AM(Ctx, TU);
-    Ok = PM.run(Ctx, TU, AM, Diags);
-    if (PrintPassStats)
-      std::fprintf(stderr, "%s", PM.statsReport(AM).c_str());
-    if (Ok)
-      Result = printTranslationUnit(TU);
-  }
-  for (const Diagnostic &D : Diags.diagnostics())
-    std::fprintf(stderr, "%s:%u:%u: %s\n", Input.c_str(), D.Loc.Line,
-                 D.Loc.Column, D.Message.c_str());
-  if (!Ok || Result.empty())
-    return 1;
 
   if (Output.empty()) {
     std::cout << Result;

@@ -38,20 +38,15 @@ __global__ void parent(int *data, int *counts, int *offsets, int numV) {
 )";
 
 int main() {
-  // 1. Configure the Fig. 8(a) pipeline.
-  PipelineOptions Options;
-  Options.EnableThresholding = true;
-  Options.EnableCoarsening = true;
-  Options.EnableAggregation = true;
-  Options.Thresholding.Threshold = 64;
-  Options.Coarsening.Factor = 4;
-  Options.Aggregation.Granularity = AggGranularity::MultiBlock;
-  Options.Aggregation.GroupSize = 8;
-  Options.useLiteralKnobs(); // Literals instead of macros so the VM can run it.
-
+  // 1. Compile the Fig. 8(a) pipeline straight to VM bytecode, keeping the
+  // generated source to show. Knobs are spelled as literals instead of
+  // macros so the VM can run the result.
   DiagnosticEngine Diags;
-  std::string Transformed = transformSource(Source, Options, Diags);
-  if (Transformed.empty()) {
+  std::string Transformed;
+  std::optional<VmProgram> Program = compileWithPipeline(
+      Source, "threshold[64],coarsen[4],aggregate[multiblock:8]",
+      literalKnobConfig(), VmCompileOptions(), Diags, &Transformed);
+  if (!Program) {
     std::fprintf(stderr, "transformation failed:\n%s", Diags.str().c_str());
     return 1;
   }
@@ -59,12 +54,10 @@ int main() {
               Transformed.c_str());
 
   // 2. Execute both versions on the bytecode VM and compare.
-  auto RunVersion = [](const std::string &Src,
-                       bool Wrapper) -> std::vector<int32_t> {
-    DiagnosticEngine D;
-    auto Dev = buildDevice(Src, D);
+  auto RunVersion = [&Diags](std::unique_ptr<Device> Dev,
+                             bool Wrapper) -> std::vector<int32_t> {
     if (!Dev) {
-      std::fprintf(stderr, "VM build failed:\n%s", D.str().c_str());
+      std::fprintf(stderr, "VM build failed:\n%s", Diags.str().c_str());
       return {};
     }
     std::vector<int32_t> Counts = {3, 0, 100, 7, 45, 0, 260, 1};
@@ -98,9 +91,12 @@ int main() {
   };
 
   std::printf("=== original on the VM ===\n");
-  std::vector<int32_t> Ref = RunVersion(Source, /*Wrapper=*/false);
+  std::vector<int32_t> Ref = RunVersion(buildDevice(Source, Diags),
+                                        /*Wrapper=*/false);
   std::printf("=== transformed on the VM ===\n");
-  std::vector<int32_t> Opt = RunVersion(Transformed, /*Wrapper=*/true);
+  std::vector<int32_t> Opt =
+      RunVersion(std::make_unique<Device>(std::move(*Program)),
+                 /*Wrapper=*/true);
 
   if (Ref.empty() || Ref != Opt) {
     std::printf("MISMATCH\n");

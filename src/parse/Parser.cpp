@@ -6,9 +6,8 @@
 
 #include "parse/Parser.h"
 
-#include "ast/ASTPrinter.h"
 #include "lex/Lexer.h"
-#include "support/Casting.h"
+#include "parse/Typing.h"
 
 #include <cstdlib>
 
@@ -21,16 +20,6 @@ Parser::Parser(std::vector<Token> Tokens, ASTContext &Ctx,
          "token stream must end with Eof");
   TypeNames = {"dim3", "size_t", "uint", "uint32_t", "uint64_t", "int32_t",
                "int64_t", "cudaStream_t"};
-  // File scope.
-  pushScope();
-  // CUDA built-in variables available inside kernels. Declaring them at file
-  // scope is harmless for our subset and keeps typing simple.
-  declare("threadIdx", Type(BuiltinKind::Dim3));
-  declare("blockIdx", Type(BuiltinKind::Dim3));
-  declare("blockDim", Type(BuiltinKind::Dim3));
-  declare("gridDim", Type(BuiltinKind::Dim3));
-  declare("warpSize", Type(BuiltinKind::Int));
-  FunctionReturnTypes["dim3"] = Type(BuiltinKind::Dim3);
 }
 
 Token Parser::consume() { return Tokens[Pos < Tokens.size() - 1 ? Pos++ : Pos]; }
@@ -54,20 +43,6 @@ bool Parser::expect(TokenKind Kind, std::string_view Context) {
 
 void Parser::error(std::string Message) {
   Diags.error(cur().Loc, std::move(Message));
-}
-
-void Parser::declare(const std::string &Name, const Type &Ty) {
-  assert(!Scopes.empty() && "no scope to declare into");
-  Scopes.back()[Name] = Ty;
-}
-
-Type Parser::lookup(const std::string &Name) const {
-  for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-    auto Found = It->find(Name);
-    if (Found != It->end())
-      return Found->second;
-  }
-  return Type(BuiltinKind::Int);
 }
 
 bool Parser::isTypeName(const Token &Tok) const {
@@ -311,14 +286,8 @@ VarDecl *Parser::parseDeclarator(Type BaseType, bool IsShared) {
     if (!expect(TokenKind::RParen, "after constructor arguments"))
       return nullptr;
     auto *Callee = Ctx.ref(Ty.isDim3() ? "dim3" : Ty.str());
-    auto *Init = Ctx.create<CallExpr>(Callee, std::move(Args));
-    Init->setType(Ty);
-    D->setInit(Init);
+    D->setInit(Ctx.create<CallExpr>(Callee, std::move(Args)));
   }
-
-  // Arrays decay to pointers for typing purposes.
-  Type ScopeTy = D->isArray() ? Ty.pointerTo() : Ty;
-  declare(Name, ScopeTy);
   return D;
 }
 
@@ -341,7 +310,6 @@ FunctionDecl *Parser::parseFunctionRest(FunctionQualifiers Quals,
                                         Type ReturnType, std::string Name) {
   // At '('.
   expect(TokenKind::LParen, "after function name");
-  pushScope();
   std::vector<VarDecl *> Params;
   if (!cur().is(TokenKind::RParen)) {
     do {
@@ -351,32 +319,21 @@ FunctionDecl *Parser::parseFunctionRest(FunctionQualifiers Quals,
       }
       Type ParamType = parseType();
       VarDecl *P = parseDeclarator(ParamType, /*IsShared=*/false);
-      if (!P) {
-        popScope();
+      if (!P)
         return nullptr;
-      }
       Params.push_back(P);
     } while (tryConsume(TokenKind::Comma));
   }
-  if (!expect(TokenKind::RParen, "after parameter list")) {
-    popScope();
+  if (!expect(TokenKind::RParen, "after parameter list"))
     return nullptr;
-  }
-
-  FunctionReturnTypes[Name] = ReturnType;
 
   CompoundStmt *Body = nullptr;
   if (cur().is(TokenKind::LBrace)) {
     Body = parseCompoundStmt();
-    if (!Body) {
-      popScope();
+    if (!Body)
       return nullptr;
-    }
-  } else if (!expect(TokenKind::Semi, "after function prototype")) {
-    popScope();
+  } else if (!expect(TokenKind::Semi, "after function prototype"))
     return nullptr;
-  }
-  popScope();
 
   auto *F = Ctx.create<FunctionDecl>(Quals, std::move(ReturnType),
                                      std::move(Name), std::move(Params), Body);
@@ -426,7 +383,10 @@ TranslationUnit *Parser::parseTranslationUnit() {
       return nullptr;
     TU->decls().push_back(D);
   }
-  return Diags.hasErrors() ? nullptr : TU;
+  if (Diags.hasErrors())
+    return nullptr;
+  assignTypes(TU);
+  return TU;
 }
 
 Expr *Parser::parseStandaloneExpr() {
@@ -437,6 +397,7 @@ Expr *Parser::parseStandaloneExpr() {
     error("unexpected trailing tokens after expression");
     return nullptr;
   }
+  assignTypes(E);
   return E;
 }
 
@@ -447,17 +408,13 @@ Expr *Parser::parseStandaloneExpr() {
 CompoundStmt *Parser::parseCompoundStmt() {
   if (!expect(TokenKind::LBrace, "to open block"))
     return nullptr;
-  pushScope();
   std::vector<Stmt *> Body;
   while (!cur().is(TokenKind::RBrace) && !cur().is(TokenKind::Eof)) {
     Stmt *S = parseStmt();
-    if (!S) {
-      popScope();
+    if (!S)
       return nullptr;
-    }
     Body.push_back(S);
   }
-  popScope();
   if (!expect(TokenKind::RBrace, "to close block"))
     return nullptr;
   return Ctx.create<CompoundStmt>(std::move(Body));
@@ -486,7 +443,6 @@ Stmt *Parser::parseForStmt() {
   consume(); // 'for'
   if (!expect(TokenKind::LParen, "after 'for'"))
     return nullptr;
-  pushScope();
 
   Stmt *Init = nullptr;
   if (!cur().is(TokenKind::Semi)) {
@@ -495,44 +451,31 @@ Stmt *Parser::parseForStmt() {
     } else {
       Init = parseExpr();
     }
-    if (!Init) {
-      popScope();
+    if (!Init)
       return nullptr;
-    }
   }
-  if (!expect(TokenKind::Semi, "after for-init")) {
-    popScope();
+  if (!expect(TokenKind::Semi, "after for-init"))
     return nullptr;
-  }
 
   Expr *Cond = nullptr;
   if (!cur().is(TokenKind::Semi)) {
     Cond = parseExpr();
-    if (!Cond) {
-      popScope();
+    if (!Cond)
       return nullptr;
-    }
   }
-  if (!expect(TokenKind::Semi, "after for-condition")) {
-    popScope();
+  if (!expect(TokenKind::Semi, "after for-condition"))
     return nullptr;
-  }
 
   Expr *Inc = nullptr;
   if (!cur().is(TokenKind::RParen)) {
     Inc = parseExpr();
-    if (!Inc) {
-      popScope();
+    if (!Inc)
       return nullptr;
-    }
   }
-  if (!expect(TokenKind::RParen, "after for-increment")) {
-    popScope();
+  if (!expect(TokenKind::RParen, "after for-increment"))
     return nullptr;
-  }
 
   Stmt *Body = parseStmt();
-  popScope();
   if (!Body)
     return nullptr;
   return Ctx.create<ForStmt>(Init, Cond, Inc, Body);
@@ -714,105 +657,7 @@ BinaryOpKind tokenToAssignOp(TokenKind Kind) {
   }
 }
 
-unsigned integerRank(BuiltinKind Kind) {
-  switch (Kind) {
-  case BuiltinKind::Bool: return 1;
-  case BuiltinKind::Char:
-  case BuiltinKind::UChar: return 2;
-  case BuiltinKind::Short:
-  case BuiltinKind::UShort: return 3;
-  case BuiltinKind::Int:
-  case BuiltinKind::UInt: return 4;
-  case BuiltinKind::Long:
-  case BuiltinKind::ULong: return 5;
-  case BuiltinKind::LongLong:
-  case BuiltinKind::ULongLong: return 6;
-  default: return 4;
-  }
-}
-
 } // namespace
-
-Type Parser::typeOfBinary(BinaryOpKind Op, const Expr *LHS,
-                          const Expr *RHS) const {
-  const Type &L = LHS->type();
-  const Type &R = RHS->type();
-  switch (Op) {
-  case BinaryOpKind::LT:
-  case BinaryOpKind::GT:
-  case BinaryOpKind::LE:
-  case BinaryOpKind::GE:
-  case BinaryOpKind::EQ:
-  case BinaryOpKind::NE:
-  case BinaryOpKind::LAnd:
-  case BinaryOpKind::LOr:
-    return Type(BuiltinKind::Int);
-  case BinaryOpKind::Comma:
-    return R;
-  default:
-    break;
-  }
-  if (isAssignmentOp(Op))
-    return L;
-  if (L.isPointer())
-    return R.isPointer() ? Type(BuiltinKind::Long) : L;
-  if (R.isPointer())
-    return R;
-  if (L.kind() == BuiltinKind::Double || R.kind() == BuiltinKind::Double)
-    return Type(BuiltinKind::Double);
-  if (L.kind() == BuiltinKind::Float || R.kind() == BuiltinKind::Float)
-    return Type(BuiltinKind::Float);
-  // Integer promotion: pick the larger rank; unsigned wins ties.
-  unsigned RankL = integerRank(L.kind());
-  unsigned RankR = integerRank(R.kind());
-  const Type &Winner = RankL > RankR    ? L
-                       : RankR > RankL  ? R
-                       : L.isUnsigned() ? L
-                                        : R;
-  if (integerRank(Winner.kind()) < 4)
-    return Type(BuiltinKind::Int);
-  return Winner;
-}
-
-Type Parser::typeOfCall(const std::string &Name,
-                        const std::vector<Expr *> &Args) const {
-  auto It = FunctionReturnTypes.find(Name);
-  if (It != FunctionReturnTypes.end())
-    return It->second;
-  // Common CUDA/libm intrinsics.
-  if (Name == "sqrtf" || Name == "ceilf" || Name == "floorf" ||
-      Name == "fabsf" || Name == "fminf" || Name == "fmaxf" ||
-      Name == "powf" || Name == "expf" || Name == "logf" ||
-      Name == "tanhf" || Name == "__fdividef")
-    return Type(BuiltinKind::Float);
-  if (Name == "sqrt" || Name == "ceil" || Name == "floor" || Name == "fabs" ||
-      Name == "pow" || Name == "exp" || Name == "log" || Name == "tanh")
-    return Type(BuiltinKind::Double);
-  if (Name == "min" || Name == "max") {
-    if (!Args.empty())
-      return Args.front()->type();
-    return Type(BuiltinKind::Int);
-  }
-  if (Name == "atomicAdd" || Name == "atomicMax" || Name == "atomicMin" ||
-      Name == "atomicExch" || Name == "atomicCAS" || Name == "atomicOr" ||
-      Name == "atomicSub") {
-    if (!Args.empty() && Args.front()->type().isPointer())
-      return Args.front()->type().pointee();
-    return Type(BuiltinKind::Int);
-  }
-  if (Name == "__syncthreads" || Name == "__threadfence" ||
-      Name == "__threadfence_block" || Name == "__syncwarp")
-    return Type(BuiltinKind::Void);
-  // Warp/block collectives: values round-trip through 64-bit VM slots.
-  if (Name == "__shfl_sync" || Name == "__shfl_up_sync" ||
-      Name == "__shfl_down_sync" || Name == "__shfl_xor_sync" ||
-      Name == "__block_reduce_add" || Name == "__block_reduce_min" ||
-      Name == "__block_reduce_max")
-    return Type(BuiltinKind::LongLong);
-  if (Name == "__ballot_sync")
-    return Type(BuiltinKind::UInt);
-  return Type(BuiltinKind::Int);
-}
 
 std::vector<Expr *> Parser::parseCallArgs() {
   std::vector<Expr *> Args;
@@ -835,22 +680,6 @@ Expr *Parser::parsePrimary() {
     Token Tok = consume();
     uint64_t Value = std::strtoull(Tok.Text.c_str(), nullptr, 0);
     auto *Lit = Ctx.create<IntegerLiteral>(Value, Tok.Text);
-    std::string Lower = Tok.Text;
-    for (char &C : Lower)
-      C = (char)std::tolower((unsigned char)C);
-    bool IsU = Lower.find('u') != std::string::npos;
-    bool IsLL = Lower.find("ll") != std::string::npos;
-    bool IsL = !IsLL && Lower.find('l') != std::string::npos;
-    if (IsU && IsLL)
-      Lit->setType(Type(BuiltinKind::ULongLong));
-    else if (IsU && IsL)
-      Lit->setType(Type(BuiltinKind::ULong));
-    else if (IsLL)
-      Lit->setType(Type(BuiltinKind::LongLong));
-    else if (IsL)
-      Lit->setType(Type(BuiltinKind::Long));
-    else if (IsU)
-      Lit->setType(Type(BuiltinKind::UInt));
     Lit->setLoc(Loc);
     return Lit;
   }
@@ -858,9 +687,6 @@ Expr *Parser::parsePrimary() {
     Token Tok = consume();
     double Value = std::strtod(Tok.Text.c_str(), nullptr);
     auto *Lit = Ctx.create<FloatLiteral>(Value, Tok.Text);
-    if (!Tok.Text.empty() &&
-        (Tok.Text.back() == 'f' || Tok.Text.back() == 'F'))
-      Lit->setType(Type(BuiltinKind::Float));
     Lit->setLoc(Loc);
     return Lit;
   }
@@ -890,7 +716,6 @@ Expr *Parser::parsePrimary() {
       }
     }
     auto *Lit = Ctx.create<IntegerLiteral>((uint64_t)Value, Tok.Text);
-    Lit->setType(Type(BuiltinKind::Char));
     Lit->setLoc(Loc);
     return Lit;
   }
@@ -931,7 +756,6 @@ Expr *Parser::parsePrimary() {
     if (!Inner || !expect(TokenKind::RParen, "after parenthesized expression"))
       return nullptr;
     auto *E = Ctx.create<ParenExpr>(Inner);
-    E->setType(Inner->type());
     E->setLoc(Loc);
     return E;
   }
@@ -971,7 +795,6 @@ Expr *Parser::parsePrimary() {
     }
 
     auto *Ref = Ctx.create<DeclRefExpr>(Name);
-    Ref->setType(lookup(Name));
     Ref->setLoc(Loc);
     return Ref;
   }
@@ -988,12 +811,7 @@ Expr *Parser::parsePostfix(Expr *Base) {
     case TokenKind::LParen: {
       consume();
       std::vector<Expr *> Args = parseCallArgs();
-      std::string Name;
-      if (auto *Ref = dyn_cast<DeclRefExpr>(Base))
-        Name = Ref->name();
-      auto *Call = Ctx.create<CallExpr>(Base, std::move(Args));
-      Call->setType(typeOfCall(Name, Call->args()));
-      Base = Call;
+      Base = Ctx.create<CallExpr>(Base, std::move(Args));
       break;
     }
     case TokenKind::LBracket: {
@@ -1001,9 +819,7 @@ Expr *Parser::parsePostfix(Expr *Base) {
       Expr *Index = parseExpr();
       if (!Index || !expect(TokenKind::RBracket, "after subscript"))
         return nullptr;
-      auto *Sub = Ctx.create<ArraySubscriptExpr>(Base, Index);
-      Sub->setType(Base->type().pointee());
-      Base = Sub;
+      Base = Ctx.create<ArraySubscriptExpr>(Base, Index);
       break;
     }
     case TokenKind::Period:
@@ -1014,27 +830,17 @@ Expr *Parser::parsePostfix(Expr *Base) {
         return nullptr;
       }
       std::string Member = consume().Text;
-      auto *M = Ctx.create<MemberExpr>(Base, Member, IsArrow);
-      Type BaseTy = IsArrow ? Base->type().pointee() : Base->type();
-      if (BaseTy.isDim3())
-        M->setType(Type(BuiltinKind::UInt));
-      else
-        M->setType(Type(BuiltinKind::Int));
-      Base = M;
+      Base = Ctx.create<MemberExpr>(Base, Member, IsArrow);
       break;
     }
     case TokenKind::PlusPlus: {
       consume();
-      auto *U = Ctx.create<UnaryOperator>(UnaryOpKind::PostInc, Base);
-      U->setType(Base->type());
-      Base = U;
+      Base = Ctx.create<UnaryOperator>(UnaryOpKind::PostInc, Base);
       break;
     }
     case TokenKind::MinusMinus: {
       consume();
-      auto *U = Ctx.create<UnaryOperator>(UnaryOpKind::PostDec, Base);
-      U->setType(Base->type());
-      Base = U;
+      Base = Ctx.create<UnaryOperator>(UnaryOpKind::PostDec, Base);
       break;
     }
     default:
@@ -1070,20 +876,6 @@ Expr *Parser::parseUnary() {
     return nullptr;
   auto *U = Ctx.create<UnaryOperator>(Op, Operand);
   U->setLoc(Loc);
-  switch (Op) {
-  case UnaryOpKind::Deref:
-    U->setType(Operand->type().pointee());
-    break;
-  case UnaryOpKind::AddrOf:
-    U->setType(Operand->type().pointerTo());
-    break;
-  case UnaryOpKind::Not:
-    U->setType(Type(BuiltinKind::Int));
-    break;
-  default:
-    U->setType(Operand->type());
-    break;
-  }
   return U;
 }
 
@@ -1103,9 +895,7 @@ Expr *Parser::parseBinaryRHS(unsigned MinPrec, Expr *LHS) {
         return nullptr;
     }
     BinaryOpKind Op = tokenToBinaryOp(OpTok);
-    auto *Bin = Ctx.create<BinaryOperator>(Op, LHS, RHS);
-    Bin->setType(typeOfBinary(Op, LHS, RHS));
-    LHS = Bin;
+    LHS = Ctx.create<BinaryOperator>(Op, LHS, RHS);
   }
 }
 
@@ -1124,9 +914,7 @@ Expr *Parser::parseConditional() {
   Expr *FalseExpr = parseConditional();
   if (!FalseExpr)
     return nullptr;
-  auto *C = Ctx.create<ConditionalOperator>(Cond, TrueExpr, FalseExpr);
-  C->setType(TrueExpr->type());
-  return C;
+  return Ctx.create<ConditionalOperator>(Cond, TrueExpr, FalseExpr);
 }
 
 Expr *Parser::parseAssignment() {
@@ -1149,9 +937,7 @@ Expr *Parser::parseAssignment() {
     Expr *RHS = parseAssignment();
     if (!RHS)
       return nullptr;
-    auto *Bin = Ctx.create<BinaryOperator>(Op, LHS, RHS);
-    Bin->setType(LHS->type());
-    return Bin;
+    return Ctx.create<BinaryOperator>(Op, LHS, RHS);
   }
   default:
     return LHS;
@@ -1167,9 +953,7 @@ Expr *Parser::parseExpr() {
     Expr *RHS = parseAssignment();
     if (!RHS)
       return nullptr;
-    auto *Bin = Ctx.create<BinaryOperator>(BinaryOpKind::Comma, LHS, RHS);
-    Bin->setType(RHS->type());
-    LHS = Bin;
+    LHS = Ctx.create<BinaryOperator>(BinaryOpKind::Comma, LHS, RHS);
   }
   return LHS;
 }

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parses the CUDA-C subset into the AST. The parser doubles as a light
-/// semantic analyzer: it tracks variable and function types in scope so
-/// every expression node carries a static type (the bytecode compiler and
-/// the passes rely on this; e.g. pointer subscripts must scale by the
-/// pointee size).
+/// Parses the CUDA-C subset into the AST. Once a unit (or a standalone
+/// expression) is built, assignTypes (parse/Typing.h) gives every
+/// expression node its static type (the bytecode compiler and the passes
+/// rely on this; e.g. pointer subscripts must scale by the pointee size).
 ///
 /// Grammar highlights beyond plain C:
 ///   - `__global__` / `__device__` / `__host__` / `__shared__` qualifiers
@@ -28,7 +27,6 @@
 #include "support/Diagnostics.h"
 
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -60,11 +58,7 @@ private:
   bool expect(TokenKind Kind, std::string_view Context);
   void error(std::string Message);
 
-  // Scope and type tracking.
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
-  void declare(const std::string &Name, const Type &Ty);
-  Type lookup(const std::string &Name) const;
+  // Type names.
   bool isTypeName(const Token &Tok) const;
   bool startsType(const Token &Tok) const;
 
@@ -95,17 +89,10 @@ private:
   Expr *parsePrimary();
   std::vector<Expr *> parseCallArgs();
 
-  // Typing helpers.
-  Type typeOfBinary(BinaryOpKind Op, const Expr *LHS, const Expr *RHS) const;
-  Type typeOfCall(const std::string &Name, const std::vector<Expr *> &Args)
-      const;
-
   std::vector<Token> Tokens;
   size_t Pos = 0;
   ASTContext &Ctx;
   DiagnosticEngine &Diags;
-  std::vector<std::unordered_map<std::string, Type>> Scopes;
-  std::unordered_map<std::string, Type> FunctionReturnTypes;
   std::unordered_set<std::string> TypeNames;
 };
 

@@ -6,12 +6,10 @@
 
 #include "service/CompileService.h"
 
-#include "parse/Parser.h"
 #include "support/StringUtils.h"
 #include "transform/Pipeline.h"
 #include "tuner/TunedTable.h"
 #include "vm/BytecodeIO.h"
-#include "vm/Compiler.h"
 #include "workloads/KernelSources.h"
 #include "workloads/VmWorkload.h"
 
@@ -223,32 +221,30 @@ bool CompileService::decodeArtifact(std::string_view Blob, MemEntry &Out,
 
 bool CompileService::compileUncached(const CompileRequest &Req, MemEntry &Out,
                                      std::string &Error) const {
-  std::string Source(Req.Source);
-  if (!Req.Pipeline.empty()) {
-    DiagnosticEngine Diags;
-    Source = transformSourceWithPipeline(Req.Source, Req.Pipeline, Req.Knobs,
-                                         Diags);
-    if (Source.empty()) {
-      Error = "pipeline '" + Req.Pipeline + "' failed: " + Diags.str();
-      return false;
-    }
-  }
-  Out.TransformedSource = std::move(Source);
-
+  DiagnosticEngine Diags;
   if (Req.WantBytecode) {
-    DiagnosticEngine Diags;
-    ASTContext Ctx;
-    TranslationUnit *TU = parseSource(Out.TransformedSource, Ctx, Diags);
     VmCompileOptions Opts;
     Opts.OptimizeBytecode = Req.OptimizeBytecode;
-    VmProgram Program;
-    if (TU)
-      Program = compileProgram(TU, Diags, Opts);
-    if (!TU || Diags.hasErrors()) {
-      Error = "bytecode compile failed: " + Diags.str();
+    std::optional<VmProgram> Program =
+        compileWithPipeline(Req.Source, Req.Pipeline, Req.Knobs, Opts, Diags,
+                            &Out.TransformedSource);
+    if (!Program) {
+      Error = "compile of pipeline '" + Req.Pipeline + "' failed: " +
+              Diags.str();
       return false;
     }
-    Out.Program = std::make_shared<const VmProgram>(std::move(Program));
+    Out.Program = std::make_shared<const VmProgram>(std::move(*Program));
+    return true;
+  }
+  if (Req.Pipeline.empty()) {
+    Out.TransformedSource = Req.Source;
+    return true;
+  }
+  Out.TransformedSource =
+      transformSourceWithPipeline(Req.Source, Req.Pipeline, Req.Knobs, Diags);
+  if (Out.TransformedSource.empty()) {
+    Error = "pipeline '" + Req.Pipeline + "' failed: " + Diags.str();
+    return false;
   }
   return true;
 }

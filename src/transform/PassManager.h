@@ -13,8 +13,7 @@
 /// only when a pass mutates state they depend on (each pass declares what
 /// it preserved via PreservedAnalyses).
 ///
-/// Pipelines can be built programmatically (buildPassPipeline in
-/// Pipeline.h) or parsed from text (parsePassPipeline), e.g.:
+/// Pipelines are spelled as text and parsed by parsePassPipeline, e.g.:
 ///
 ///   threshold,coarsen,aggregate[multiblock:8]
 ///   threshold[256:fallback],coarsen[8:literal]

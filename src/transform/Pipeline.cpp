@@ -8,27 +8,11 @@
 
 #include "ast/ASTPrinter.h"
 #include "parse/Parser.h"
+#include "parse/Typing.h"
 #include "profile/Profile.h"
+#include "vm/Compiler.h"
 
 using namespace dpo;
-
-void dpo::buildPassPipeline(PassManager &PM, const PipelineOptions &Options) {
-  if (Options.EnableThresholding)
-    PM.addPass(std::make_unique<ThresholdingPass>(Options.Thresholding));
-  if (Options.EnableCoarsening)
-    PM.addPass(std::make_unique<CoarseningPass>(Options.Coarsening));
-  if (Options.EnableAggregation)
-    PM.addPass(std::make_unique<AggregationPass>(Options.Aggregation));
-}
-
-PassPipelineConfig dpo::pipelineConfigFrom(const PipelineOptions &Options) {
-  PassPipelineConfig Config;
-  Config.Thresholding = Options.Thresholding;
-  Config.Coarsening = Options.Coarsening;
-  Config.Aggregation = Options.Aggregation;
-  Config.Profile = Options.Profile;
-  return Config;
-}
 
 PassPipelineConfig dpo::literalKnobConfig(const LaunchProfile *Profile) {
   PassPipelineConfig Config;
@@ -40,86 +24,67 @@ PassPipelineConfig dpo::literalKnobConfig(const LaunchProfile *Profile) {
   return Config;
 }
 
-PipelineResult dpo::runPipeline(ASTContext &Ctx, TranslationUnit *TU,
-                                const PipelineOptions &Options,
-                                DiagnosticEngine &Diags, AnalysisManager &AM) {
+namespace {
+
+/// Parses \p Source into \p Ctx and runs \p PipelineText over it with one
+/// AnalysisManager. Returns the transformed unit, or null after reporting
+/// the failure to \p Diags.
+TranslationUnit *parseAndTransform(std::string_view Source,
+                                   std::string_view PipelineText,
+                                   const PassPipelineConfig &Config,
+                                   ASTContext &Ctx, DiagnosticEngine &Diags,
+                                   std::string *StatsReport) {
   PassManager PM;
-  ThresholdingPass *Threshold = nullptr;
-  CoarseningPass *Coarsen = nullptr;
-  AggregationPass *Aggregate = nullptr;
-  if (Options.EnableThresholding) {
-    auto Pass = std::make_unique<ThresholdingPass>(Options.Thresholding);
-    Threshold = Pass.get();
-    PM.addPass(std::move(Pass));
+  std::string Error;
+  if (!parsePassPipeline(PM, PipelineText, Config, Error)) {
+    Diags.error(SourceLocation(), "invalid pass pipeline: " + Error);
+    return nullptr;
   }
-  if (Options.EnableCoarsening) {
-    auto Pass = std::make_unique<CoarseningPass>(Options.Coarsening);
-    Coarsen = Pass.get();
-    PM.addPass(std::move(Pass));
-  }
-  if (Options.EnableAggregation) {
-    auto Pass = std::make_unique<AggregationPass>(Options.Aggregation);
-    Aggregate = Pass.get();
-    PM.addPass(std::move(Pass));
-  }
-
-  PipelineResult Result;
-  Result.Ok = PM.run(Ctx, TU, AM, Diags);
-  // Passes after the first error did not run; their results stay default,
-  // matching the pre-pass-manager early-return behavior.
-  if (Threshold)
-    Result.Thresholding = Threshold->result();
-  if (Coarsen)
-    Result.Coarsening = Coarsen->result();
-  if (Aggregate)
-    Result.Aggregation = Aggregate->result();
-  return Result;
-}
-
-PipelineResult dpo::runPipeline(ASTContext &Ctx, TranslationUnit *TU,
-                                const PipelineOptions &Options,
-                                DiagnosticEngine &Diags) {
-  AnalysisManager AM(Ctx, TU);
-  return runPipeline(Ctx, TU, Options, Diags, AM);
-}
-
-std::string dpo::transformSource(std::string_view Source,
-                                 const PipelineOptions &Options,
-                                 DiagnosticEngine &Diags) {
-  ASTContext Ctx;
   TranslationUnit *TU = parseSource(Source, Ctx, Diags);
   if (!TU)
-    return std::string();
-  PipelineResult Result = runPipeline(Ctx, TU, Options, Diags);
-  if (!Result.Ok)
-    return std::string();
-  return printTranslationUnit(TU);
+    return nullptr;
+  AnalysisManager AM(Ctx, TU);
+  bool Ok = PM.run(Ctx, TU, AM, Diags);
+  if (StatsReport)
+    *StatsReport = PM.statsReport(AM);
+  return Ok ? TU : nullptr;
 }
+
+} // namespace
 
 std::string dpo::transformSourceWithPipeline(std::string_view Source,
                                              std::string_view PipelineText,
                                              const PassPipelineConfig &Config,
                                              DiagnosticEngine &Diags,
                                              std::string *StatsReport) {
-  PassManager PM;
-  std::string Error;
-  if (!parsePassPipeline(PM, PipelineText, Config, Error)) {
-    Diags.error(SourceLocation(), "invalid pass pipeline: " + Error);
-    return std::string();
-  }
-
   ASTContext Ctx;
-  TranslationUnit *TU = parseSource(Source, Ctx, Diags);
-  if (!TU)
-    return std::string();
+  TranslationUnit *TU = parseAndTransform(Source, PipelineText, Config, Ctx,
+                                          Diags, StatsReport);
+  return TU ? printTranslationUnit(TU) : std::string();
+}
 
-  AnalysisManager AM(Ctx, TU);
-  bool Ok = PM.run(Ctx, TU, AM, Diags);
-  if (StatsReport)
-    *StatsReport = PM.statsReport(AM);
-  if (!Ok)
-    return std::string();
-  return printTranslationUnit(TU);
+std::optional<VmProgram> dpo::compileWithPipeline(
+    std::string_view Source, std::string_view PipelineText,
+    const PassPipelineConfig &Config, const VmCompileOptions &Opts,
+    DiagnosticEngine &Diags, std::string *Printed) {
+  ASTContext Ctx;
+  bool Transform = !PipelineText.empty();
+  TranslationUnit *TU = Transform ? parseAndTransform(Source, PipelineText,
+                                                      Config, Ctx, Diags,
+                                                      /*StatsReport=*/nullptr)
+                                  : parseSource(Source, Ctx, Diags);
+  if (!TU)
+    return std::nullopt;
+  // Passes build nodes without exact types; give the unit the types
+  // parsing its printed text would, so the bytecode matches.
+  if (Transform)
+    assignTypes(TU);
+  if (Printed)
+    *Printed = Transform ? printTranslationUnit(TU) : std::string(Source);
+  VmProgram Program = compileProgram(TU, Diags, Opts);
+  if (Diags.hasErrors())
+    return std::nullopt;
+  return Program;
 }
 
 bool dpo::canonicalPipelineText(std::string_view PipelineText,

@@ -13,11 +13,14 @@
 /// isolate before they are combined; coarsening before aggregation so the
 /// disaggregation logic lands outside the coarsening loop and is amortized.
 ///
-/// Since the pass-manager refactor this file is a thin convenience layer:
-/// runPipeline/transformSource build a PassManager in the Fig. 8(a) order
-/// and run it with a shared AnalysisManager, so the launch-site analysis is
-/// computed once for the whole pipeline instead of once per pass. Custom
-/// orderings come from parsePassPipeline / transformSourceWithPipeline.
+/// Pipelines have one spelling: the text parsePassPipeline accepts
+/// ("threshold,coarsen,aggregate[multiblock:8]"), with knob values not
+/// written in the text taken from a PassPipelineConfig. The Fig. 8(a)
+/// pipeline is "threshold,coarsen,aggregate". Every caller that wants
+/// bytecode goes through compileWithPipeline, which parses the source
+/// once, runs the passes over the AST with one shared AnalysisManager, and
+/// lowers the transformed AST straight to bytecode; the transformed text
+/// is printed only when a caller asks for it (artifacts, output files).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,44 +36,14 @@
 #include "transform/PassManager.h"
 #include "transform/PassOptions.h"
 #include "transform/ThresholdingPass.h"
+#include "vm/Bytecode.h"
+#include "vm/Compiler.h"
 
+#include <optional>
 #include <string>
 #include <string_view>
 
 namespace dpo {
-
-struct PipelineOptions {
-  bool EnableThresholding = false;
-  bool EnableCoarsening = false;
-  bool EnableAggregation = false;
-  ThresholdingOptions Thresholding;
-  CoarseningOptions Coarsening;
-  AggregationOptions Aggregation;
-  /// Execution profile handed to passes running in profile mode (the
-  /// `profile` pass parameter). Not owned; may be null.
-  const LaunchProfile *Profile = nullptr;
-
-  /// Convenience: spell every knob as a literal (for VM execution).
-  void useLiteralKnobs() {
-    Thresholding.Spelling = KnobSpelling::Literal;
-    Coarsening.Spelling = KnobSpelling::Literal;
-    Aggregation.Spelling = KnobSpelling::Literal;
-  }
-};
-
-struct PipelineResult {
-  ThresholdingResult Thresholding;
-  CoarseningResult Coarsening;
-  AggregationResult Aggregation;
-  bool Ok = true;
-};
-
-/// Appends the passes enabled in \p Options to \p PM, in the Fig. 8(a)
-/// order.
-void buildPassPipeline(PassManager &PM, const PipelineOptions &Options);
-
-/// The knob defaults of \p Options as a textual-pipeline configuration.
-PassPipelineConfig pipelineConfigFrom(const PipelineOptions &Options);
 
 /// A textual-pipeline configuration whose knob spellings are all literal —
 /// what VM execution requires (the VM has no preprocessor to give the
@@ -78,23 +51,6 @@ PassPipelineConfig pipelineConfigFrom(const PipelineOptions &Options);
 /// parses pipelines produced by passPipelineTextFor with these defaults.
 /// \p Profile (optional, not owned) backs the `profile` pass parameter.
 PassPipelineConfig literalKnobConfig(const LaunchProfile *Profile = nullptr);
-
-/// Runs the enabled passes in the Fig. 8(a) order, in place, sharing
-/// \p AM's analysis cache across the passes.
-PipelineResult runPipeline(ASTContext &Ctx, TranslationUnit *TU,
-                           const PipelineOptions &Options,
-                           DiagnosticEngine &Diags, AnalysisManager &AM);
-
-/// Same, with a pipeline-private AnalysisManager.
-PipelineResult runPipeline(ASTContext &Ctx, TranslationUnit *TU,
-                           const PipelineOptions &Options,
-                           DiagnosticEngine &Diags);
-
-/// Text-to-text convenience: parse, transform, print. Returns an empty
-/// string on error (diagnostics explain why).
-std::string transformSource(std::string_view Source,
-                            const PipelineOptions &Options,
-                            DiagnosticEngine &Diags);
 
 /// Text-to-text with a textual pass pipeline ("threshold,coarsen,
 /// aggregate[multiblock:8]"; see PassManager.h for the grammar). Knob
@@ -107,6 +63,19 @@ std::string transformSourceWithPipeline(std::string_view Source,
                                         const PassPipelineConfig &Config,
                                         DiagnosticEngine &Diags,
                                         std::string *StatsReport = nullptr);
+
+/// The one compile path: parses \p Source, runs \p PipelineText over it
+/// (see transformSourceWithPipeline for the knob rules), and compiles the
+/// transformed AST to bytecode with \p Opts. An empty pipeline compiles
+/// the source as written. When \p Printed is non-null it receives the
+/// transformed source text (\p Source itself for an empty pipeline).
+/// Returns nullopt on error; \p Diags explains why.
+std::optional<VmProgram> compileWithPipeline(std::string_view Source,
+                                             std::string_view PipelineText,
+                                             const PassPipelineConfig &Config,
+                                             const VmCompileOptions &Opts,
+                                             DiagnosticEngine &Diags,
+                                             std::string *Printed = nullptr);
 
 /// Canonicalizes \p PipelineText by parsing it against \p Config and
 /// re-rendering via PassManager::pipelineText(), so differently-spelled

@@ -6,10 +6,8 @@
 
 #include "tuner/Empirical.h"
 
-#include "parse/Parser.h"
 #include "profile/Profile.h"
 #include "transform/Pipeline.h"
-#include "vm/Compiler.h"
 
 #include <algorithm>
 #include <atomic>
@@ -162,34 +160,18 @@ const VmProgram *EmpiricalEvaluator::programFor(const std::string &Pipeline) {
     return nullptr;
   }
 
-  std::string Src;
-  if (Pipeline.empty()) {
-    Src = Workload.Source;
-  } else {
-    DiagnosticEngine Diags;
-    Src = transformSourceWithPipeline(Workload.Source, Pipeline,
-                                      literalKnobConfig(Profile), Diags);
-    if (Src.empty()) {
-      LastError = "pipeline '" + Pipeline + "' failed: " + Diags.str();
-      FailedPipelines.insert(Pipeline);
-      return nullptr;
-    }
-  }
-
   DiagnosticEngine Diags;
-  ASTContext Ctx;
-  TranslationUnit *TU = parseSource(Src, Ctx, Diags);
-  VmProgram Program;
-  if (TU)
-    Program = compileProgram(TU, Diags);
-  if (!TU || Diags.hasErrors()) {
-    LastError = "bytecode compile of pipeline '" + Pipeline +
-                "' failed: " + Diags.str();
+  std::optional<VmProgram> Program = compileWithPipeline(
+      Workload.Source, Pipeline, literalKnobConfig(Profile), VmCompileOptions(),
+      Diags);
+  if (!Program) {
+    LastError =
+        "compile of pipeline '" + Pipeline + "' failed: " + Diags.str();
     FailedPipelines.insert(Pipeline);
     return nullptr;
   }
   ++Compiles;
-  return &Programs.emplace(Pipeline, std::move(Program)).first->second;
+  return &Programs.emplace(Pipeline, std::move(*Program)).first->second;
 }
 
 bool EmpiricalEvaluator::runMeasurement(const VmProgram &Program,

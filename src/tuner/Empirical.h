@@ -7,9 +7,9 @@
 /// \file
 /// Empirical, measurement-driven parameter search: instead of asking the
 /// analytic timing model (sim/Simulator.h) how a candidate ExecConfig
-/// would perform, compile the workload through the candidate's pass
-/// pipeline (passPipelineTextFor -> parsePassPipeline -> PassManager),
-/// lower the transformed source to bytecode (vm/Compiler), execute it on
+/// would perform, compile the workload through the candidate's pipeline
+/// text (passPipelineTextFor -> compileWithPipeline, which runs the
+/// PassManager and lowers the transformed AST to bytecode), execute it on
 /// the VM against the workload's real batch stream, and score the config
 /// from the *measured* event counts (instructions retired, device/host
 /// launches, blocks dispatched).

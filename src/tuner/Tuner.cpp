@@ -114,37 +114,33 @@ TuneResult dpo::exhaustiveTune(const GpuModel &Gpu,
   return Best;
 }
 
-PipelineOptions dpo::pipelineOptionsFor(const ExecConfig &Config) {
-  PipelineOptions Options;
+std::string dpo::passPipelineTextFor(const ExecConfig &Config) {
+  ThresholdingOptions T;
   if (Config.NoCdp) {
     // The no-CDP baseline serializes every child grid: thresholding with a
     // threshold no realistic grid reaches.
-    Options.EnableThresholding = true;
-    Options.Thresholding.Threshold = 0xFFFFFFFFu;
-    Options.Thresholding.FallbackToTotalThreads = true;
-    return Options;
+    T.Threshold = 0xFFFFFFFFu;
+    T.FallbackToTotalThreads = true;
+    return ThresholdingPass(T).repr();
   }
+  PassManager PM;
   if (Config.Threshold) {
-    Options.EnableThresholding = true;
-    Options.Thresholding.Threshold = *Config.Threshold;
+    T.Threshold = *Config.Threshold;
+    PM.addPass(std::make_unique<ThresholdingPass>(T));
   }
   if (Config.CoarsenFactor > 1) {
-    Options.EnableCoarsening = true;
-    Options.Coarsening.Factor = Config.CoarsenFactor;
+    CoarseningOptions C;
+    C.Factor = Config.CoarsenFactor;
+    PM.addPass(std::make_unique<CoarseningPass>(C));
   }
   if (Config.Agg != AggGranularity::None) {
-    Options.EnableAggregation = true;
-    Options.Aggregation.Granularity = Config.Agg;
-    Options.Aggregation.GroupSize = Config.AggGroupBlocks;
-    Options.Aggregation.UseAggregationThreshold = Config.AggThresholdEnabled;
-    Options.Aggregation.AggregationThreshold = Config.AggThreshold;
+    AggregationOptions A;
+    A.Granularity = Config.Agg;
+    A.GroupSize = Config.AggGroupBlocks;
+    A.UseAggregationThreshold = Config.AggThresholdEnabled;
+    A.AggregationThreshold = Config.AggThreshold;
+    PM.addPass(std::make_unique<AggregationPass>(A));
   }
-  return Options;
-}
-
-std::string dpo::passPipelineTextFor(const ExecConfig &Config) {
-  PassManager PM;
-  buildPassPipeline(PM, pipelineOptionsFor(Config));
   return PM.pipelineText();
 }
 

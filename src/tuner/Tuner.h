@@ -71,16 +71,13 @@ uint32_t thresholdForLaunchBudget(const std::vector<NestedBatch> &Batches,
                                   uint64_t TargetLaunches);
 
 /// Maps a tuned execution strategy back onto the source-to-source
-/// compiler: the pipeline options that realize \p Config (knobs spelled as
-/// macros with the tuned values as defaults). NoCdp configurations map to
-/// thresholding with a threshold of 2^32-1, which serializes every child
-/// grid. Feed the result to runPipeline/buildPassPipeline to emit the
-/// tuned .cu.
-PipelineOptions pipelineOptionsFor(const ExecConfig &Config);
-
-/// The textual pass pipeline realizing \p Config, in parsePassPipeline's
-/// grammar ("threshold[1024],coarsen[8],aggregate[multiblock:8]"). Empty
-/// when \p Config enables no transformation.
+/// compiler: the textual pass pipeline realizing \p Config, in
+/// parsePassPipeline's grammar ("threshold[1024],coarsen[8],
+/// aggregate[multiblock:8]"). Empty when \p Config enables no
+/// transformation. NoCdp configurations map to thresholding with a
+/// threshold of 2^32-1 and the total-threads fallback, which serializes
+/// every child grid. Knob spellings come from the parsing config, so the
+/// same text emits macros (dpoptcc) or literals (VM execution).
 std::string passPipelineTextFor(const ExecConfig &Config);
 
 /// The inverse of passPipelineTextFor, for warm-starting searches from

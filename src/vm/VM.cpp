@@ -46,7 +46,7 @@
 
 #include "vm/VM.h"
 
-#include "parse/Parser.h"
+#include "transform/Pipeline.h"
 #include "vm/AtomicMem.h"
 #include "vm/SlotOps.h"
 
@@ -1476,12 +1476,10 @@ StepLimitHit:
 std::unique_ptr<Device> dpo::buildDevice(std::string_view Source,
                                          DiagnosticEngine &Diags,
                                          const VmCompileOptions &Opts) {
-  ASTContext Ctx;
-  TranslationUnit *TU = parseSource(Source, Ctx, Diags);
-  if (!TU)
+  std::optional<VmProgram> Program = compileWithPipeline(
+      Source, /*PipelineText=*/"", PassPipelineConfig(), Opts, Diags);
+  if (!Program)
     return nullptr;
-  VmProgram Program = compileProgram(TU, Diags, Opts);
-  if (Diags.hasErrors())
-    return nullptr;
-  return std::make_unique<Device>(std::move(Program), 256ull << 20, Opts.Exec);
+  return std::make_unique<Device>(std::move(*Program),
+                                  Device::DefaultMemoryBytes, Opts.Exec);
 }

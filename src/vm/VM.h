@@ -145,11 +145,16 @@ bool operator==(const DeviceCheckpoint &A, const DeviceCheckpoint &B);
 
 class Device {
 public:
+  /// Memory image size of a Device built without an explicit size (and
+  /// of every buildDevice device).
+  static constexpr uint64_t DefaultMemoryBytes = 256ull << 20;
+
   /// \p Mode picks the execution engine: Auto resolves to the traced
   /// decoded-IR loop unless a DPO_VM_EXEC environment override
   /// ("bytecode" or "decoded-notrace") selects another engine. The
   /// engine is fixed for the Device's lifetime.
-  explicit Device(VmProgram Program, uint64_t MemoryBytes = 256ull << 20,
+  explicit Device(VmProgram Program,
+                  uint64_t MemoryBytes = DefaultMemoryBytes,
                   ExecMode Mode = ExecMode::Auto);
   ~Device();
 

@@ -7,9 +7,7 @@
 #include "workloads/CoopKernels.h"
 
 #include "datasets/Generators.h"
-#include "parse/Parser.h"
 #include "transform/Pipeline.h"
-#include "vm/Compiler.h"
 #include "workloads/VmWorkload.h"
 
 #include <algorithm>
@@ -200,33 +198,17 @@ CoopRun dpo::runCoopCaseOnVm(const CoopKernelCase &Case,
                              bool OptimizeBytecode, unsigned Workers,
                              ExecMode Mode, uint64_t MemoryBytes) {
   CoopRun R;
-
-  std::string Src = Case.Source;
-  if (!PipelineText.empty()) {
-    DiagnosticEngine Diags;
-    Src = transformSourceWithPipeline(Src, PipelineText, literalKnobConfig(),
-                                      Diags);
-    if (Src.empty()) {
-      R.Error = "pipeline '" + std::string(PipelineText) +
-                "' failed: " + Diags.str();
-      return R;
-    }
-  }
-  R.Src = Src;
-
   DiagnosticEngine Diags;
-  ASTContext Ctx;
-  TranslationUnit *TU = parseSource(Src, Ctx, Diags);
   VmCompileOptions Opts;
   Opts.OptimizeBytecode = OptimizeBytecode;
-  VmProgram Program;
-  if (TU)
-    Program = compileProgram(TU, Diags, Opts);
-  if (!TU || Diags.hasErrors()) {
-    R.Error = "bytecode compile failed: " + Diags.str();
+  std::optional<VmProgram> Program = compileWithPipeline(
+      Case.Source, PipelineText, literalKnobConfig(), Opts, Diags, &R.Src);
+  if (!Program) {
+    R.Error = "compile of pipeline '" + std::string(PipelineText) +
+              "' failed: " + Diags.str();
     return R;
   }
-  auto Dev = std::make_unique<Device>(std::move(Program), MemoryBytes, Mode);
+  auto Dev = std::make_unique<Device>(std::move(*Program), MemoryBytes, Mode);
   if (Workers)
     Dev->setWorkers(Workers);
 

@@ -6,9 +6,7 @@
 
 #include "workloads/Differential.h"
 
-#include "parse/Parser.h"
 #include "transform/Pipeline.h"
-#include "vm/Compiler.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
@@ -255,34 +253,20 @@ DifferentialRun dpo::runKernelCaseOnVm(const KernelCase &Case,
                                        const LaunchProfile *ProfileIn,
                                        LaunchProfile *ProfileOut) {
   DifferentialRun R;
-
-  std::string Src = Case.source();
-  if (!PipelineText.empty()) {
-    DiagnosticEngine Diags;
-    Src = transformSourceWithPipeline(Src, PipelineText,
-                                      literalKnobConfig(ProfileIn), Diags);
-    if (Src.empty()) {
-      R.Error = "pipeline '" + std::string(PipelineText) +
-                "' failed: " + Diags.str();
-      return R;
-    }
-  }
-  R.TransformedSource = Src;
-
   DiagnosticEngine Diags;
-  ASTContext Ctx;
-  TranslationUnit *TU = parseSource(Src, Ctx, Diags);
   VmCompileOptions Opts;
   Opts.OptimizeBytecode = OptimizeBytecode;
-  VmProgram Program;
-  if (TU)
-    Program = compileProgram(TU, Diags, Opts);
-  if (!TU || Diags.hasErrors()) {
-    R.Error = "bytecode compile failed: " + Diags.str();
+  std::optional<VmProgram> Program =
+      compileWithPipeline(Case.source(), PipelineText,
+                          literalKnobConfig(ProfileIn), Opts, Diags,
+                          &R.TransformedSource);
+  if (!Program) {
+    R.Error = "compile of pipeline '" + std::string(PipelineText) +
+              "' failed: " + Diags.str();
     return R;
   }
   DifferentialRun Run = runKernelCaseOnVmProgram(
-      Case, std::move(Program), MemoryBytes, Workers, Mode,
+      Case, std::move(*Program), MemoryBytes, Workers, Mode,
       /*CaptureGridLog=*/false, ProfileOut);
   Run.TransformedSource = std::move(R.TransformedSource);
   return Run;

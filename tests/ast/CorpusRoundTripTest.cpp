@@ -8,13 +8,13 @@
 /// Printer-drift gate for every construct the Table I kernel corpus uses:
 /// each DSL source parses, pretty-prints, reparses, and must be
 /// structurally equal to the first parse — and the same must hold after
-/// the sources go through a full transform pipeline (the generated
-/// serial/aggregated code is itself printed and reparsed by the
-/// differential harness, so printer fidelity there is load-bearing, not
-/// cosmetic). The corpus exercises 64-bit atomics, shifts, casts,
-/// address-of on subscripts, conditional expressions, double math, float
-/// arrays, and early-return children — well beyond the canonical nested
-/// shape the older PrinterTest covers.
+/// the sources go through a full transform pipeline. The corpus exercises
+/// 64-bit atomics, shifts, casts, address-of on subscripts, conditional
+/// expressions, double math, float arrays, and early-return children —
+/// well beyond the canonical nested shape the older PrinterTest covers.
+/// The compile path lowers the transformed AST straight to bytecode while
+/// artifacts and `out=` files carry the printed text, so that text must
+/// compile to the same bytecode, byte for byte (DirectCompileMatchesPrinted).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,11 @@
 #include "parse/Parser.h"
 #include "support/Casting.h"
 #include "transform/Pipeline.h"
+#include "vm/BytecodeIO.h"
+#include "workloads/CoopKernels.h"
+#include "workloads/Differential.h"
 #include "workloads/KernelSources.h"
+#include "workloads/VmWorkload.h"
 
 #include <gtest/gtest.h>
 
@@ -68,10 +72,9 @@ TEST(CorpusRoundTripTest, EveryKernelSourceRoundTrips) {
 }
 
 TEST(CorpusRoundTripTest, TransformedKernelSourcesRoundTrip) {
-  // The differential harness prints and reparses transformed sources;
-  // round-trip the full paper pipeline's output for each benchmark so the
-  // generated serial helpers, coarsening loops, and aggregation wrappers
-  // are covered too.
+  // Artifacts carry printed transformed sources; round-trip the full paper
+  // pipeline's output for each benchmark so the generated serial helpers,
+  // coarsening loops, and aggregation wrappers are covered too.
   const char *Pipeline = "threshold[32],coarsen[2],aggregate[multiblock:4]";
   for (BenchmarkId Bench : AllBenchmarks) {
     SCOPED_TRACE(benchmarkName(Bench));
@@ -93,6 +96,39 @@ TEST(CorpusRoundTripTest, TransformedKernelSourcesRoundTrip) {
     EXPECT_TRUE(structurallyEqual(TU, Reparsed))
         << "printer drift for transformed " << benchmarkName(Bench);
   }
+}
+
+TEST(CorpusRoundTripTest, DirectCompileMatchesPrinted) {
+  std::vector<std::pair<std::string, std::string>> Sources;
+  for (BenchmarkId Bench : AllBenchmarks)
+    Sources.push_back({benchmarkName(Bench), kernelSourceFor(Bench)});
+  Sources.push_back({"shared-child probe", sharedChildProbeSource()});
+  Sources.push_back({"spin-wait probe", spinWaitProbeSource()});
+  Sources.push_back({"nestedVmSource(32)", nestedVmSource(32)});
+  for (const CoopKernelCase &Case : coopKernelCorpus())
+    Sources.push_back({Case.Name, Case.Source});
+
+  for (const auto &[Name, Source] : Sources)
+    for (const std::string &Pipeline : differentialPipelines())
+      for (bool Optimize : {false, true}) {
+        SCOPED_TRACE(Name + " [" + Pipeline + "] peephole " +
+                     (Optimize ? "on" : "off"));
+        VmCompileOptions Opts;
+        Opts.OptimizeBytecode = Optimize;
+        DiagnosticEngine Diags;
+        std::string Printed;
+        std::optional<VmProgram> Direct = compileWithPipeline(
+            Source, Pipeline, literalKnobConfig(), Opts, Diags, &Printed);
+        ASSERT_TRUE(Direct) << Diags.str();
+
+        ASTContext Ctx;
+        std::string Error;
+        TranslationUnit *TU = parseOrNull(Printed, Ctx, Error);
+        ASSERT_NE(TU, nullptr) << Error << "\nprinted:\n" << Printed;
+        VmProgram FromPrinted = compileProgram(TU, Diags, Opts);
+        ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+        EXPECT_EQ(serializeVmProgram(*Direct), serializeVmProgram(FromPrinted));
+      }
 }
 
 TEST(CorpusRoundTripTest, EveryParentHasExactlyOneTransformableLaunch) {

@@ -323,24 +323,15 @@ struct ProbeRun {
 
 ProbeRun runProbeSource(const char *Source, const std::string &Pipeline) {
   ProbeRun R;
-  std::string Src = Source;
-  if (!Pipeline.empty()) {
-    DiagnosticEngine Diags;
-    Src = transformSourceWithPipeline(Src, Pipeline, literalKnobConfig(),
-                                      Diags);
-    if (Src.empty()) {
-      R.Error = "pipeline failed: " + Diags.str();
-      return R;
-    }
-  }
-  R.Src = Src;
-
   DiagnosticEngine Diags;
-  auto Dev = buildDevice(Src, Diags);
-  if (!Dev) {
-    R.Error = "build failed: " + Diags.str();
+  std::optional<VmProgram> Program =
+      compileWithPipeline(Source, Pipeline, literalKnobConfig(),
+                          VmCompileOptions(), Diags, &R.Src);
+  if (!Program) {
+    R.Error = "compile failed: " + Diags.str();
     return R;
   }
+  auto Dev = std::make_unique<Device>(std::move(*Program));
 
   // Deterministic skewed CSR: a few hub vertices with hundreds of
   // edges, many leaves, some isolated vertices.
@@ -613,29 +604,16 @@ ProbeRun runSpecProbe(const std::string &Pipeline,
                       unsigned Workers = 1, ExecMode Mode = ExecMode::Auto,
                       LaunchProfile *ProfileOut = nullptr) {
   ProbeRun R;
-  std::string Src = SpecProbeSource;
-  if (!Pipeline.empty()) {
-    DiagnosticEngine Diags;
-    Src = transformSourceWithPipeline(Src, Pipeline,
-                                      literalKnobConfig(ProfileIn), Diags);
-    if (Src.empty()) {
-      R.Error = "pipeline failed: " + Diags.str();
-      return R;
-    }
-  }
-  R.Src = Src;
-
   DiagnosticEngine Diags;
-  ASTContext Ctx;
-  TranslationUnit *TU = parseSource(Src, Ctx, Diags);
-  VmProgram Program;
-  if (TU)
-    Program = compileProgram(TU, Diags, {});
-  if (!TU || Diags.hasErrors()) {
+  std::optional<VmProgram> Program =
+      compileWithPipeline(SpecProbeSource, Pipeline,
+                          literalKnobConfig(ProfileIn), VmCompileOptions(),
+                          Diags, &R.Src);
+  if (!Program) {
     R.Error = "compile failed: " + Diags.str();
     return R;
   }
-  auto Dev = std::make_unique<Device>(std::move(Program), 16ull << 20, Mode);
+  auto Dev = std::make_unique<Device>(std::move(*Program), 16ull << 20, Mode);
   Dev->setWorkers(Workers);
   if (ProfileOut)
     Dev->setGridLogEnabled(true);

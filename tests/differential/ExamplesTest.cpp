@@ -185,18 +185,10 @@ TEST(ExamplesDifferentialTest, QuickstartUntransformedMatchesNative) {
 TEST(ExamplesDifferentialTest, QuickstartFig8PipelineMatchesNative) {
   // The exact pipeline examples/quickstart.cpp applies (T=64, C=4,
   // A=multi-block/8).
-  PipelineOptions Options;
-  Options.EnableThresholding = true;
-  Options.EnableCoarsening = true;
-  Options.EnableAggregation = true;
-  Options.Thresholding.Threshold = 64;
-  Options.Coarsening.Factor = 4;
-  Options.Aggregation.Granularity = AggGranularity::MultiBlock;
-  Options.Aggregation.GroupSize = 8;
-  Options.useLiteralKnobs();
-
   DiagnosticEngine Diags;
-  std::string Transformed = transformSource(QuickstartSource, Options, Diags);
+  std::string Transformed = transformSourceWithPipeline(
+      QuickstartSource, "threshold[64],coarsen[4],aggregate[multiblock:8]",
+      literalKnobConfig(), Diags);
   ASSERT_FALSE(Transformed.empty()) << Diags.str();
 
   for (const QuickstartInput &In : {exampleInput(), widerInput()}) {

@@ -265,12 +265,9 @@ TEST(AggregationPassTest, OutputReparses) {
 // Full pipeline composition (Fig. 8).
 
 TEST(PipelineTest, ThresholdCoarsenAggregateCompose) {
-  PipelineOptions Options;
-  Options.EnableThresholding = true;
-  Options.EnableCoarsening = true;
-  Options.EnableAggregation = true;
   DiagnosticEngine Diags;
-  std::string Output = transformSource(BasicSource, Options, Diags);
+  std::string Output = transformSourceWithPipeline(
+      BasicSource, "threshold,coarsen,aggregate", PassPipelineConfig(), Diags);
   ASSERT_FALSE(Output.empty()) << Diags.str();
 
   // All three optimizations visible in the output.
@@ -294,12 +291,13 @@ TEST(PipelineTest, ThresholdCoarsenAggregateCompose) {
 TEST(PipelineTest, PassesAreIndependent) {
   // Any single pass or pair of passes also produces parseable output.
   for (int Mask = 1; Mask < 8; ++Mask) {
-    PipelineOptions Options;
-    Options.EnableThresholding = (Mask & 1) != 0;
-    Options.EnableCoarsening = (Mask & 2) != 0;
-    Options.EnableAggregation = (Mask & 4) != 0;
+    std::string Pipeline = std::string(Mask & 1 ? "threshold," : "") +
+                           (Mask & 2 ? "coarsen," : "") +
+                           (Mask & 4 ? "aggregate," : "");
+    Pipeline.pop_back();
     DiagnosticEngine Diags;
-    std::string Output = transformSource(BasicSource, Options, Diags);
+    std::string Output = transformSourceWithPipeline(
+        BasicSource, Pipeline, PassPipelineConfig(), Diags);
     ASSERT_FALSE(Output.empty()) << "mask " << Mask << ": " << Diags.str();
     ASTContext Ctx;
     DiagnosticEngine Diags2;

@@ -18,7 +18,10 @@
 #include "ast/ASTPrinter.h"
 #include "parse/Parser.h"
 #include "sema/Analysis.h"
+#include "transform/AggregationPass.h"
+#include "transform/CoarseningPass.h"
 #include "transform/Pipeline.h"
+#include "transform/ThresholdingPass.h"
 
 #include <gtest/gtest.h>
 
@@ -83,27 +86,43 @@ TranslationUnit *parseOrDie(std::string_view Source, ASTContext &Ctx,
   return TU;
 }
 
-/// The pre-pass-manager pipeline: every pass runs with a private
-/// AnalysisManager (all analyses recomputed), stopping at the first error.
-std::string legacyTransform(std::string_view Source,
-                            const PipelineOptions &Options,
+/// The Fig. 8(a) passes selected by \p Mask (1 threshold, 2 coarsen,
+/// 4 aggregate), as pipeline text.
+std::string maskPipeline(unsigned Mask) {
+  std::string Text = std::string(Mask & 1 ? "threshold," : "") +
+                     (Mask & 2 ? "coarsen," : "") +
+                     (Mask & 4 ? "aggregate," : "");
+  Text.pop_back();
+  return Text;
+}
+
+/// The result of the \p I-th pass of \p PM, a \p PassT.
+template <typename PassT>
+const auto &passAt(const PassManager &PM, size_t I) {
+  return static_cast<const PassT &>(*PM.passes()[I]).result();
+}
+
+/// The pre-pass-manager pipeline over maskPipeline(\p Mask) with default
+/// knobs: every pass runs with a private AnalysisManager (all analyses
+/// recomputed), stopping at the first error.
+std::string legacyTransform(std::string_view Source, unsigned Mask,
                             DiagnosticEngine &Diags) {
   ASTContext Ctx;
   TranslationUnit *TU = parseSource(Source, Ctx, Diags);
   if (!TU)
     return std::string();
-  if (Options.EnableThresholding) {
-    applyThresholding(Ctx, TU, Options.Thresholding, Diags);
+  if (Mask & 1) {
+    applyThresholding(Ctx, TU, ThresholdingOptions(), Diags);
     if (Diags.hasErrors())
       return std::string();
   }
-  if (Options.EnableCoarsening) {
-    applyCoarsening(Ctx, TU, Options.Coarsening, Diags);
+  if (Mask & 2) {
+    applyCoarsening(Ctx, TU, CoarseningOptions(), Diags);
     if (Diags.hasErrors())
       return std::string();
   }
-  if (Options.EnableAggregation) {
-    applyAggregation(Ctx, TU, Options.Aggregation, Diags);
+  if (Mask & 4) {
+    applyAggregation(Ctx, TU, AggregationOptions(), Diags);
     if (Diags.hasErrors())
       return std::string();
   }
@@ -252,14 +271,15 @@ TEST(AnalysisManagerTest, FullPipelineComputesLaunchSitesOnce) {
   TranslationUnit *TU = parseOrDie(BasicSource, Ctx, Diags);
   AnalysisManager AM(Ctx, TU);
 
-  PipelineOptions Options;
-  Options.EnableThresholding = Options.EnableCoarsening =
-      Options.EnableAggregation = true;
-  PipelineResult Result = runPipeline(Ctx, TU, Options, Diags, AM);
-  ASSERT_TRUE(Result.Ok) << Diags.str();
-  EXPECT_EQ(Result.Thresholding.TransformedLaunches, 1u);
-  EXPECT_EQ(Result.Coarsening.CoarsenedKernels, 1u);
-  EXPECT_EQ(Result.Aggregation.TransformedLaunches, 1u);
+  PassManager PM;
+  std::string Error;
+  ASSERT_TRUE(parsePassPipeline(PM, "threshold,coarsen,aggregate",
+                                PassPipelineConfig(), Error))
+      << Error;
+  ASSERT_TRUE(PM.run(Ctx, TU, AM, Diags)) << Diags.str();
+  EXPECT_EQ(passAt<ThresholdingPass>(PM, 0).TransformedLaunches, 1u);
+  EXPECT_EQ(passAt<CoarseningPass>(PM, 1).CoarsenedKernels, 1u);
+  EXPECT_EQ(passAt<AggregationPass>(PM, 2).TransformedLaunches, 1u);
 
   EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Computed, 1u);
   EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Hits, 2u);
@@ -273,11 +293,13 @@ TEST(AnalysisManagerTest, NestedLaunchesInvalidateLaunchSites) {
   TranslationUnit *TU = parseOrDie(NestedSource, Ctx, Diags);
   AnalysisManager AM(Ctx, TU);
 
-  PipelineOptions Options;
-  Options.EnableThresholding = Options.EnableCoarsening = true;
-  PipelineResult Result = runPipeline(Ctx, TU, Options, Diags, AM);
-  ASSERT_TRUE(Result.Ok) << Diags.str();
-  EXPECT_GT(Result.Thresholding.SerializedNestedLaunches, 0u);
+  PassManager PM;
+  std::string Error;
+  ASSERT_TRUE(
+      parsePassPipeline(PM, "threshold,coarsen", PassPipelineConfig(), Error))
+      << Error;
+  ASSERT_TRUE(PM.run(Ctx, TU, AM, Diags)) << Diags.str();
+  EXPECT_GT(passAt<ThresholdingPass>(PM, 0).SerializedNestedLaunches, 0u);
   EXPECT_GE(AM.stats(AnalysisID::LaunchSites).Computed, 2u);
 }
 
@@ -610,53 +632,27 @@ std::string randomProgram(unsigned Seed) {
 }
 
 TEST(PassPipelineTest, ManagedPipelineMatchesLegacyOnFuzzCorpus) {
-  std::vector<PipelineOptions> Combos;
-  for (unsigned Mask = 1; Mask < 8; ++Mask) {
-    PipelineOptions O;
-    O.EnableThresholding = Mask & 1;
-    O.EnableCoarsening = Mask & 2;
-    O.EnableAggregation = Mask & 4;
-    Combos.push_back(O);
-  }
   for (unsigned Seed = 1; Seed <= 20; ++Seed) {
     std::string Source = randomProgram(Seed);
-    for (const PipelineOptions &Options : Combos) {
+    for (unsigned Mask = 1; Mask < 8; ++Mask) {
       DiagnosticEngine LegacyDiags, ManagedDiags;
-      std::string Legacy = legacyTransform(Source, Options, LegacyDiags);
-      std::string Managed = transformSource(Source, Options, ManagedDiags);
-      EXPECT_EQ(Legacy, Managed)
-          << "seed " << Seed << " t=" << Options.EnableThresholding
-          << " c=" << Options.EnableCoarsening
-          << " a=" << Options.EnableAggregation << "\nsource:\n"
-          << Source;
+      std::string Legacy = legacyTransform(Source, Mask, LegacyDiags);
+      std::string Managed = transformSourceWithPipeline(
+          Source, maskPipeline(Mask), PassPipelineConfig(), ManagedDiags);
+      EXPECT_EQ(Legacy, Managed) << "seed " << Seed << " pipeline "
+                                 << maskPipeline(Mask) << "\nsource:\n"
+                                 << Source;
       EXPECT_EQ(LegacyDiags.hasErrors(), ManagedDiags.hasErrors());
     }
   }
 }
 
 TEST(PassPipelineTest, ManagedPipelineMatchesLegacyOnNestedLaunches) {
-  PipelineOptions Options;
-  Options.EnableThresholding = Options.EnableCoarsening =
-      Options.EnableAggregation = true;
   DiagnosticEngine LegacyDiags, ManagedDiags;
-  std::string Legacy = legacyTransform(NestedSource, Options, LegacyDiags);
-  std::string Managed = transformSource(NestedSource, Options, ManagedDiags);
+  std::string Legacy = legacyTransform(NestedSource, 7, LegacyDiags);
+  std::string Managed = transformSourceWithPipeline(
+      NestedSource, maskPipeline(7), PassPipelineConfig(), ManagedDiags);
   EXPECT_EQ(Legacy, Managed);
-}
-
-TEST(PassPipelineTest, TextualPipelineMatchesFlagPipeline) {
-  PipelineOptions Options;
-  Options.EnableThresholding = Options.EnableCoarsening =
-      Options.EnableAggregation = true;
-  for (unsigned Seed = 1; Seed <= 5; ++Seed) {
-    std::string Source = randomProgram(Seed);
-    DiagnosticEngine FlagDiags, TextDiags;
-    std::string FromFlags = transformSource(Source, Options, FlagDiags);
-    std::string FromText = transformSourceWithPipeline(
-        Source, "threshold,coarsen,aggregate", PassPipelineConfig(),
-        TextDiags);
-    EXPECT_EQ(FromFlags, FromText) << "seed " << Seed;
-  }
 }
 
 } // namespace

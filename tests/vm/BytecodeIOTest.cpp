@@ -17,7 +17,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "parse/Parser.h"
+#include "transform/Pipeline.h"
 #include "vm/BytecodeIO.h"
 #include "vm/Compiler.h"
 #include "vm/VM.h"
@@ -34,17 +34,13 @@ using namespace dpo;
 namespace {
 
 VmProgram compileSource(const std::string &Source, bool Optimize = true) {
-  ASTContext Ctx;
   DiagnosticEngine Diags;
-  TranslationUnit *TU = parseSource(Source, Ctx, Diags);
-  EXPECT_NE(TU, nullptr) << Diags.str();
-  if (!TU)
-    return {};
   VmCompileOptions Opts;
   Opts.OptimizeBytecode = Optimize;
-  VmProgram Program = compileProgram(TU, Diags, Opts);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  return Program;
+  std::optional<VmProgram> Program =
+      compileWithPipeline(Source, "", PassPipelineConfig(), Opts, Diags);
+  EXPECT_TRUE(Program) << Diags.str();
+  return Program.value_or(VmProgram());
 }
 
 /// serialize -> deserialize -> re-serialize; returns the deserialized

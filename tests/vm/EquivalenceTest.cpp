@@ -180,19 +180,20 @@ struct PipelineConfig {
 
 std::string transformWith(const std::string &Source,
                           const PipelineConfig &Config) {
-  PipelineOptions Options;
-  Options.EnableThresholding = Config.T;
-  Options.EnableCoarsening = Config.C;
-  Options.EnableAggregation = Config.A;
-  Options.Thresholding.Threshold = Config.Threshold;
-  Options.Coarsening.Factor = Config.Factor;
-  Options.Aggregation.Granularity = Config.Granularity;
-  Options.Aggregation.GroupSize = 4;
-  Options.Aggregation.UseAggregationThreshold = Config.AggThreshold;
-  Options.Aggregation.AggregationThreshold = 3;
-  Options.useLiteralKnobs();
+  std::string Pipeline = std::string(Config.T ? "threshold," : "") +
+                         (Config.C ? "coarsen," : "") +
+                         (Config.A ? "aggregate," : "");
+  Pipeline.pop_back();
+  PassPipelineConfig Knobs = literalKnobConfig();
+  Knobs.Thresholding.Threshold = Config.Threshold;
+  Knobs.Coarsening.Factor = Config.Factor;
+  Knobs.Aggregation.Granularity = Config.Granularity;
+  Knobs.Aggregation.GroupSize = 4;
+  Knobs.Aggregation.UseAggregationThreshold = Config.AggThreshold;
+  Knobs.Aggregation.AggregationThreshold = 3;
   DiagnosticEngine Diags;
-  std::string Result = transformSource(Source, Options, Diags);
+  std::string Result =
+      transformSourceWithPipeline(Source, Pipeline, Knobs, Diags);
   EXPECT_FALSE(Result.empty()) << Diags.str();
   return Result;
 }

@@ -17,7 +17,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "parse/Parser.h"
+#include "transform/Pipeline.h"
 #include "vm/ExecIR.h"
 #include "vm/VM.h"
 
@@ -28,17 +28,13 @@ using namespace dpo;
 namespace {
 
 VmProgram compileSource(std::string_view Source, bool Optimize = true) {
-  ASTContext Ctx;
   DiagnosticEngine Diags;
-  TranslationUnit *TU = parseSource(Source, Ctx, Diags);
-  EXPECT_NE(TU, nullptr) << Diags.str();
-  if (!TU)
-    return {};
   VmCompileOptions Opts;
   Opts.OptimizeBytecode = Optimize;
-  VmProgram Program = compileProgram(TU, Diags, Opts);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  return Program;
+  std::optional<VmProgram> Program =
+      compileWithPipeline(Source, "", PassPipelineConfig(), Opts, Diags);
+  EXPECT_TRUE(Program) << Diags.str();
+  return Program.value_or(VmProgram());
 }
 
 TEST(ExecIRTest, DecodeIsOneToOneModuloFusions) {

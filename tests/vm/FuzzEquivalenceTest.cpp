@@ -256,19 +256,20 @@ TEST_P(FuzzEquivalenceTest, RandomProgramsSurviveAllPipelines) {
   }
 
   for (int Mask = 1; Mask < 8; ++Mask) {
-    PipelineOptions Options;
-    Options.EnableThresholding = (Mask & 1) != 0;
-    Options.EnableCoarsening = (Mask & 2) != 0;
-    Options.EnableAggregation = (Mask & 4) != 0;
-    Options.Thresholding.Threshold = 1u << (Seed % 9);
-    Options.Coarsening.Factor = 1 + Seed % 7;
-    Options.Aggregation.Granularity =
+    std::string Pipeline = std::string(Mask & 1 ? "threshold," : "") +
+                           (Mask & 2 ? "coarsen," : "") +
+                           (Mask & 4 ? "aggregate," : "");
+    Pipeline.pop_back();
+    PassPipelineConfig Knobs = literalKnobConfig();
+    Knobs.Thresholding.Threshold = 1u << (Seed % 9);
+    Knobs.Coarsening.Factor = 1 + Seed % 7;
+    Knobs.Aggregation.Granularity =
         (AggGranularity)(1 + (Seed + Mask) % 4); // Warp..Grid
-    Options.Aggregation.GroupSize = 2 + Seed % 6;
-    Options.useLiteralKnobs();
+    Knobs.Aggregation.GroupSize = 2 + Seed % 6;
 
     DiagnosticEngine Diags;
-    std::string Transformed = transformSource(Source, Options, Diags);
+    std::string Transformed =
+        transformSourceWithPipeline(Source, Pipeline, Knobs, Diags);
     ASSERT_FALSE(Transformed.empty())
         << "seed " << Seed << " mask " << Mask << ": " << Diags.str();
     RunResult Result = runNested(Transformed, Counts, Opts);
@@ -356,13 +357,12 @@ TEST(MultiSiteAggregationTest, TwoSitesOnePlan) {
   std::vector<int32_t> Reference = Run(MultiSiteSource);
   for (AggGranularity G : {AggGranularity::Warp, AggGranularity::Block,
                            AggGranularity::MultiBlock, AggGranularity::Grid}) {
-    PipelineOptions Options;
-    Options.EnableAggregation = true;
-    Options.Aggregation.Granularity = G;
-    Options.Aggregation.GroupSize = 2;
-    Options.useLiteralKnobs();
+    PassPipelineConfig Knobs = literalKnobConfig();
+    Knobs.Aggregation.Granularity = G;
+    Knobs.Aggregation.GroupSize = 2;
     DiagnosticEngine Diags;
-    std::string Transformed = transformSource(MultiSiteSource, Options, Diags);
+    std::string Transformed =
+        transformSourceWithPipeline(MultiSiteSource, "aggregate", Knobs, Diags);
     ASSERT_FALSE(Transformed.empty()) << Diags.str();
     // Both sites transformed; two aggregated kernels; one wrapper.
     EXPECT_NE(Transformed.find("childA_agg"), std::string::npos);
@@ -399,12 +399,9 @@ __global__ void parentB(int *out, int *counts, int *offsets, int numV) {
 )";
 
 TEST(MultiSiteAggregationTest, TwoParentsShareOneChild) {
-  PipelineOptions Options;
-  Options.EnableAggregation = true;
-  Options.Aggregation.Granularity = AggGranularity::MultiBlock;
-  Options.useLiteralKnobs();
   DiagnosticEngine Diags;
-  std::string Transformed = transformSource(SharedChildSource, Options, Diags);
+  std::string Transformed = transformSourceWithPipeline(
+      SharedChildSource, "aggregate[multiblock]", literalKnobConfig(), Diags);
   ASSERT_FALSE(Transformed.empty()) << Diags.str();
 
   // Exactly one child_agg kernel, two wrappers.

@@ -16,7 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "parse/Parser.h"
+#include "transform/Pipeline.h"
 #include "vm/Compiler.h"
 #include "vm/Peephole.h"
 #include "vm/VM.h"
@@ -30,17 +30,13 @@ using namespace dpo;
 namespace {
 
 VmProgram compileSource(std::string_view Source, bool Optimize) {
-  ASTContext Ctx;
   DiagnosticEngine Diags;
-  TranslationUnit *TU = parseSource(Source, Ctx, Diags);
-  EXPECT_NE(TU, nullptr) << Diags.str();
-  if (!TU)
-    return {};
   VmCompileOptions Opts;
   Opts.OptimizeBytecode = Optimize;
-  VmProgram Program = compileProgram(TU, Diags, Opts);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  return Program;
+  std::optional<VmProgram> Program =
+      compileWithPipeline(Source, "", PassPipelineConfig(), Opts, Diags);
+  EXPECT_TRUE(Program) << Diags.str();
+  return Program.value_or(VmProgram());
 }
 
 unsigned countOp(const FuncDef &F, Op Code) {
@@ -265,13 +261,7 @@ __global__ void k(unsigned int *out, unsigned int big) {
   // an out-of-range slot value sees it wrapped at entry, exactly as the
   // hardware ABI would truncate it.
   for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
-    DiagnosticEngine Diags;
-    ASTContext Ctx;
-    TranslationUnit *TU = parseSource(Source, Ctx, Diags);
-    ASSERT_NE(TU, nullptr);
-    VmProgram Prog = compileProgram(TU, Diags, {});
-    ASSERT_FALSE(Diags.hasErrors());
-    Device Dev(std::move(Prog), 16ull << 20, Mode);
+    Device Dev(compileSource(Source, /*Optimize=*/true), 16ull << 20, Mode);
     uint64_t Out = Dev.alloc(4);
     int64_t Big = (int64_t)((1ull << 32) | 10); // wraps to 10
     ASSERT_TRUE(Dev.launchKernel("k", {1, 1, 1}, {1, 1, 1},
