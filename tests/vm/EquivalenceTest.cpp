@@ -178,6 +178,9 @@ struct PipelineConfig {
   bool AggThreshold;
 };
 
+// Print the name: the struct's bytes hold pointers, unstable in test names.
+void PrintTo(const PipelineConfig &C, std::ostream *OS) { *OS << C.Name; }
+
 std::string transformWith(const std::string &Source,
                           const PipelineConfig &Config) {
   std::string Pipeline = std::string(Config.T ? "threshold," : "") +
@@ -260,11 +263,9 @@ TEST_P(EquivalenceTest, EarlyReturnChild) {
         << "config " << Config.Name << " diverges at element " << I;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllConfigs, EquivalenceTest, ::testing::ValuesIn(Configs),
-    [](const ::testing::TestParamInfo<PipelineConfig> &Info) {
-      return std::string(Info.param.Name);
-    });
+INSTANTIATE_TEST_SUITE_P(AllConfigs, EquivalenceTest,
+                         ::testing::ValuesIn(Configs),
+                         ::testing::PrintToStringParamName());
 
 // Behavioral (not just functional) checks via VM statistics.
 
