@@ -30,7 +30,8 @@
 /// on the decoded engine with trace formation disabled
 /// (exec_decoded_notrace) so the decode layer's and the trace layer's
 /// dispatch-rate wins are each measured directly, and a decode-time
-/// series (BM_DeviceBuild) prices the load-time lowering itself.
+/// series (BM_DeviceBuild) prices the load-time lowering itself, plus
+/// construction at the default image size (BM_DeviceBuild/default_size).
 /// Reported counters:
 ///  - steps_per_sec: bytecode steps retired per second (identical step
 ///    accounting across engines, so the series are comparable);
@@ -203,7 +204,8 @@ void BM_QuickstartExec(benchmark::State &State, ExecMode Mode) {
 /// Load-time decode cost: parse/compile once, then construct a Device
 /// per iteration. The bytecode-mode series prices validation alone; the
 /// decoded series adds the bytecode -> ExecIR lowering.
-void BM_DeviceBuild(benchmark::State &State, ExecMode Mode) {
+void BM_DeviceBuild(benchmark::State &State, ExecMode Mode,
+                    uint64_t MemoryBytes = 1ull << 20) {
   DiagnosticEngine Diags;
   std::optional<VmProgram> Program = compileWithPipeline(
       QuickstartSource, "", PassPipelineConfig(), VmCompileOptions(), Diags);
@@ -213,7 +215,7 @@ void BM_DeviceBuild(benchmark::State &State, ExecMode Mode) {
   }
   uint64_t DecodedInstrs = 0;
   for (auto _ : State) {
-    Device Dev(*Program, 1ull << 20, Mode);
+    Device Dev(*Program, MemoryBytes, Mode);
     DecodedInstrs += Dev.decodeStats().InstrsOut;
     benchmark::DoNotOptimize(Dev.execMode());
   }
@@ -484,6 +486,11 @@ BENCHMARK_CAPTURE(BM_DeviceBuild, decoded, ExecMode::Decoded)
 BENCHMARK_CAPTURE(BM_DeviceBuild, decoded_notrace, ExecMode::DecodedNoTrace)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_DeviceBuild, bytecode, ExecMode::Bytecode)
+    ->Unit(benchmark::kMicrosecond);
+// What every buildDevice caller pays: construction and destruction at the
+// library's default image size, not the 1 MiB image of the series above.
+BENCHMARK_CAPTURE(BM_DeviceBuild, default_size, ExecMode::Decoded,
+                  Device::DefaultMemoryBytes)
     ->Unit(benchmark::kMicrosecond);
 
 } // namespace

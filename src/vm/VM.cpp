@@ -52,10 +52,14 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string_view>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 using namespace dpo;
 
@@ -68,6 +72,10 @@ int64_t asBits(double D) { return slotFromDouble(D); }
 
 /// Addressable per-thread frame-memory region (reused across blocks).
 constexpr uint64_t ThreadFrameMemBytes = 64 * 1024;
+
+/// Ranges at least this large are zeroed by releasing their pages
+/// (DeviceImage::zero) rather than by writing them.
+constexpr uint64_t ReleaseZeroBytes = 2ull << 20;
 
 /// Resolves ExecMode::Auto: decoded with traces unless DPO_VM_EXEC
 /// selects another engine ("bytecode" or "decoded-notrace").
@@ -98,20 +106,67 @@ unsigned resolveWorkerCount() {
 
 } // namespace
 
+DeviceImage::DeviceImage(uint64_t Bytes) {
+  if (Bytes == 0 || Bytes > SIZE_MAX)
+    return;
+  // MAP_NORESERVE: the size is a bound, so do not charge it against the
+  // commit limit up front; pages are committed as they are touched.
+  void *P = mmap(nullptr, (size_t)Bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (P == MAP_FAILED)
+    return;
+  Base = static_cast<uint8_t *>(P);
+  Size = Bytes;
+}
+
+DeviceImage::~DeviceImage() {
+  if (Base)
+    munmap(Base, Size);
+}
+
+void DeviceImage::zero(uint64_t Off, uint64_t Bytes) {
+  uint8_t *Begin = Base + Off, *End = Begin + Bytes;
+  if (Bytes >= ReleaseZeroBytes) {
+    // MADV_DONTNEED on a private anonymous mapping drops the pages; the
+    // next access faults in zero-filled ones. Only whole pages can be
+    // released, so the unaligned edges are written.
+    static const uintptr_t PageMask = (uintptr_t)sysconf(_SC_PAGESIZE) - 1;
+    uintptr_t Lo = ((uintptr_t)Begin + PageMask) & ~PageMask;
+    uintptr_t Hi = (uintptr_t)End & ~PageMask;
+    if (Lo < Hi && madvise((void *)Lo, Hi - Lo, MADV_DONTNEED) == 0) {
+      std::memset(Begin, 0, Lo - (uintptr_t)Begin);
+      std::memset((void *)Hi, 0, (uintptr_t)End - Hi);
+      return;
+    }
+  }
+  std::memset(Begin, 0, Bytes);
+}
+
 Device::Device(VmProgram ProgramIn, uint64_t MemoryBytes, ExecMode ModeIn)
     : Program(std::move(ProgramIn)), Mode(resolveExecMode(ModeIn)),
-      UseDecoded(Mode != ExecMode::Bytecode), Memory(MemoryBytes, 0),
+      UseDecoded(Mode != ExecMode::Bytecode), Memory(MemoryBytes),
       Workers(resolveWorkerCount()) {
   // The main thread's worker context; pool contexts are created lazily
   // at the first parallel drain.
   WorkerCtxs.push_back(std::make_unique<WorkerCtx>());
   WorkerCtxs[0]->IsMain = true;
-  // Null page, then globals, then the heap.
+  // Null page, then globals, then the heap. An image that cannot be
+  // mapped or cannot hold the globals makes every launch fail.
   BumpPtr = GlobalBase;
-  if (!Program.GlobalImage.empty()) {
+  uint64_t GlobalBytes = Program.GlobalImage.size();
+  if (Memory.size() != MemoryBytes) {
+    ValidationError = "cannot map a " + std::to_string(MemoryBytes) +
+                      "-byte device memory image";
+  } else if (GlobalBytes > MemoryBytes ||
+             GlobalBase > MemoryBytes - GlobalBytes) {
+    ValidationError = "global image (" + std::to_string(GlobalBytes) +
+                      " bytes at offset " + std::to_string(GlobalBase) +
+                      ") does not fit in the " + std::to_string(MemoryBytes) +
+                      "-byte device memory image";
+  } else if (GlobalBytes) {
     std::memcpy(Memory.data() + GlobalBase, Program.GlobalImage.data(),
-                Program.GlobalImage.size());
-    BumpPtr += Program.GlobalImage.size();
+                GlobalBytes);
+    BumpPtr += GlobalBytes;
   }
   BumpPtr = (BumpPtr + 63) & ~63ull;
   validateProgram();
@@ -167,7 +222,7 @@ bool dpo::operator==(const DeviceCheckpoint &A, const DeviceCheckpoint &B) {
 
 DeviceCheckpoint Device::checkpoint() const {
   DeviceCheckpoint C;
-  C.Memory = Memory;
+  C.Memory.assign(Memory.data(), Memory.data() + Memory.size());
   C.BumpPtr = BumpPtr;
   C.Stats = Stats;
   C.GridLog = GridLog;
@@ -177,7 +232,8 @@ DeviceCheckpoint Device::checkpoint() const {
 bool Device::restore(const DeviceCheckpoint &C) {
   if (C.Memory.size() != Memory.size())
     return false;
-  Memory = C.Memory;
+  if (!C.Memory.empty())
+    std::memcpy(Memory.data(), C.Memory.data(), C.Memory.size());
   BumpPtr = C.BumpPtr;
   Stats = C.Stats;
   GridLog = C.GridLog;
@@ -311,7 +367,7 @@ uint64_t Device::alloc(uint64_t Bytes) {
     return 0;
   }
   BumpPtr = Addr + Bytes;
-  std::memset(Memory.data() + Addr, 0, Bytes);
+  Memory.zero(Addr, Bytes);
   return Addr;
 }
 

@@ -143,16 +143,45 @@ bool operator==(const VmStats &A, const VmStats &B);
 bool operator==(const GridRecord &A, const GridRecord &B);
 bool operator==(const DeviceCheckpoint &A, const DeviceCheckpoint &B);
 
+/// A Device's flat memory image: a demand-zero anonymous mapping. Pages
+/// are committed on first touch, so the image size is a bound rather
+/// than a cost — a Device pays for the memory its program touches. The
+/// mapping never moves for the image's lifetime. A failed map leaves an
+/// empty image (size() == 0).
+class DeviceImage {
+public:
+  explicit DeviceImage(uint64_t Bytes);
+  ~DeviceImage();
+  DeviceImage(const DeviceImage &) = delete;
+  DeviceImage &operator=(const DeviceImage &) = delete;
+
+  uint8_t *data() { return Base; }
+  const uint8_t *data() const { return Base; }
+  uint64_t size() const { return Size; }
+
+  /// Zeroes [Off, Off + Bytes) (in bounds). Large ranges are zeroed
+  /// without touching them: their page-aligned interior is released to
+  /// the kernel, which zero-fills it again on the next access.
+  void zero(uint64_t Off, uint64_t Bytes);
+
+private:
+  uint8_t *Base = nullptr;
+  uint64_t Size = 0;
+};
+
 class Device {
 public:
   /// Memory image size of a Device built without an explicit size (and
-  /// of every buildDevice device).
+  /// of every buildDevice device). A bound, not a cost (DeviceImage).
   static constexpr uint64_t DefaultMemoryBytes = 256ull << 20;
 
   /// \p Mode picks the execution engine: Auto resolves to the traced
   /// decoded-IR loop unless a DPO_VM_EXEC environment override
   /// ("bytecode" or "decoded-notrace") selects another engine. The
-  /// engine is fixed for the Device's lifetime.
+  /// engine is fixed for the Device's lifetime. An image of
+  /// \p MemoryBytes that cannot be mapped, or that cannot hold the
+  /// program's globals, never throws: every launch fails with the
+  /// diagnostic instead, like invalid bytecode.
   explicit Device(VmProgram Program,
                   uint64_t MemoryBytes = DefaultMemoryBytes,
                   ExecMode Mode = ExecMode::Auto);
@@ -467,7 +496,7 @@ private:
   /// take a streamlined path: each thread runs to completion once, with
   /// no scheduler bookkeeping.
   std::vector<uint8_t> MayBarrier;
-  std::vector<uint8_t> Memory;
+  DeviceImage Memory;
   uint64_t BumpPtr;
   std::deque<PendingLaunch> Queue;
   std::string LastError;
