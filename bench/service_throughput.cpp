@@ -9,17 +9,21 @@
 /// compiles of the Table I kernel corpus, warm memory-cache hits, the
 /// duplicate-request mix the service exists to accelerate (the acceptance
 /// bar is >=10x warm over cold there), disk-cache warm starts across
-/// service instances, and the BM_ServeBatch/N worker-scaling series for
-/// the concurrent batch drain. Entries report requests/sec via
+/// service instances, the BM_ServeBatch/N worker-scaling series for
+/// the concurrent batch drain, and the service's own bookkeeping: cache
+/// key hashing (BM_CacheKey) and stores into a full disk cache
+/// (BM_DiskStoreFull). Entries report requests/sec via
 /// items_per_second; BM_ServeBatch entries above one worker are exempt
 /// from the regression gate (host-core dependent), mirroring
 /// BM_GridDrain.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "service/ArtifactCache.h"
 #include "service/CompileService.h"
 #include "transform/Pipeline.h"
 #include "workloads/Catalog.h"
+#include "workloads/Differential.h"
 #include "workloads/KernelSources.h"
 
 #include <benchmark/benchmark.h>
@@ -177,5 +181,57 @@ void BM_ServeBatch(benchmark::State &State) {
 // threads, so the driver thread's CPU clock under-reports at N > 1.
 BENCHMARK(BM_ServeBatch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(
     benchmark::kMillisecond);
+
+/// cacheKeyFor over the Table I sources and the two corpus probe sources,
+/// each through every pipeline of the differential matrix: the key every
+/// compile() derives before it can probe a cache.
+void BM_CacheKey(benchmark::State &State) {
+  std::vector<std::string> Sources;
+  for (const CompileRequest &R : corpusRequests())
+    Sources.push_back(R.Source);
+  Sources.push_back(sharedChildProbeSource());
+  Sources.push_back(spinWaitProbeSource());
+  std::vector<CompileRequest> Reqs;
+  for (const std::string &Source : Sources)
+    for (const std::string &Pipeline : differentialPipelines()) {
+      CompileRequest R;
+      R.Source = Source;
+      R.Pipeline = Pipeline;
+      R.Knobs = literalKnobConfig();
+      R.WantBytecode = true;
+      Reqs.push_back(std::move(R));
+    }
+  std::string Error;
+  for (auto _ : State)
+    for (const CompileRequest &R : Reqs)
+      benchmark::DoNotOptimize(CompileService::cacheKeyFor(R, Error));
+  State.SetItemsProcessed((int64_t)State.iterations() * Reqs.size());
+}
+BENCHMARK(BM_CacheKey)->Unit(benchmark::kMicrosecond);
+
+/// Stores into a disk cache held at its bound with 100 artifacts
+/// resident, so every store also evicts the oldest: the bookkeeping a
+/// service miss pays on top of its compile.
+void BM_DiskStoreFull(benchmark::State &State) {
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::temp_directory_path() / "dpo_bench_service_store";
+  fs::remove_all(Dir);
+  constexpr unsigned Resident = 100;
+  const std::string Blob(4096, 'a');
+  ArtifactCache Cache(Dir.string(), Resident * Blob.size());
+  unsigned Next = 0;
+  auto StoreNext = [&]() {
+    return Cache.store("artifact" + std::to_string(Next++), Blob);
+  };
+  for (unsigned I = 0; I < Resident; ++I)
+    StoreNext();
+  for (auto _ : State)
+    benchmark::DoNotOptimize(StoreNext());
+  State.counters["evictions"] = (double)Cache.stats().Evictions;
+  State.SetItemsProcessed((int64_t)State.iterations());
+  std::error_code Ec;
+  fs::remove_all(Dir, Ec);
+}
+BENCHMARK(BM_DiskStoreFull)->Unit(benchmark::kMicrosecond);
 
 } // namespace

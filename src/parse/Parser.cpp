@@ -9,6 +9,7 @@
 #include "lex/Lexer.h"
 #include "parse/Typing.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 using namespace dpo;
@@ -43,6 +44,19 @@ bool Parser::expect(TokenKind Kind, std::string_view Context) {
 
 void Parser::error(std::string Message) {
   Diags.error(cur().Loc, std::move(Message));
+}
+
+bool Parser::setHeight(unsigned H) {
+  Height = H;
+  return Depth + H <= MaxNestingDepth || nestingError();
+}
+
+bool Parser::nestingError() {
+  if (!NestingReported)
+    error("nesting exceeds the parser limit of " +
+          std::to_string(MaxNestingDepth) + " levels");
+  NestingReported = true;
+  return false;
 }
 
 bool Parser::isTypeName(const Token &Tok) const {
@@ -512,6 +526,9 @@ Stmt *Parser::parseDoStmt() {
 }
 
 Stmt *Parser::parseStmt() {
+  NestingScope Scope(*this);
+  if (!Scope)
+    return nullptr;
   switch (cur().Kind) {
   case TokenKind::LBrace:
     return parseCompoundStmt();
@@ -659,22 +676,24 @@ BinaryOpKind tokenToAssignOp(TokenKind Kind) {
 
 } // namespace
 
-std::vector<Expr *> Parser::parseCallArgs() {
-  std::vector<Expr *> Args;
+bool Parser::parseCallArgs(std::vector<Expr *> &Args) {
+  unsigned MaxHeight = 0;
   if (!cur().is(TokenKind::RParen)) {
     do {
       Expr *Arg = parseAssignment();
       if (!Arg)
-        return Args;
+        return false;
       Args.push_back(Arg);
+      MaxHeight = std::max(MaxHeight, Height);
     } while (tryConsume(TokenKind::Comma));
   }
-  expect(TokenKind::RParen, "after call arguments");
-  return Args;
+  Height = MaxHeight;
+  return expect(TokenKind::RParen, "after call arguments");
 }
 
 Expr *Parser::parsePrimary() {
   SourceLocation Loc = cur().Loc;
+  Height = 1; // leaves; the composite cases below recompute it
   switch (cur().Kind) {
   case TokenKind::IntegerLiteral: {
     Token Tok = consume();
@@ -742,7 +761,7 @@ Expr *Parser::parsePrimary() {
       if (cur().is(TokenKind::RParen)) {
         consume();
         Expr *Operand = parseUnary();
-        if (!Operand)
+        if (!Operand || !setHeight(Height + 1))
           return nullptr;
         auto *E = Ctx.create<CastExpr>(CastType, Operand);
         E->setLoc(Loc);
@@ -753,7 +772,9 @@ Expr *Parser::parsePrimary() {
     }
     consume(); // '('
     Expr *Inner = parseExpr();
-    if (!Inner || !expect(TokenKind::RParen, "after parenthesized expression"))
+    if (!Inner ||
+        !expect(TokenKind::RParen, "after parenthesized expression") ||
+        !setHeight(Height + 1))
       return nullptr;
     auto *E = Ctx.create<ParenExpr>(Inner);
     E->setLoc(Loc);
@@ -768,26 +789,32 @@ Expr *Parser::parsePrimary() {
       Expr *Grid = parseAssignment();
       if (!Grid || !expect(TokenKind::Comma, "after launch grid dimension"))
         return nullptr;
+      unsigned MaxHeight = Height;
       Expr *Block = parseAssignment();
       if (!Block)
         return nullptr;
+      MaxHeight = std::max(MaxHeight, Height);
       Expr *Smem = nullptr;
       Expr *Stream = nullptr;
       if (tryConsume(TokenKind::Comma)) {
         Smem = parseAssignment();
         if (!Smem)
           return nullptr;
+        MaxHeight = std::max(MaxHeight, Height);
         if (tryConsume(TokenKind::Comma)) {
           Stream = parseAssignment();
           if (!Stream)
             return nullptr;
+          MaxHeight = std::max(MaxHeight, Height);
         }
       }
       if (!expect(TokenKind::LaunchEnd, "after launch configuration"))
         return nullptr;
       if (!expect(TokenKind::LParen, "after '>>>'"))
         return nullptr;
-      std::vector<Expr *> Args = parseCallArgs();
+      std::vector<Expr *> Args;
+      if (!parseCallArgs(Args) || !setHeight(std::max(MaxHeight, Height) + 1))
+        return nullptr;
       auto *E = Ctx.create<LaunchExpr>(std::move(Name), Grid, Block, Smem,
                                        Stream, std::move(Args));
       E->setLoc(Loc);
@@ -806,11 +833,16 @@ Expr *Parser::parsePrimary() {
 }
 
 Expr *Parser::parsePostfix(Expr *Base) {
+  // Each link of the chain nests the whole chain so far one level deeper.
+  unsigned BaseHeight = Height;
   while (true) {
     switch (cur().Kind) {
     case TokenKind::LParen: {
       consume();
-      std::vector<Expr *> Args = parseCallArgs();
+      std::vector<Expr *> Args;
+      if (!parseCallArgs(Args))
+        return nullptr;
+      BaseHeight = std::max(BaseHeight, Height);
       Base = Ctx.create<CallExpr>(Base, std::move(Args));
       break;
     }
@@ -819,6 +851,7 @@ Expr *Parser::parsePostfix(Expr *Base) {
       Expr *Index = parseExpr();
       if (!Index || !expect(TokenKind::RBracket, "after subscript"))
         return nullptr;
+      BaseHeight = std::max(BaseHeight, Height);
       Base = Ctx.create<ArraySubscriptExpr>(Base, Index);
       break;
     }
@@ -846,12 +879,16 @@ Expr *Parser::parsePostfix(Expr *Base) {
     default:
       return Base;
     }
-    if (!Base)
+    if (!Base || !setHeight(BaseHeight + 1))
       return nullptr;
+    BaseHeight = Height;
   }
 }
 
 Expr *Parser::parseUnary() {
+  NestingScope Scope(*this);
+  if (!Scope)
+    return nullptr;
   SourceLocation Loc = cur().Loc;
   UnaryOpKind Op;
   switch (cur().Kind) {
@@ -872,7 +909,7 @@ Expr *Parser::parseUnary() {
   }
   consume();
   Expr *Operand = parseUnary();
-  if (!Operand)
+  if (!Operand || !setHeight(Height + 1))
     return nullptr;
   auto *U = Ctx.create<UnaryOperator>(Op, Operand);
   U->setLoc(Loc);
@@ -880,6 +917,9 @@ Expr *Parser::parseUnary() {
 }
 
 Expr *Parser::parseBinaryRHS(unsigned MinPrec, Expr *LHS) {
+  // A left fold: each operator nests everything to its left one level
+  // deeper, so the chain counts against the nesting limit.
+  unsigned LHSHeight = Height;
   while (true) {
     unsigned Prec = tokenBinaryPrecedence(cur().Kind);
     if (Prec < MinPrec || Prec == 0)
@@ -894,6 +934,9 @@ Expr *Parser::parseBinaryRHS(unsigned MinPrec, Expr *LHS) {
       if (!RHS)
         return nullptr;
     }
+    if (!setHeight(std::max(LHSHeight, Height) + 1))
+      return nullptr;
+    LHSHeight = Height;
     BinaryOpKind Op = tokenToBinaryOp(OpTok);
     LHS = Ctx.create<BinaryOperator>(Op, LHS, RHS);
   }
@@ -908,11 +951,16 @@ Expr *Parser::parseConditional() {
     return nullptr;
   if (!tryConsume(TokenKind::Question))
     return Cond;
+  unsigned MaxHeight = Height;
+  NestingScope Scope(*this);
+  if (!Scope)
+    return nullptr;
   Expr *TrueExpr = parseAssignment();
   if (!TrueExpr || !expect(TokenKind::Colon, "in conditional expression"))
     return nullptr;
+  MaxHeight = std::max(MaxHeight, Height);
   Expr *FalseExpr = parseConditional();
-  if (!FalseExpr)
+  if (!FalseExpr || !setHeight(std::max(MaxHeight, Height) + 1))
     return nullptr;
   return Ctx.create<ConditionalOperator>(Cond, TrueExpr, FalseExpr);
 }
@@ -933,9 +981,13 @@ Expr *Parser::parseAssignment() {
   case TokenKind::AmpEqual:
   case TokenKind::PipeEqual:
   case TokenKind::CaretEqual: {
+    unsigned LHSHeight = Height;
     BinaryOpKind Op = tokenToAssignOp(consume().Kind);
+    NestingScope Scope(*this);
+    if (!Scope)
+      return nullptr;
     Expr *RHS = parseAssignment();
-    if (!RHS)
+    if (!RHS || !setHeight(std::max(LHSHeight, Height) + 1))
       return nullptr;
     return Ctx.create<BinaryOperator>(Op, LHS, RHS);
   }
@@ -948,11 +1000,14 @@ Expr *Parser::parseExpr() {
   Expr *LHS = parseAssignment();
   if (!LHS)
     return nullptr;
+  // Comma chains fold left, like parseBinaryRHS.
+  unsigned LHSHeight = Height;
   while (cur().is(TokenKind::Comma)) {
     consume();
     Expr *RHS = parseAssignment();
-    if (!RHS)
+    if (!RHS || !setHeight(std::max(LHSHeight, Height) + 1))
       return nullptr;
+    LHSHeight = Height;
     LHS = Ctx.create<BinaryOperator>(BinaryOpKind::Comma, LHS, RHS);
   }
   return LHS;

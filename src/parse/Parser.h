@@ -46,7 +46,35 @@ public:
   /// surrounding build defines).
   void addTypeName(std::string Name) { TypeNames.insert(std::move(Name)); }
 
+  /// The deepest tree the parser builds: statements, blocks and operands
+  /// nested in one another, plus the links of left-folded binary, comma
+  /// and postfix chains, all count. Deeper input ends in a diagnostic, so
+  /// neither this parser nor the recursive walkers after it run out of
+  /// stack. 256 is clang's default bracket depth.
+  static constexpr unsigned MaxNestingDepth = 256;
+
 private:
+  /// One level of recursive descent, open for the scope's lifetime.
+  class NestingScope {
+  public:
+    explicit NestingScope(Parser &P) : P(P) { ++P.Depth; }
+    ~NestingScope() { --P.Depth; }
+    /// False, with a diagnostic, once the descent is too deep.
+    explicit operator bool() const {
+      return P.Depth <= MaxNestingDepth || P.nestingError();
+    }
+
+  private:
+    Parser &P;
+  };
+
+  /// Records \p H as the height of the expression tree just built (read
+  /// back through Height). False, with a diagnostic, when the tree would
+  /// then reach deeper than MaxNestingDepth.
+  bool setHeight(unsigned H);
+  /// Reports the nesting limit once; always false.
+  bool nestingError();
+
   // Token stream helpers.
   const Token &cur() const { return Tokens[Pos]; }
   const Token &peek(unsigned Ahead = 1) const {
@@ -87,10 +115,14 @@ private:
   Expr *parseUnary();
   Expr *parsePostfix(Expr *Base);
   Expr *parsePrimary();
-  std::vector<Expr *> parseCallArgs();
+  /// Parses `args)` after a call's '('; false on error.
+  bool parseCallArgs(std::vector<Expr *> &Args);
 
   std::vector<Token> Tokens;
   size_t Pos = 0;
+  unsigned Depth = 0;  ///< Open NestingScopes.
+  unsigned Height = 0; ///< Height of the expression last parsed.
+  bool NestingReported = false;
   ASTContext &Ctx;
   DiagnosticEngine &Diags;
   std::unordered_set<std::string> TypeNames;

@@ -6,33 +6,69 @@
 
 #include "service/ArtifactCache.h"
 
-#include <algorithm>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
-#include <vector>
+
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <time.h>
+#include <unistd.h>
 
 namespace fs = std::filesystem;
 using namespace dpo;
 
 namespace {
 
-constexpr const char *ArtifactSuffix = ".dpoart";
+constexpr std::string_view ArtifactSuffix = ".dpoart";
 
-/// One artifact file observed during an eviction scan.
-struct DirEntry {
-  fs::path Path;
-  uint64_t Size = 0;
-  fs::file_time_type MTime;
-};
+bool isArtifactName(std::string_view Name) {
+  return Name.size() > ArtifactSuffix.size() &&
+         Name.substr(Name.size() - ArtifactSuffix.size()) == ArtifactSuffix;
+}
+
+std::string nameFor(const std::string &Key) {
+  return Key + std::string(ArtifactSuffix);
+}
+
+int64_t mtimeNs(const struct stat &St) {
+  return (int64_t)St.st_mtim.tv_sec * 1000000000 + St.st_mtim.tv_nsec;
+}
 
 } // namespace
+
+void ArtifactCache::FileIndex::put(const std::string &Name, uint64_t Size,
+                                   int64_t MTimeNs) {
+  auto [It, Inserted] = Files.try_emplace(Name);
+  Entry &E = It->second;
+  if (!Inserted) {
+    ByAge.erase({E.MTimeNs, Name});
+    Bytes -= E.Size;
+  }
+  E.Size = Size;
+  E.MTimeNs = MTimeNs;
+  E.Epoch = Epoch;
+  ByAge.insert({MTimeNs, Name});
+  Bytes += Size;
+}
+
+void ArtifactCache::FileIndex::drop(decltype(Files)::iterator It) {
+  ByAge.erase({It->second.MTimeNs, It->first});
+  Bytes -= It->second.Size;
+  Files.erase(It);
+}
 
 ArtifactCache::ArtifactCache(std::string Dir, uint64_t MaxBytes)
     : Dir(std::move(Dir)), MaxBytes(MaxBytes) {}
 
+std::string ArtifactCache::pathOf(std::string_view Name) const {
+  return (fs::path(Dir) / Name).string();
+}
+
 std::string ArtifactCache::fileFor(const std::string &Key) const {
-  return (fs::path(Dir) / (Key + ArtifactSuffix)).string();
+  return pathOf(nameFor(Key));
 }
 
 bool ArtifactCache::load(const std::string &Key, std::string &Bytes) {
@@ -41,77 +77,88 @@ bool ArtifactCache::load(const std::string &Key, std::string &Bytes) {
     ++Stats.Misses;
     return false;
   }
-  std::ifstream In(fileFor(Key), std::ios::binary);
-  if (!In) {
+  int Fd = ::open(fileFor(Key).c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat St {};
+  if (Fd < 0 || ::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode)) {
+    if (Fd >= 0)
+      ::close(Fd);
     ++Stats.Misses;
     return false;
   }
-  std::string Blob((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  if (!In.good() && !In.eof()) {
-    ++Stats.Misses;
-    return false;
+  std::string Blob((size_t)St.st_size, '\0');
+  size_t Got = 0;
+  while (Got < Blob.size()) {
+    ssize_t N = ::read(Fd, Blob.data() + Got, Blob.size() - Got);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0) {
+      ::close(Fd);
+      ++Stats.Misses;
+      return false;
+    }
+    if (N == 0)
+      break; // shorter than stat said; the caller's validation decides
+    Got += (size_t)N;
   }
+  Blob.resize(Got);
   Bytes = std::move(Blob);
   // Touch for LRU; best-effort (a read-only cache dir still serves hits).
-  std::error_code EC;
-  fs::last_write_time(fileFor(Key), fs::file_time_type::clock::now(), EC);
+  // An explicit clock reading, not UTIME_NOW: the kernel's file clock is
+  // only tick-granular, and a touch must order after stores in the same
+  // tick. The index takes the size and mtime the file now has.
+  struct timespec Now[2] = {};
+  ::clock_gettime(CLOCK_REALTIME, &Now[0]);
+  Now[1] = Now[0];
+  ::futimens(Fd, Now);
+  if (::fstat(Fd, &St) == 0)
+    Index.put(nameFor(Key), (uint64_t)St.st_size, mtimeNs(St));
+  ::close(Fd);
   ++Stats.Hits;
   return true;
 }
 
-uint64_t ArtifactCache::scanResidentBytes() const {
-  uint64_t Total = 0;
-  std::error_code EC;
-  for (const auto &E : fs::directory_iterator(Dir, EC)) {
-    if (E.path().extension() != ArtifactSuffix)
-      continue;
-    uint64_t Size = E.file_size(EC);
-    if (!EC)
-      Total += Size;
+void ArtifactCache::reconcile() const {
+  ++Index.Epoch;
+  if (DIR *D = ::opendir(Dir.c_str())) {
+    while (const struct dirent *E = ::readdir(D)) {
+      std::string_view Name(E->d_name);
+      if (!isArtifactName(Name))
+        continue;
+      auto It = Index.Files.find(Name);
+      if (It != Index.Files.end()) {
+        It->second.Epoch = Index.Epoch;
+        continue;
+      }
+      // Another writer's store: the only names that cost a stat.
+      struct stat St {};
+      if (::stat(pathOf(Name).c_str(), &St) == 0 && S_ISREG(St.st_mode))
+        Index.put(std::string(Name), (uint64_t)St.st_size, mtimeNs(St));
+    }
+    ::closedir(D);
   }
-  return Total;
+  // Whatever the listing did not show has vanished (or the directory
+  // has): forget it without counting an eviction.
+  for (auto It = Index.Files.begin(); It != Index.Files.end();) {
+    auto Next = std::next(It);
+    if (It->second.Epoch != Index.Epoch)
+      Index.drop(It);
+    It = Next;
+  }
 }
 
 void ArtifactCache::evictToFit(uint64_t Incoming) {
-  std::error_code EC;
-  std::vector<DirEntry> Entries;
-  uint64_t Total = 0;
-  for (const auto &E : fs::directory_iterator(Dir, EC)) {
-    if (E.path().extension() != ArtifactSuffix)
-      continue;
-    DirEntry D;
-    D.Path = E.path();
-    D.Size = E.file_size(EC);
-    if (EC)
-      continue;
-    D.MTime = E.last_write_time(EC);
-    if (EC)
-      continue;
-    Total += D.Size;
-    Entries.push_back(std::move(D));
-  }
-  if (Total + Incoming <= MaxBytes) {
-    Stats.ResidentBytes = Total;
-    return;
-  }
-  // Oldest first; path as the tie-break so eviction order is
-  // deterministic when mtimes collide (coarse filesystem clocks).
-  std::sort(Entries.begin(), Entries.end(),
-            [](const DirEntry &A, const DirEntry &B) {
-              if (A.MTime != B.MTime)
-                return A.MTime < B.MTime;
-              return A.Path < B.Path;
-            });
-  for (const DirEntry &E : Entries) {
-    if (Total + Incoming <= MaxBytes)
-      break;
-    if (fs::remove(E.Path, EC) && !EC) {
-      Total -= E.Size;
+  reconcile();
+  // Oldest first; ByAge orders by (mtime, name).
+  for (auto It = Index.ByAge.begin();
+       It != Index.ByAge.end() && Index.Bytes + Incoming > MaxBytes;) {
+    auto File = Index.Files.find(It->second);
+    ++It;
+    if (::unlink(pathOf(File->first).c_str()) == 0)
       ++Stats.Evictions;
-    }
+    else if (errno != ENOENT)
+      continue; // cannot delete it; try the next oldest
+    Index.drop(File);
   }
-  Stats.ResidentBytes = Total;
 }
 
 bool ArtifactCache::store(const std::string &Key, std::string_view Bytes) {
@@ -127,9 +174,11 @@ bool ArtifactCache::store(const std::string &Key, std::string_view Bytes) {
 
   evictToFit(Bytes.size());
 
-  // Unique-enough tmp name: keyed by this object's address + key, so two
-  // processes writing the same key race only at the atomic rename.
-  std::string Tmp = fileFor(Key) + ".tmp" + std::to_string((uintptr_t)this);
+  // Unique tmp name per process and instance, so concurrent writers of
+  // the same key race only at the atomic rename.
+  std::string Final = fileFor(Key);
+  std::string Tmp = Final + ".tmp" + std::to_string((long long)::getpid()) +
+                    "." + std::to_string((uintptr_t)this);
   {
     std::ofstream OutF(Tmp, std::ios::binary | std::ios::trunc);
     if (!OutF) {
@@ -142,13 +191,15 @@ bool ArtifactCache::store(const std::string &Key, std::string_view Bytes) {
       return false;
     }
   }
-  fs::rename(Tmp, fileFor(Key), EC);
+  fs::rename(Tmp, Final, EC);
   if (EC) {
     fs::remove(Tmp, EC);
     return false;
   }
   ++Stats.Stores;
-  Stats.ResidentBytes += Bytes.size();
+  struct stat St {};
+  if (::stat(Final.c_str(), &St) == 0)
+    Index.put(nameFor(Key), (uint64_t)St.st_size, mtimeNs(St));
   return true;
 }
 
@@ -156,20 +207,22 @@ void ArtifactCache::remove(const std::string &Key) {
   std::lock_guard<std::mutex> G(Lock);
   if (Dir.empty())
     return;
-  std::error_code EC;
-  if (fs::remove(fileFor(Key), EC) && !EC) {
-    ++Stats.Removes;
-    Stats.ResidentBytes = scanResidentBytes();
-  }
+  if (::unlink(fileFor(Key).c_str()) != 0)
+    return;
+  ++Stats.Removes;
+  auto It = Index.Files.find(nameFor(Key));
+  if (It != Index.Files.end())
+    Index.drop(It);
 }
 
 ArtifactCacheStats ArtifactCache::stats() const {
   std::lock_guard<std::mutex> G(Lock);
   ArtifactCacheStats S = Stats;
-  // The running counter goes stale across processes (a warm run that never
-  // stores would report zero) and on same-key overwrites; the directory is
-  // the source of truth.
-  if (!Dir.empty())
-    S.ResidentBytes = scanResidentBytes();
+  // The directory is the source of truth: other processes store and
+  // evict too (a warm run that never stores would otherwise report zero).
+  if (!Dir.empty()) {
+    reconcile();
+    S.ResidentBytes = Index.Bytes;
+  }
   return S;
 }

@@ -12,11 +12,26 @@
 /// the versioned, checksummed artifact format on top and treats any blob
 /// that fails validation as a miss (recompile, remove, re-store).
 ///
-/// Durability model: stores write to a temporary file and rename into
-/// place, so readers never observe a half-written artifact even with
-/// concurrent writers. Recency for LRU is the file mtime; loads touch it.
-/// All operations tolerate a hostile directory state (missing dir,
-/// unreadable files, files vanishing mid-scan) by degrading to a miss.
+/// Durability model: stores write to a temporary file (named by process
+/// id and instance) and rename into place, so readers never observe a
+/// half-written artifact even with concurrent writers. Recency for LRU is
+/// the file mtime; loads touch it. All operations tolerate a hostile
+/// directory state (missing dir, unreadable files, files vanishing
+/// mid-scan) by degrading to a miss.
+///
+/// Bookkeeping: an in-memory index maps each artifact file to its (size,
+/// mtime) and orders the files by (mtime, name), the eviction order. One
+/// scan builds it on first use; this instance's own loads, stores,
+/// removes and evictions keep it current without listing the directory.
+/// Before each eviction decision a names-only listing reconciles it with
+/// the directory: names the index lacks (other writers' stores) are
+/// stat'ed and added, names that vanished are dropped without counting as
+/// evictions. The listing stays the source of truth, so the size bound
+/// holds across processes sharing a directory. What another process does
+/// to a file the index already knows — a load's touch, or an overwrite
+/// with different bytes under the same key — is not re-read: recency
+/// across processes is approximate, and such an overwrite is accounted
+/// at its old size until this instance next stores or loads that key.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +39,13 @@
 #define DPO_SERVICE_ARTIFACTCACHE_H
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace dpo {
 
@@ -36,7 +55,7 @@ struct ArtifactCacheStats {
   uint64_t Stores = 0;    ///< Successful store() calls.
   uint64_t Evictions = 0; ///< Artifacts removed to respect MaxBytes.
   uint64_t Removes = 0;   ///< Explicit remove() calls that deleted a file.
-  uint64_t ResidentBytes = 0; ///< Total artifact bytes after the last op.
+  uint64_t ResidentBytes = 0; ///< Artifact bytes in the directory now.
 };
 
 class ArtifactCache {
@@ -65,15 +84,42 @@ public:
   ArtifactCacheStats stats() const;
 
 private:
+  /// The in-memory view of the directory (see the file comment).
+  struct FileIndex {
+    struct Entry {
+      uint64_t Size = 0;
+      int64_t MTimeNs = 0;
+      uint64_t Epoch = 0; ///< The last reconcile that listed the file.
+    };
+    /// File name (within the cache directory) -> entry.
+    std::map<std::string, Entry, std::less<>> Files;
+    /// (mtime, name) of every file: the LRU eviction order, the name
+    /// breaking mtime ties so eviction is deterministic.
+    std::set<std::pair<int64_t, std::string>> ByAge;
+    uint64_t Bytes = 0; ///< Sum of the entries' sizes.
+    uint64_t Epoch = 0;
+
+    /// Records \p Name at \p Size / \p MTimeNs, replacing any old entry.
+    void put(const std::string &Name, uint64_t Size, int64_t MTimeNs);
+    void drop(decltype(Files)::iterator It);
+  };
+
+  /// Dir / Name.
+  std::string pathOf(std::string_view Name) const;
   std::string fileFor(const std::string &Key) const;
+  /// Under Lock: brings the index in line with a names-only listing of
+  /// the directory, stat'ing only names it lacks (so the first call is
+  /// the one full scan). const because stats() reconciles too; it
+  /// changes only Index.
+  void reconcile() const;
   /// Under Lock: delete oldest artifacts until Incoming more bytes fit.
   void evictToFit(uint64_t Incoming);
-  uint64_t scanResidentBytes() const;
 
   std::string Dir;
   uint64_t MaxBytes;
   mutable std::mutex Lock;
   ArtifactCacheStats Stats;
+  mutable FileIndex Index;
 };
 
 } // namespace dpo

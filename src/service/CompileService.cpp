@@ -6,6 +6,7 @@
 
 #include "service/CompileService.h"
 
+#include "service/ContentKey.h"
 #include "support/StringUtils.h"
 #include "transform/Pipeline.h"
 #include "tuner/TunedTable.h"
@@ -14,7 +15,6 @@
 #include "workloads/VmWorkload.h"
 
 #include <atomic>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,6 +68,15 @@ CompileService::~CompileService() = default;
 // Cache keys
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+std::string workloadSpecOf(const TuneRequest &Req) {
+  return Req.WorkloadSpec.empty() ? std::string("canonical")
+                                  : Req.WorkloadSpec;
+}
+
+} // namespace
+
 std::string CompileService::cacheKeyFor(const CompileRequest &Req,
                                         std::string &Error) {
   std::string Canonical;
@@ -77,24 +86,23 @@ std::string CompileService::cacheKeyFor(const CompileRequest &Req,
   // Keyed material: everything that can change the artifact's bytes.
   // Versions are included so a format bump is a clean cache miss, not a
   // poisoned load.
-  std::string Material;
-  Material += "artifact-v" + std::to_string(ArtifactFormatVersion);
-  Material += "|bytecode-v" + std::to_string(BytecodeFormatVersion);
-  Material += "|opt=";
-  Material += Req.OptimizeBytecode ? '1' : '0';
-  Material += "|pipeline=" + Canonical;
-  Material += "|knobs=" + knobSignature(Req.Knobs);
-  Material += "|source=";
-  Material += Req.Source;
+  static const std::string Versions =
+      "artifact-v" + std::to_string(ArtifactFormatVersion) + "|bytecode-v" +
+      std::to_string(BytecodeFormatVersion);
+  return contentKey({Versions, Req.OptimizeBytecode ? "opt=1" : "opt=0",
+                     Canonical, knobSignature(Req.Knobs), Req.Source});
+}
 
-  // Two independent 64-bit FNV streams give a 128-bit content address —
-  // short enough for a file name, wide enough that distinct requests
-  // do not collide in practice.
-  uint64_t H0 = fnv1a64(Material);
-  uint64_t H1 = fnv1a64(Material, 0x9e3779b97f4a7c15ull);
-  char Buf[33];
-  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64 "%016" PRIx64, H0, H1);
-  return Buf;
+std::string CompileService::tuneKeyFor(const TuneRequest &Req) {
+  // The full determinism envelope of a search.
+  std::string Params = "mode=" + std::string(tuneModeName(Req.Mode));
+  Params += "|budget=" + std::to_string(Req.Opts.Budget);
+  Params += "|seed=" + std::to_string(Req.Opts.Seed);
+  Params += "|batches=" + std::to_string(Req.Opts.SampleBatches);
+  Params += "|units=" + std::to_string(Req.Opts.MaxSampleUnits);
+  Params += "|warm=";
+  Params += Req.WarmStart ? '1' : '0';
+  return contentKey({workloadSpecOf(Req), Params}, "tune-");
 }
 
 //===----------------------------------------------------------------------===//
@@ -477,23 +485,8 @@ bool decodeTuneResult(std::string_view Text, EmpiricalTuneResult &R,
 
 TuneResponse CompileService::tune(const TuneRequest &Req) {
   TuneResponse Resp;
-  std::string Spec =
-      Req.WorkloadSpec.empty() ? std::string("canonical") : Req.WorkloadSpec;
-
-  // Tune cache key: the full determinism envelope of a search.
-  std::string Material = "tune|spec=" + Spec;
-  Material += "|mode=" + std::string(tuneModeName(Req.Mode));
-  Material += "|budget=" + std::to_string(Req.Opts.Budget);
-  Material += "|seed=" + std::to_string(Req.Opts.Seed);
-  Material += "|batches=" + std::to_string(Req.Opts.SampleBatches);
-  Material += "|units=" + std::to_string(Req.Opts.MaxSampleUnits);
-  Material += "|warm=";
-  Material += Req.WarmStart ? '1' : '0';
-  uint64_t H0 = fnv1a64(Material);
-  uint64_t H1 = fnv1a64(Material, 0x9e3779b97f4a7c15ull);
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "tune-%016" PRIx64 "%016" PRIx64, H0, H1);
-  Resp.Key = Buf;
+  std::string Spec = workloadSpecOf(Req);
+  Resp.Key = tuneKeyFor(Req);
 
   {
     // Single-flight, sharing the compile path's machinery (the "tune-"

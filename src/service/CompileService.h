@@ -157,13 +157,18 @@ public:
 
   const ServiceConfig &config() const { return Config; }
 
-  /// The content-address of \p Req: a 128-bit hex hash over the
-  /// preprocessed source, the *canonical* pipeline text (parse +
-  /// re-render, so equivalent spellings alias), the knob signature, the
-  /// bytecode format + artifact container versions, and the peephole
-  /// flag. Returns "" (with \p Error) when the pipeline fails to parse.
+  /// The content-address of \p Req (contentKey, service/ContentKey.h)
+  /// over the source, the *canonical* pipeline text (parse + re-render,
+  /// so equivalent spellings alias), the knob signature, the bytecode
+  /// format + artifact container versions, and the peephole flag.
+  /// Returns "" (with \p Error) when the pipeline fails to parse.
   static std::string cacheKeyFor(const CompileRequest &Req,
                                  std::string &Error);
+
+  /// The tune-result key of \p Req: "tune-" plus the content address of
+  /// the search's determinism envelope (workload spec, mode, budget,
+  /// seed, sampling knobs, warm-start flag).
+  static std::string tuneKeyFor(const TuneRequest &Req);
 
   CompileResponse compile(const CompileRequest &Req);
 

@@ -65,16 +65,17 @@ __global__ void parent(int *rowptr, int *col, int *levels, int *frontier,
 
 /// SSSP: worklist Bellman-Ford. Children relax edges with a 64-bit
 /// atomicMin and enqueue improved vertices once per round (CAS on the
-/// in-list flag). Reading dist[u] inside the child only changes which
-/// round an improvement lands in, never the fixpoint the payload checks.
+/// in-list flag). The parent passes dist[u] by value, read once per round,
+/// so the vertices a round enqueues do not depend on how sibling child
+/// grids interleave: the launch profile is the same at any worker count.
 const char *SsspSource = R"(
 __global__ void child(int *col, int *weight, long long *dist, int *inlist,
-                      int *next, int *nextSize, int edgeBase, int u,
+                      int *next, int *nextSize, int edgeBase, long long du,
                       int count) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   if (i < count) {
     int n = col[edgeBase + i];
-    long long cand = dist[u] + (long long)weight[edgeBase + i];
+    long long cand = du + (long long)weight[edgeBase + i];
     long long old = atomicMin(&dist[n], cand);
     if (cand < old) {
       if (atomicCAS(&inlist[n], 0, 1) == 0) {
@@ -92,7 +93,7 @@ __global__ void parent(int *rowptr, int *col, int *weight, long long *dist,
     int count = rowptr[u + 1] - rowptr[u];
     if (count > 0) {
       child<<<(count + 127) / 128, 128>>>(col, weight, dist, inlist, next,
-                                          nextSize, rowptr[u], u, count);
+                                          nextSize, rowptr[u], dist[u], count);
     }
   }
 }

@@ -385,4 +385,86 @@ TEST_F(ParserTest, LaunchMissingConfigIsError) {
   EXPECT_TRUE(LocalDiags.hasErrors());
 }
 
+//===----------------------------------------------------------------------===//
+// Nesting limit: deep input ends in one located diagnostic, never a crash.
+//===----------------------------------------------------------------------===//
+
+std::string repeat(std::string_view Piece, size_t N) {
+  std::string Out;
+  Out.reserve(Piece.size() * N);
+  for (size_t I = 0; I < N; ++I)
+    Out += Piece;
+  return Out;
+}
+
+/// A kernel whose second line declares y initialised by \p Init.
+std::string withInit(const std::string &Init) {
+  return "__global__ void k(int *a, int x) {\n  int y = " + Init + ";\n}\n";
+}
+
+/// Every shape the limit covers: recursion through brackets, operands and
+/// statements, and the left folds of operator chains. The first four
+/// overflowed the stack before the limit existed.
+struct NestingShape {
+  const char *Name;
+  std::string (*Build)(size_t N);
+};
+
+// Print the name: the struct's bytes hold pointers, unstable in test names.
+void PrintTo(const NestingShape &S, std::ostream *OS) { *OS << S.Name; }
+
+const NestingShape NestingShapes[] = {
+    {"parens",
+     [](size_t N) {
+       return withInit(std::string(N, '(') + "1" + std::string(N, ')'));
+     }},
+    {"sum", [](size_t N) { return withInit("1" + repeat("+1", N - 1)); }},
+    {"negations", [](size_t N) { return withInit(repeat("- ", N) + "1"); }},
+    {"blocks",
+     [](size_t N) {
+       return "__global__ void k() " + repeat("{", N) + repeat("}", N) + "\n";
+     }},
+    {"assignments",
+     [](size_t N) { return withInit(repeat("x = ", N) + "1"); }},
+    {"conditionals",
+     [](size_t N) { return withInit(repeat("x ? 1 : ", N) + "1"); }},
+    {"casts", [](size_t N) { return withInit(repeat("(int)", N) + "x"); }},
+    {"calls", [](size_t N) {
+       return withInit(repeat("f(", N) + "1" + std::string(N, ')'));
+     }},
+    {"subscripts", [](size_t N) { return withInit("a" + repeat("[0]", N)); }},
+    {"increments",
+     [](size_t N) { return withInit("a[0]" + repeat("++ ", N)); }},
+    {"commas",
+     [](size_t N) { return withInit("(1" + repeat(", 1", N) + ")"); }},
+    {"ifs", [](size_t N) {
+       return "__global__ void k(int x) {\n" + repeat("if (x) ", N) + ";\n}\n";
+     }},
+};
+
+class ParserNestingTest : public ::testing::TestWithParam<NestingShape> {};
+
+TEST_P(ParserNestingTest, HundredThousandLevelsEndInOneLocatedDiagnostic) {
+  ASTContext Ctx;
+  DiagnosticEngine Diags;
+  EXPECT_EQ(parseSource(GetParam().Build(100000), Ctx, Diags), nullptr);
+  ASSERT_EQ(Diags.errorCount(), 1u) << Diags.str().substr(0, 2000);
+  const Diagnostic &D = Diags.diagnostics().front();
+  EXPECT_NE(D.Message.find("nesting exceeds the parser limit of 256"),
+            std::string::npos)
+      << D.Message;
+  EXPECT_TRUE(D.Loc.isValid());
+}
+
+TEST_P(ParserNestingTest, TwoHundredLevelsStillParse) {
+  ASTContext Ctx;
+  DiagnosticEngine Diags;
+  EXPECT_NE(parseSource(GetParam().Build(200), Ctx, Diags), nullptr)
+      << Diags.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ParserNestingTest,
+                         ::testing::ValuesIn(NestingShapes),
+                         ::testing::PrintToStringParamName());
+
 } // namespace

@@ -12,7 +12,8 @@
 ///    instances, bit-identical artifacts either way;
 ///  - robustness: truncated / bit-flipped / wrong-version artifacts fall
 ///    back to a clean recompile with a diagnostic and never crash;
-///    eviction respects the size bound;
+///    eviction respects the size bound; a source nested past the parser
+///    limit fails alone;
 ///  - concurrency: same-key requests single-flight, batch drains return
 ///    deterministic results at every worker count;
 ///  - tune caching and tuned-table warm starts.
@@ -275,6 +276,28 @@ TEST_F(CompileServiceTest, EvictionRespectsTheSizeBound) {
   for (const auto &E : fs::directory_iterator(cacheDir()))
     OnDisk += fs::file_size(E.path());
   EXPECT_LE(OnDisk, Bound);
+}
+
+TEST_F(CompileServiceTest, TooDeepSourceFailsAndTheServiceCarriesOn) {
+  CompileService Service(diskConfig());
+  CompileRequest Deep = request("threshold[256:literal]", true);
+  Deep.Source = "__global__ void k(int *a) {\n  a[0] = " +
+                std::string(100000, '(') + "1" + std::string(100000, ')') +
+                ";\n}\n";
+  CompileResponse Bad = Service.compile(Deep);
+  EXPECT_FALSE(Bad.Ok);
+  EXPECT_NE(Bad.Error.find("nesting exceeds the parser limit"),
+            std::string::npos)
+      << Bad.Error;
+
+  CompileResponse Next =
+      Service.compile(request("threshold[256:literal]", true));
+  ASSERT_TRUE(Next.Ok) << Next.Error;
+  EXPECT_NE(Next.Program, nullptr);
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.Requests, 2u);
+  EXPECT_EQ(S.Misses, 2u);
+  EXPECT_EQ(S.DiskStores, 1u) << "failures are not cached";
 }
 
 //===----------------------------------------------------------------------===//
