@@ -25,19 +25,18 @@
 ///    core count).
 ///
 /// Every workload runs with the peephole optimizer on and off on the
-/// decoded-IR engine (the default); quickstart and compute additionally
-/// run on the bytecode-interpreter fallback (exec_bytecode series) and
-/// on the decoded engine with trace formation disabled
-/// (exec_decoded_notrace) so the decode layer's and the trace layer's
-/// dispatch-rate wins are each measured directly, and a decode-time
-/// series (BM_DeviceBuild) prices the load-time lowering itself, plus
-/// construction at the default image size (BM_DeviceBuild/default_size).
+/// decoded-IR engine (the default); quickstart, compute, and barrier_block
+/// additionally run on the bytecode reference engine (exec_bytecode
+/// series) so the decoded loop's dispatch-rate win is measured directly,
+/// and a decode-time series (BM_DeviceBuild) prices the load-time
+/// lowering itself, plus construction at the default image size
+/// (BM_DeviceBuild/default_size).
 /// Reported counters:
 ///  - steps_per_sec: bytecode steps retired per second (identical step
 ///    accounting across engines, so the series are comparable);
 ///  - us_per_launch: wall time per top-level kernel run;
 ///  - trace_hit_rate: share of trace executions retiring without a guard
-///    side exit (0 on the non-traced series);
+///    side exit (0 on the bytecode series);
 ///  - decode_instrs_per_sec (decode series): decoded instrs per second.
 /// `scripts/bench_baseline.sh` snapshots the numbers to BENCH_vm.json so
 /// future PRs can track the trajectory.
@@ -49,6 +48,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -120,23 +121,19 @@ __global__ void bfsStep(int *adj, int *offsets, int *dist, int *frontier,
 }
 )";
 
-VmCompileOptions optionsFor(bool Optimize,
-                            ExecMode Mode = ExecMode::Decoded) {
-  VmCompileOptions Opts;
-  Opts.OptimizeBytecode = Optimize;
-  Opts.Exec = Mode;
-  return Opts;
-}
-
 std::unique_ptr<Device> mustBuild(const std::string &Source, bool Optimize,
                                   ExecMode Mode = ExecMode::Decoded) {
   DiagnosticEngine Diags;
-  auto Dev = buildDevice(Source, Diags, optionsFor(Optimize, Mode));
-  if (!Dev) {
+  VmCompileOptions Opts;
+  Opts.OptimizeBytecode = Optimize;
+  std::optional<VmProgram> Program = compileWithPipeline(
+      Source, "", PassPipelineConfig(), Opts, Diags);
+  if (!Program) {
     fprintf(stderr, "VM build failed:\n%s\n", Diags.str().c_str());
     abort();
   }
-  return Dev;
+  return std::make_unique<Device>(std::move(*Program),
+                                  Device::DefaultMemoryBytes, Mode);
 }
 
 void reportVmCounters(benchmark::State &State, Device &Dev) {
@@ -148,7 +145,7 @@ void reportVmCounters(benchmark::State &State, Device &Dev) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
   // Share of trace executions (entries + closed-loop iterations) that
   // retired without a guard side exit. 0 when the engine formed or
-  // entered no traces (bytecode / decoded-notrace series).
+  // entered no traces (bytecode series).
   uint64_t Retired = S.TraceEntries + S.TraceIters;
   State.counters["trace_hit_rate"] =
       Retired ? 1.0 - (double)S.TraceSideExits / (double)Retired : 0.0;
@@ -194,7 +191,7 @@ void BM_Quickstart(benchmark::State &State, bool Optimize) {
   runNestedBench(State, QuickstartSource, Optimize);
 }
 
-/// The same workload on the bytecode-interpreter fallback: the delta to
+/// The same workload on the bytecode reference engine: the delta to
 /// BM_Quickstart/peephole_on is the decoded layer's dispatch-rate win
 /// (step counts are identical across engines by construction).
 void BM_QuickstartExec(benchmark::State &State, ExecMode Mode) {
@@ -462,28 +459,19 @@ BENCHMARK(BM_GridDrain)
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
-// Engine comparison (same bytecode, decoded loop with and without traces
-// vs the bytecode fallback) and the decode-time series.
+// Engine comparison (same bytecode, decoded loop vs the bytecode
+// reference) and the decode-time series.
 BENCHMARK_CAPTURE(BM_QuickstartExec, exec_bytecode, ExecMode::Bytecode)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_QuickstartExec, exec_decoded_notrace,
-                  ExecMode::DecodedNoTrace)
     ->Unit(benchmark::kMillisecond);
 static void BM_ComputeExecBytecode(benchmark::State &State) {
   BM_Compute(State, /*Optimize=*/true, ExecMode::Bytecode);
 }
 BENCHMARK(BM_ComputeExecBytecode)->Unit(benchmark::kMillisecond);
-static void BM_ComputeExecNoTrace(benchmark::State &State) {
-  BM_Compute(State, /*Optimize=*/true, ExecMode::DecodedNoTrace);
-}
-BENCHMARK(BM_ComputeExecNoTrace)->Unit(benchmark::kMillisecond);
 static void BM_BarrierBlockExecBytecode(benchmark::State &State) {
   BM_BarrierBlock(State, /*Optimize=*/true, ExecMode::Bytecode);
 }
 BENCHMARK(BM_BarrierBlockExecBytecode)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DeviceBuild, decoded, ExecMode::Decoded)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_DeviceBuild, decoded_notrace, ExecMode::DecodedNoTrace)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_DeviceBuild, bytecode, ExecMode::Bytecode)
     ->Unit(benchmark::kMicrosecond);

@@ -109,14 +109,12 @@ static void usage() {
       "                      name is derived from the workload spec; with\n"
       "                      this flag the input file is optional\n"
       "                      (tune-only)\n"
-      "  --print-vm-stats    execute the selected pipeline on the bytecode\n"
-      "                      VM (against --workload=, else the canonical\n"
-      "                      nested workload) and report the run's event\n"
-      "                      counts plus the trace-engine counters: traces\n"
-      "                      formed, entries/iterations retired, side-exit\n"
-      "                      rate. Honors DPO_VM_EXEC, so prefixing\n"
-      "                      DPO_VM_EXEC=decoded-notrace is the A/B lever\n"
-      "                      for the trace layer; input file optional\n"
+      "  --print-vm-stats    execute the selected pipeline on the VM's\n"
+      "                      decoded engine (against --workload=, else the\n"
+      "                      canonical nested workload) and report the\n"
+      "                      run's event counts plus the trace-engine\n"
+      "                      counters: traces formed, entries/iterations\n"
+      "                      retired, side-exit rate; input file optional\n"
       "                      (stats-only)\n"
       "  --profile-out=FILE  execute the selected pipeline on the VM (same\n"
       "                      workload selection as --print-vm-stats) and\n"
@@ -209,9 +207,7 @@ static bool selectVmWorkload(const std::string &WorkloadSpec,
 /// --print-vm-stats / --profile-out: compile \p Pipeline over the selected
 /// workload, execute the measurement sample on the VM, and report the
 /// event counts plus the trace-execution counters (\p PrintStats) and/or
-/// record the harvested per-launch-site profile (\p ProfileOutPath). The
-/// engine follows DPO_VM_EXEC (decoded / decoded-notrace / bytecode),
-/// making the flag the command-line A/B lever for the trace layer.
+/// record the harvested per-launch-site profile (\p ProfileOutPath).
 /// \p ProfileIn backs the `profile` pass parameter in \p Pipeline.
 static bool runVmPipeline(const std::string &Pipeline,
                           const std::string &WorkloadSpec,
@@ -227,8 +223,7 @@ static bool runVmPipeline(const std::string &Pipeline,
   Eval.setProfile(ProfileIn);
   LaunchProfile Harvested;
   std::optional<VmMeasurement> M = Eval.measurePipeline(
-      Pipeline, ExecMode::Auto,
-      ProfileOutPath.empty() ? nullptr : &Harvested);
+      Pipeline, ProfileOutPath.empty() ? nullptr : &Harvested);
   if (!M) {
     std::fprintf(stderr, "error: %s\n", Eval.lastError().c_str());
     return false;

@@ -64,8 +64,8 @@ def scaling_summary(fresh):
 
 
 def decode_summary(fresh):
-    """Decode-time deltas from the fresh BM_DeviceBuild series: what the
-    ExecIR lowering and trace formation each add to device construction.
+    """Decode-time delta from the fresh BM_DeviceBuild series: what the
+    ExecIR lowering (pair fusions and traces) adds to device construction.
     Entries carry 1/cpu_time throughput, so time ratios invert them."""
     series = {}
     for name, (value, _metric) in fresh.items():
@@ -75,10 +75,6 @@ def decode_summary(fresh):
     if "decoded" not in series:
         return
     print("decode-time deltas (device construction cost by engine mode):")
-    if "decoded_notrace" in series:
-        overhead = series["decoded_notrace"] / series["decoded"] - 1.0
-        print(f"  trace formation: {overhead * 100.0:+.1f}% on top of the "
-              "pair-fused decode")
     if "bytecode" in series:
         overhead = series["bytecode"] / series["decoded"] - 1.0
         print(f"  full decode (pairs + traces): {overhead * 100.0:+.1f}% on "

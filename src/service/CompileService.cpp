@@ -32,28 +32,20 @@ ServiceConfig dpo::serviceConfigFromEnv() {
   ServiceConfig C;
   if (const char *Dir = std::getenv("DPO_CACHE_DIR"))
     C.CacheDir = Dir;
-  if (const char *Max = std::getenv("DPO_CACHE_MAX_BYTES")) {
-    char *End = nullptr;
-    unsigned long long V = std::strtoull(Max, &End, 10);
-    if (End && *End == '\0' && V > 0)
-      C.CacheMaxBytes = V;
-  }
-  if (const char *W = std::getenv("DPO_SERVICE_WORKERS")) {
-    unsigned Parsed = 0;
-    if (parsePositiveU32(W, Parsed) == ParseUIntStatus::Ok)
-      C.Workers = Parsed;
-  }
+  uint64_t Max = 0;
+  if (const char *E = std::getenv("DPO_CACHE_MAX_BYTES");
+      E && parseU64(E, Max) && Max > 0)
+    C.CacheMaxBytes = Max;
   return C;
 }
 
 unsigned CompileService::workers() const {
   if (Config.Workers)
     return Config.Workers;
-  if (const char *W = std::getenv("DPO_SERVICE_WORKERS")) {
-    unsigned Parsed = 0;
-    if (parsePositiveU32(W, Parsed) == ParseUIntStatus::Ok)
-      return Parsed;
-  }
+  unsigned Parsed = 0;
+  if (const char *W = std::getenv("DPO_SERVICE_WORKERS");
+      W && parsePositiveU32(W, Parsed) == ParseUIntStatus::Ok)
+    return Parsed;
   unsigned HW = std::thread::hardware_concurrency();
   return std::max(1u, std::min(HW, 8u));
 }

@@ -72,8 +72,10 @@ struct ServiceConfig {
   std::string TunedTableDir;
 };
 
-/// ServiceConfig with CacheDir/CacheMaxBytes/Workers taken from the
-/// DPO_CACHE_DIR / DPO_CACHE_MAX_BYTES / DPO_SERVICE_WORKERS environment.
+/// ServiceConfig with CacheDir/CacheMaxBytes taken from the DPO_CACHE_DIR /
+/// DPO_CACHE_MAX_BYTES environment. A cache bound that is not a positive
+/// decimal byte count keeps the default. Workers stays 0 (auto), which
+/// CompileService resolves through DPO_SERVICE_WORKERS.
 ServiceConfig serviceConfigFromEnv();
 
 struct CompileRequest {

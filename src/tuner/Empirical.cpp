@@ -7,6 +7,7 @@
 #include "tuner/Empirical.h"
 
 #include "profile/Profile.h"
+#include "support/StringUtils.h"
 #include "transform/Pipeline.h"
 
 #include <algorithm>
@@ -177,18 +178,14 @@ const VmProgram *EmpiricalEvaluator::programFor(const std::string &Pipeline) {
 bool EmpiricalEvaluator::runMeasurement(const VmProgram &Program,
                                         const std::string &Pipeline,
                                         unsigned Resource, VmMeasurement &Out,
-                                        std::string &Err, ExecMode Mode,
+                                        std::string &Err,
                                         LaunchProfile *ProfileOut) const {
-  // Search measurements pin the decoded engine (the default \p Mode):
-  // they must not depend on the DPO_VM_EXEC environment toggle. The
-  // scores themselves are engine-independent anyway — every engine
-  // retires identical Steps, GridRecords, and launch counts (decode
-  // fusions and traces carry the step cost of what they replace), so
-  // measuredMakespanCycles prices the same work either way and committed
-  // tuned tables stay valid. measurePipeline() passes Auto so the stats
-  // printer can A/B engines through the environment.
-  Device Dev(Program, std::max(Opts.VmMemoryBytes, Workload.MinMemoryBytes),
-             Mode);
+  // Measurements run the decoded engine every caller runs. The scores are
+  // engine-independent anyway: the bytecode reference retires identical
+  // Steps, GridRecords, and launch counts (decode fusions and traces
+  // carry the step cost of what they replace), so measuredMakespanCycles
+  // prices the same work either way.
+  Device Dev(Program, std::max(Opts.VmMemoryBytes, Workload.MinMemoryBytes));
   // Measurement devices stay single-worker regardless of DPO_VM_WORKERS:
   // racy kernels (BFS/SSSP frontier CAS) retire worker-count-dependent
   // step totals, and tuned tables are committed against the sequential
@@ -281,8 +278,7 @@ bool EmpiricalEvaluator::replayRoundExact(const std::string &PipelineText,
 
   // Same device shape as runMeasurement: decoded engine, one worker,
   // grid log on — the replay must reproduce the measured path exactly.
-  Device Dev(*Program, std::max(Opts.VmMemoryBytes, Workload.MinMemoryBytes),
-             ExecMode::Decoded);
+  Device Dev(*Program, std::max(Opts.VmMemoryBytes, Workload.MinMemoryBytes));
   Dev.setWorkers(1);
   Dev.setStepLimit(Opts.VmStepLimit);
   Dev.setGridLogEnabled(true);
@@ -350,13 +346,13 @@ bool EmpiricalEvaluator::replayRoundExact(const std::string &PipelineText,
 
 std::optional<VmMeasurement>
 EmpiricalEvaluator::measurePipeline(const std::string &PipelineText,
-                                    ExecMode Mode, LaunchProfile *ProfileOut) {
+                                    LaunchProfile *ProfileOut) {
   const VmProgram *Program = programFor(PipelineText);
   if (!Program)
     return std::nullopt;
   VmMeasurement M;
   std::string Err;
-  if (!runMeasurement(*Program, PipelineText, maxResource(), M, Err, Mode,
+  if (!runMeasurement(*Program, PipelineText, maxResource(), M, Err,
                       ProfileOut)) {
     LastError = std::move(Err);
     return std::nullopt;
@@ -367,12 +363,10 @@ EmpiricalEvaluator::measurePipeline(const std::string &PipelineText,
 unsigned EmpiricalEvaluator::evalWorkers() const {
   if (Opts.EvalWorkers)
     return std::min(Opts.EvalWorkers, 64u);
-  if (const char *E = std::getenv("DPO_TUNER_WORKERS")) {
-    char *End = nullptr;
-    long V = std::strtol(E, &End, 10);
-    if (End != E && *End == '\0' && V >= 1)
-      return (unsigned)std::min<long>(V, 64);
-  }
+  unsigned V = 0;
+  if (const char *E = std::getenv("DPO_TUNER_WORKERS");
+      E && parsePositiveU32(E, V) == ParseUIntStatus::Ok)
+    return std::min(V, 64u);
   unsigned HW = std::thread::hardware_concurrency();
   return std::clamp(HW, 1u, 8u);
 }

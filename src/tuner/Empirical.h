@@ -107,7 +107,7 @@ struct VmMeasurement {
   uint64_t GridsLaunched = 0;
   unsigned BatchesRun = 0;
   double Cycles = 0;
-  /// Trace-engine observability (zero under bytecode / decoded-notrace):
+  /// Trace-engine observability (zero on the bytecode reference engine):
   /// superblocks the decoder formed, entries into them, closed-loop
   /// iterations retired inside them, and guard side exits. Purely
   /// diagnostic — Steps and the event counts above are engine-invariant.
@@ -158,17 +158,16 @@ public:
   }
 
   /// Compiles \p PipelineText over the workload (empty = untransformed)
-  /// and executes the full measurement sample on a fresh device running
-  /// under \p Mode (Auto follows the DPO_VM_EXEC toggle). Shares the
-  /// compile cache with measure() but spends no search budget; the trace
-  /// counters in the result come from the run's device. Feeds dpoptcc's
-  /// --print-vm-stats and the throughput bench's trace columns.
+  /// and executes the full measurement sample on a fresh device, exactly
+  /// as a full-resource measure() would. Shares the compile cache with
+  /// measure() but spends no search budget; the trace counters in the
+  /// result come from the run's device. Feeds dpoptcc's --print-vm-stats
+  /// and the throughput bench's trace columns.
   /// \p ProfileOut, when non-null, receives the run's harvested
   /// per-launch-site profile (the grid log is always on during
   /// measurement) — dpoptcc --profile-out records through here.
   std::optional<VmMeasurement>
   measurePipeline(const std::string &PipelineText,
-                  ExecMode Mode = ExecMode::Auto,
                   LaunchProfile *ProfileOut = nullptr);
 
   /// Exact-state replay (the ROADMAP's "checkpoint device state per
@@ -234,7 +233,6 @@ private:
   /// the sequential measure() path and prefetch()'s worker threads.
   bool runMeasurement(const VmProgram &Program, const std::string &Pipeline,
                       unsigned Resource, VmMeasurement &Out, std::string &Err,
-                      ExecMode Mode = ExecMode::Decoded,
                       LaunchProfile *ProfileOut = nullptr) const;
   /// One measurement round: stage sample batch \p I's arguments and
   /// launch the parent. Shared by runMeasurement and replayRoundExact so

@@ -235,18 +235,20 @@ enum class MathFn : uint8_t {
 /// How a Device executes validated bytecode (see vm/ExecIR.h):
 ///  - Decoded: lower to the fixed-width decoded execution IR at load time,
 ///    form superblock traces across basic-block boundaries, and run the
-///    direct-threaded decoded loop (the default);
-///  - DecodedNoTrace: the decoded loop with trace formation disabled
-///    (pair fusions only — the PR 5 behavior, kept as an escape hatch);
-///  - Bytecode: interpret the portable bytecode directly (the fallback
-///    path, kept fully covered by CI);
-///  - Auto: Decoded unless the DPO_VM_EXEC environment override selects
-///    another engine ("bytecode" or "decoded-notrace").
-/// All engines retire identical step counts (decoded fusions and traces
-/// carry the step cost of the instructions they replace), so VmStats,
-/// grid logs, and the empirical tuner's pricing are bit-identical across
-/// modes.
-enum class ExecMode : uint8_t { Auto, Bytecode, Decoded, DecodedNoTrace };
+///    direct-threaded decoded loop. Every caller runs this engine;
+///  - Bytecode: interpret the portable bytecode directly. The reference
+///    engine the equivalence suites compare Decoded against; only code
+///    selects it.
+/// Auto is another spelling of Decoded, not a third behaviour. Both
+/// engines retire identical step counts (decoded fusions and traces carry
+/// the step cost of the instructions they replace), so VmStats, grid
+/// logs, and the empirical tuner's pricing are bit-identical across them.
+enum class ExecMode : uint8_t { Decoded, Bytecode, Auto = Decoded };
+
+/// The engine's lower-case name, for diagnostics.
+inline const char *execModeName(ExecMode Mode) {
+  return Mode == ExecMode::Bytecode ? "bytecode" : "decoded";
+}
 
 struct Instr {
   Op Code;

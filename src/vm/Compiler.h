@@ -39,11 +39,6 @@ struct VmCompileOptions {
   /// or execute the raw instruction stream (the fuzz equivalence tests
   /// run both settings against each other).
   bool OptimizeBytecode = true;
-  /// Execution engine for Devices built through buildDevice: the decoded
-  /// execution IR (default) or the bytecode-interpreter fallback. Both
-  /// engines produce identical results and step counts; the fuzz and
-  /// equivalence suites run them against each other (see vm/ExecIR.h).
-  ExecMode Exec = ExecMode::Auto;
 };
 
 /// Compiles \p TU. Returns an empty program and diagnostics on failure

@@ -1152,8 +1152,7 @@ void formTraces(const FuncDef &F, const VmProgram &Program,
 }
 
 ExecFunc decodeFunction(const FuncDef &F, const VmProgram &Program,
-                        const void *const *Handlers, bool EnableTraces,
-                        ExecDecodeStats &Stats) {
+                        const void *const *Handlers, ExecDecodeStats &Stats) {
   ExecFunc Out;
   Out.NumLocals = F.NumLocals;
   Out.NumParamSlots = F.NumParamSlots;
@@ -1202,7 +1201,7 @@ ExecFunc decodeFunction(const FuncDef &F, const VmProgram &Program,
   Stats.InstrsOut += Out.Code.size();
   Out.TraceBase = (unsigned)Out.Code.size();
 
-  if (EnableTraces && N)
+  if (N)
     formTraces(F, Program, Map, Out, Stats);
 
   if (Handlers)
@@ -1214,12 +1213,10 @@ ExecFunc decodeFunction(const FuncDef &F, const VmProgram &Program,
 } // namespace
 
 ExecProgram dpo::decodeProgram(const VmProgram &Program,
-                               const void *const *Handlers,
-                               bool EnableTraces) {
+                               const void *const *Handlers) {
   ExecProgram Exec;
   Exec.Functions.reserve(Program.Functions.size());
   for (const FuncDef &F : Program.Functions)
-    Exec.Functions.push_back(
-        decodeFunction(F, Program, Handlers, EnableTraces, Exec.Stats));
+    Exec.Functions.push_back(decodeFunction(F, Program, Handlers, Exec.Stats));
   return Exec;
 }

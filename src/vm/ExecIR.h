@@ -56,16 +56,15 @@
 ///    budget falls inside a multi-instruction element diverges by at
 ///    most the covered sub-instructions, exactly as with fused pairs.
 ///
-/// The bytecode interpreter remains as a first-class fallback engine
-/// (ExecMode::Bytecode / DPO_VM_EXEC=bytecode), and the decoded engine
-/// can run with traces disabled (ExecMode::DecodedNoTrace /
-/// DPO_VM_EXEC=decoded-notrace); the fuzz and equivalence suites run the
-/// engines against each other and CI keeps both fallbacks covered.
+/// Every caller runs the decoded loop with traces. The bytecode
+/// interpreter (ExecMode::Bytecode) stays as the reference: the ExecIR,
+/// fuzz, equivalence, and differential suites run each case on both
+/// engines and demand identical payloads and step counts.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DPO_VM_EXECIR_H
-#define DPO_VM_EXECIR_H
+#ifndef DPO_VM_DECODEDIR_H
+#define DPO_VM_DECODEDIR_H
 
 #include "vm/Bytecode.h"
 
@@ -200,15 +199,13 @@ struct ExecProgram {
 /// Lowers validated bytecode into the decoded execution IR.
 /// \p Handlers maps every value in [0, NumExecOpcodes) to the decoded
 /// interpreter's handler address; pass nullptr on switch-fallback builds
-/// (Handler fields stay null). \p EnableTraces additionally forms
-/// superblock traces after the baseline region (off for
-/// ExecMode::DecodedNoTrace). The bytecode must already have passed
+/// (Handler fields stay null). Superblock traces are formed after each
+/// function's baseline region. The bytecode must already have passed
 /// Device validation — the decoder assumes in-range jump targets, slots,
 /// and callee indices.
 ExecProgram decodeProgram(const VmProgram &Program,
-                          const void *const *Handlers,
-                          bool EnableTraces = true);
+                          const void *const *Handlers);
 
 } // namespace dpo
 
-#endif // DPO_VM_EXECIR_H
+#endif // DPO_VM_DECODEDIR_H

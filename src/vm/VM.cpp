@@ -8,19 +8,21 @@
 // Two execution engines compile from the same handler bodies
 // (VMHandlers.inc, measured by bench/vm_throughput.cpp):
 //
-//  1. The decoded-IR loop (default): executes the fixed-width decoded
-//     instruction array built at device construction. Dispatch is
+//  1. The decoded-IR loop (ExecMode::Decoded, what every caller runs):
+//     executes the fixed-width decoded instruction array built at device
+//     construction, superblock traces included. Dispatch is
 //     *direct-threaded* on GCC/Clang — every instruction carries its
 //     handler address, so a handler ends with `goto *I->Handler`, no
-//     table indexing per step. Decode-time pair fusions retire in one
-//     dispatch but charge the step cost of the pair, keeping VmStats
-//     and grid logs bit-identical to the fallback engine.
+//     table indexing per step. Decode-time fusions and traces retire in
+//     fewer dispatches but charge the step cost of what they replace,
+//     keeping VmStats and grid logs bit-identical to the reference.
 //
-//  2. The bytecode interpreter (fallback, ExecMode::Bytecode): threaded
-//     dispatch through a dense label table indexed by opcode — one
-//     indirect branch per handler instead of one shared switch branch.
-//     A portable switch fallback compiles everywhere else from the same
-//     handler bodies (see the VM_CASE/VM_NEXT macros).
+//  2. The bytecode interpreter (ExecMode::Bytecode): the reference the
+//     equivalence suites run the decoded loop against. Threaded dispatch
+//     through a dense label table indexed by opcode — one indirect branch
+//     per handler instead of one shared switch branch. A portable switch
+//     fallback compiles everywhere else from the same handler bodies (see
+//     the VM_CASE/VM_NEXT macros).
 //
 // Shared structural decisions:
 //
@@ -46,6 +48,7 @@
 
 #include "vm/VM.h"
 
+#include "support/StringUtils.h"
 #include "transform/Pipeline.h"
 #include "vm/AtomicMem.h"
 #include "vm/SlotOps.h"
@@ -77,31 +80,15 @@ constexpr uint64_t ThreadFrameMemBytes = 64 * 1024;
 /// (DeviceImage::zero) rather than by writing them.
 constexpr uint64_t ReleaseZeroBytes = 2ull << 20;
 
-/// Resolves ExecMode::Auto: decoded with traces unless DPO_VM_EXEC
-/// selects another engine ("bytecode" or "decoded-notrace").
-ExecMode resolveExecMode(ExecMode Mode) {
-  if (Mode != ExecMode::Auto)
-    return Mode;
-  const char *Env = std::getenv("DPO_VM_EXEC");
-  if (Env && std::string_view(Env) == "bytecode")
-    return ExecMode::Bytecode;
-  if (Env && std::string_view(Env) == "decoded-notrace")
-    return ExecMode::DecodedNoTrace;
-  return ExecMode::Decoded;
-}
-
-/// Resolves the worker count from DPO_VM_WORKERS (absent, non-numeric,
-/// or < 1 all mean the deterministic single-worker mode). Capped so a
-/// typo cannot spawn an absurd pool.
+/// Resolves the worker count from DPO_VM_WORKERS (absent or invalid
+/// means the deterministic single-worker mode). Capped so a typo cannot
+/// spawn an absurd pool.
 unsigned resolveWorkerCount() {
   const char *Env = std::getenv("DPO_VM_WORKERS");
-  if (!Env || !*Env)
+  unsigned N = 0;
+  if (!Env || parsePositiveU32(Env, N) != ParseUIntStatus::Ok)
     return 1;
-  char *End = nullptr;
-  long N = std::strtol(Env, &End, 10);
-  if (End == Env || (End && *End) || N < 1)
-    return 1;
-  return (unsigned)std::min<long>(N, 64);
+  return std::min(N, 64u);
 }
 
 } // namespace
@@ -142,10 +129,9 @@ void DeviceImage::zero(uint64_t Off, uint64_t Bytes) {
   std::memset(Begin, 0, Bytes);
 }
 
-Device::Device(VmProgram ProgramIn, uint64_t MemoryBytes, ExecMode ModeIn)
-    : Program(std::move(ProgramIn)), Mode(resolveExecMode(ModeIn)),
-      UseDecoded(Mode != ExecMode::Bytecode), Memory(MemoryBytes),
-      Workers(resolveWorkerCount()) {
+Device::Device(VmProgram ProgramIn, uint64_t MemoryBytes, ExecMode Mode)
+    : Program(std::move(ProgramIn)), UseDecoded(Mode == ExecMode::Decoded),
+      Memory(MemoryBytes), Workers(resolveWorkerCount()) {
   // The main thread's worker context; pool contexts are created lazily
   // at the first parallel drain.
   WorkerCtxs.push_back(std::make_unique<WorkerCtx>());
@@ -189,7 +175,7 @@ Device::Device(VmProgram ProgramIn, uint64_t MemoryBytes, ExecMode ModeIn)
   if (UseDecoded && ValidationError.empty()) {
     const void *const *Labels = nullptr;
     runThreadExec(nullptr, nullptr, nullptr, {}, 0, &Labels);
-    Exec = decodeProgram(Program, Labels, Mode == ExecMode::Decoded);
+    Exec = decodeProgram(Program, Labels);
   }
 }
 
@@ -1277,7 +1263,7 @@ bool Device::failStepLimit(const ThreadCtx *CoopThreads, uint32_t CoopCount) {
   }
 
 //===----------------------------------------------------------------------===//
-// Engine 1: the bytecode interpreter (the fallback path).
+// Engine 1: the bytecode interpreter (the tests' reference engine).
 //
 // The handler bodies live in VMHandlers.inc, shared with the decoded
 // loop below; only the dispatch macros differ. Here every handler ends
@@ -1310,8 +1296,8 @@ bool Device::failStepLimit(const ThreadCtx *CoopThreads, uint32_t CoopCount) {
 // decoded engine redefines this to the function's entry trace.
 #define VM_ENTRY_PC 0
 
-// The fallback engine never runs in decoded mode; keep its (large) body
-// out of the decoded loop's text so the default path's I-cache and
+// The bytecode reference engine never runs for callers; keep its (large)
+// body out of the decoded loop's text so the default path's I-cache and
 // branch-target locality are unaffected by carrying both engines.
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((cold))
@@ -1536,6 +1522,5 @@ std::unique_ptr<Device> dpo::buildDevice(std::string_view Source,
       Source, /*PipelineText=*/"", PassPipelineConfig(), Opts, Diags);
   if (!Program)
     return nullptr;
-  return std::make_unique<Device>(std::move(*Program),
-                                  Device::DefaultMemoryBytes, Opts.Exec);
+  return std::make_unique<Device>(std::move(*Program));
 }

@@ -40,11 +40,12 @@
 /// lowered into the fixed-width decoded execution IR (ExecIR.h) with
 /// direct-threaded handler addresses and fused immediate forms, and
 /// dispatched by the decoded loop. Key properties:
-///  - two first-class engines: the decoded loop (default) and the
-///    bytecode interpreter (ExecMode::Bytecode / DPO_VM_EXEC=bytecode),
-///    both compiled from the same handler bodies (VMHandlers.inc) and
-///    both using computed-goto threaded dispatch on GCC/Clang with a
-///    plain switch fallback elsewhere; decoded fusions carry the step
+///  - two engines: the decoded loop every caller runs and the bytecode
+///    interpreter the equivalence suites check it against
+///    (ExecMode::Bytecode, selected only in code), both compiled from
+///    the same handler bodies (VMHandlers.inc) and both using
+///    computed-goto threaded dispatch on GCC/Clang with a plain switch
+///    fallback elsewhere; decoded fusions carry the step
 ///    cost of the pair they replace, so VmStats, grid logs, and tuner
 ///    pricing are identical across engines;
 ///  - thread contexts (operand stack, frame stack, locals arena, frame
@@ -175,20 +176,20 @@ public:
   /// of every buildDevice device). A bound, not a cost (DeviceImage).
   static constexpr uint64_t DefaultMemoryBytes = 256ull << 20;
 
-  /// \p Mode picks the execution engine: Auto resolves to the traced
-  /// decoded-IR loop unless a DPO_VM_EXEC environment override
-  /// ("bytecode" or "decoded-notrace") selects another engine. The
-  /// engine is fixed for the Device's lifetime. An image of
-  /// \p MemoryBytes that cannot be mapped, or that cannot hold the
-  /// program's globals, never throws: every launch fails with the
-  /// diagnostic instead, like invalid bytecode.
+  /// \p Mode picks the execution engine: the traced decoded-IR loop, or
+  /// the bytecode interpreter it is tested against. The engine is fixed
+  /// for the Device's lifetime. An image of \p MemoryBytes that cannot
+  /// be mapped, or that cannot hold the program's globals, never throws:
+  /// every launch fails with the diagnostic instead, like invalid
+  /// bytecode.
   explicit Device(VmProgram Program,
                   uint64_t MemoryBytes = DefaultMemoryBytes,
-                  ExecMode Mode = ExecMode::Auto);
+                  ExecMode Mode = ExecMode::Decoded);
   ~Device();
 
-  /// The engine this device resolved to (never Auto).
-  ExecMode execMode() const { return Mode; }
+  ExecMode execMode() const {
+    return UseDecoded ? ExecMode::Decoded : ExecMode::Bytecode;
+  }
   /// Decode statistics (all zero when running the bytecode engine).
   const ExecDecodeStats &decodeStats() const { return Exec.Stats; }
 
@@ -484,9 +485,6 @@ private:
   VmProgram Program;
   /// The decoded execution IR (empty on the bytecode engine).
   ExecProgram Exec;
-  /// The resolved engine (never Auto). Declared before UseDecoded: the
-  /// constructor derives one from the other in initialization order.
-  ExecMode Mode = ExecMode::Decoded;
   bool UseDecoded = false;
   /// Per-function frame-entry normalization specs (paramNormSpec),
   /// derived once at validation; empty vectors for all-raw signatures.

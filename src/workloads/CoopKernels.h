@@ -71,13 +71,14 @@ struct CoopRun {
 /// Transforms the case's source through \p PipelineText (empty =
 /// untransformed), lowers with the peephole optimizer on or off, and runs
 /// the parent grid. \p Workers pins the device worker count (0 keeps the
-/// DPO_VM_WORKERS default); \p Mode pins the execution engine. The
+/// DPO_VM_WORKERS default); \p Mode picks the execution engine. The
 /// payload contract holds at every worker count and engine, and Steps is
 /// bit-identical across engines and workers — the barrier-axis
 /// differential tests assert both.
 CoopRun runCoopCaseOnVm(const CoopKernelCase &Case,
                         std::string_view PipelineText, bool OptimizeBytecode,
-                        unsigned Workers = 0, ExecMode Mode = ExecMode::Auto,
+                        unsigned Workers = 0,
+                        ExecMode Mode = ExecMode::Decoded,
                         uint64_t MemoryBytes = 16ull << 20);
 
 } // namespace dpo

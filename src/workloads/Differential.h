@@ -58,9 +58,9 @@ struct DifferentialRun {
 /// device worker count (0 keeps the DPO_VM_WORKERS default); the payload
 /// contract holds at every worker count — the corpus kernels claim work
 /// through real atomics — which is what the worker-axis differential
-/// tests assert. \p Mode pins the execution engine (Auto keeps the
-/// DPO_VM_EXEC default); Steps must be bit-identical across engines,
-/// which is what the engine-axis differential tests assert.
+/// tests assert. \p Mode picks the execution engine (the engine-axis
+/// tests pass the Bytecode reference); Steps must be bit-identical across
+/// engines, which is what the engine-axis differential tests assert.
 ///
 /// \p ProfileIn (optional, not owned) backs the `profile` parameter of
 /// pipeline passes (`threshold[profile]`, `speculate[profile]`, ...).
@@ -72,7 +72,7 @@ DifferentialRun runKernelCaseOnVm(const KernelCase &Case,
                                   bool OptimizeBytecode,
                                   uint64_t MemoryBytes = 16ull << 20,
                                   unsigned Workers = 0,
-                                  ExecMode Mode = ExecMode::Auto,
+                                  ExecMode Mode = ExecMode::Decoded,
                                   const LaunchProfile *ProfileIn = nullptr,
                                   LaunchProfile *ProfileOut = nullptr);
 
@@ -87,7 +87,7 @@ DifferentialRun runKernelCaseOnVmProgram(const KernelCase &Case,
                                          VmProgram Program,
                                          uint64_t MemoryBytes = 16ull << 20,
                                          unsigned Workers = 0,
-                                         ExecMode Mode = ExecMode::Auto,
+                                         ExecMode Mode = ExecMode::Decoded,
                                          bool CaptureGridLog = false,
                                          LaunchProfile *ProfileOut = nullptr);
 

@@ -11,11 +11,11 @@
 /// its native reference
 ///
 ///  - through every registered pass pipeline, peephole on and off;
-///  - on every execution engine (bytecode, decoded, decoded-notrace,
-///    auto) at every worker count (1, 2, 4), with *bit-identical* step
-///    accounting across all of them — cooperative scheduling (barrier
-///    parking, round-robin resume, lenient release) is deterministic by
-///    construction, and these tests pin that;
+///  - on both execution engines (the bytecode reference and the traced
+///    decoded engine) at every worker count (1, 2, 4), with
+///    *bit-identical* step accounting across all of them — cooperative
+///    scheduling (barrier parking, round-robin resume, lenient release)
+///    is deterministic by construction, and these tests pin that;
 ///  - twice in a row, byte-identical (repeat-run determinism).
 ///
 //===----------------------------------------------------------------------===//
@@ -65,10 +65,9 @@ TEST_P(BarrierAxisTest, AllPipelinesPreservePayload) {
 }
 
 // Engine x worker matrix: the payload is exact and the step count is one
-// number — bit-identical on the bytecode interpreter, the decoded
-// direct-threaded engine with and without traces, and Auto, at workers
-// 1, 2, and 4. The workers=1 bytecode run is the pin every other cell
-// must reproduce, twice (repeat-run determinism).
+// number — bit-identical on the bytecode reference and the traced decoded
+// engine, at workers 1, 2, and 4. The workers=1 bytecode run is the pin
+// every other cell must reproduce, twice (repeat-run determinism).
 TEST_P(BarrierAxisTest, EnginesAndWorkersAreStepExact) {
   const CoopKernelCase &Case = coopKernelCorpus()[GetParam()];
   std::vector<int32_t> Native = Case.reference();
@@ -81,19 +80,17 @@ TEST_P(BarrierAxisTest, EnginesAndWorkersAreStepExact) {
   ASSERT_GT(Pin.Stats.Steps, 0u);
   ASSERT_GT(Pin.Stats.DeviceLaunches, 0u);
 
-  for (ExecMode Mode : {ExecMode::Bytecode, ExecMode::Decoded,
-                        ExecMode::DecodedNoTrace, ExecMode::Auto}) {
+  for (ExecMode Mode : {ExecMode::Bytecode, ExecMode::Decoded}) {
     for (unsigned Workers : {1u, 2u, 4u}) {
       for (int Repeat = 0; Repeat < 2; ++Repeat) {
         CoopRun Run = runCoopCaseOnVm(Case, "", true, Workers, Mode);
-        ASSERT_TRUE(Run.Ok) << Case.Name << " [mode=" << (int)Mode
-                            << " workers=" << Workers << "]: " << Run.Error;
+        std::string Tag = Case.Name + " [mode=" + execModeName(Mode) +
+                          " workers=" + std::to_string(Workers) + "]";
+        ASSERT_TRUE(Run.Ok) << Tag << ": " << Run.Error;
         std::string Why = describeMismatch(Native, Run.Out);
-        EXPECT_TRUE(Why.empty()) << Case.Name << " [mode=" << (int)Mode
-                                 << " workers=" << Workers << "]: " << Why;
+        EXPECT_TRUE(Why.empty()) << Tag << ": " << Why;
         EXPECT_EQ(Run.Stats.Steps, Pin.Stats.Steps)
-            << Case.Name << " [mode=" << (int)Mode << " workers=" << Workers
-            << " repeat=" << Repeat << "]";
+            << Tag << " repeat=" << Repeat;
         EXPECT_EQ(Run.Stats.BlocksExecuted, Pin.Stats.BlocksExecuted);
         EXPECT_EQ(Run.Stats.ThreadsExecuted, Pin.Stats.ThreadsExecuted);
         EXPECT_EQ(Run.Stats.DeviceLaunches, Pin.Stats.DeviceLaunches);

@@ -182,7 +182,7 @@ TEST(CalibrationRegression, CommittedPipelinesReplayExactlyFromCheckpoints) {
     Opts.Seed = Entry.Seed;
     EmpiricalEvaluator Eval(Gpu, Workload, Opts);
     std::optional<VmMeasurement> Measured =
-        Eval.measurePipeline(Entry.Pipeline, ExecMode::Decoded);
+        Eval.measurePipeline(Entry.Pipeline);
     ASSERT_TRUE(Measured.has_value())
         << Entry.Workload << ": " << Eval.lastError();
 

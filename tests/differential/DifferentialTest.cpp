@@ -120,11 +120,11 @@ TEST(DifferentialSuite, GridAggregationHoistsLaunchesOnRealBfs) {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine axis: the traced decoded engine, the untraced decoded engine,
-// and the bytecode interpreter are one observable machine. Payloads must
-// match the native reference on each, and the retired step count — the
-// currency the tuner's committed tables are priced in — must be
-// bit-identical across all three, trace side exits included.
+// Engine axis: the traced decoded engine and the bytecode reference are
+// one observable machine. Payloads must match the native reference on
+// each, and the retired step count — the currency the tuner's committed
+// tables are priced in — must be bit-identical across both, trace side
+// exits included.
 //===----------------------------------------------------------------------===//
 
 class EngineAxisTest : public ::testing::TestWithParam<size_t> {};
@@ -136,23 +136,23 @@ TEST_P(EngineAxisTest, StepsBitIdenticalAcrossEngines) {
       "", "threshold[64],coarsen[4],aggregate[multiblock:8]"};
   for (const std::string &Pipeline : Pipelines) {
     DifferentialRun Ref;
-    for (ExecMode Mode : {ExecMode::Decoded, ExecMode::DecodedNoTrace,
-                          ExecMode::Bytecode}) {
+    for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
       DifferentialRun Run = runKernelCaseOnVm(Case, Pipeline, true,
                                               16ull << 20, /*Workers=*/1,
                                               Mode);
       ASSERT_TRUE(Run.Ok) << Case.Name << " [" << Pipeline
-                          << "] engine=" << (int)Mode << ": " << Run.Error;
+                          << "] engine=" << execModeName(Mode) << ": "
+                          << Run.Error;
       std::string Why;
       EXPECT_TRUE(payloadsMatch(Case.Bench, Native, Run.Payload, Why))
-          << Case.Name << " [" << Pipeline << "] engine=" << (int)Mode << ": "
-          << Why;
+          << Case.Name << " [" << Pipeline
+          << "] engine=" << execModeName(Mode) << ": " << Why;
       if (Mode == ExecMode::Decoded) {
         Ref = Run;
         continue;
       }
       EXPECT_EQ(Run.Stats.Steps, Ref.Stats.Steps)
-          << Case.Name << " [" << Pipeline << "] engine=" << (int)Mode
+          << Case.Name << " [" << Pipeline << "] engine=" << execModeName(Mode)
           << ": step accounting diverged from the traced engine";
       EXPECT_EQ(Run.Stats.GridsLaunched, Ref.Stats.GridsLaunched);
       EXPECT_EQ(Run.Stats.DeviceLaunches, Ref.Stats.DeviceLaunches);
@@ -462,7 +462,7 @@ TEST_P(ProfileAxisTest, HarvestedProfileIsRunAndWorkerDeterministic) {
   const KernelCase &Case = differentialCorpus()[GetParam()];
   LaunchProfile First;
   DifferentialRun R0 = runKernelCaseOnVm(Case, "", true, 16ull << 20,
-                                         /*Workers=*/1, ExecMode::Auto,
+                                         /*Workers=*/1, ExecMode::Decoded,
                                          nullptr, &First);
   ASSERT_TRUE(R0.Ok) << Case.Name << ": " << R0.Error;
   std::string Canonical = serializeProfile(First);
@@ -472,7 +472,7 @@ TEST_P(ProfileAxisTest, HarvestedProfileIsRunAndWorkerDeterministic) {
   for (unsigned Workers : {1u, 2u, 4u}) {
     LaunchProfile P;
     DifferentialRun R = runKernelCaseOnVm(Case, "", true, 16ull << 20,
-                                          Workers, ExecMode::Auto, nullptr,
+                                          Workers, ExecMode::Decoded, nullptr,
                                           &P);
     ASSERT_TRUE(R.Ok) << Case.Name << " workers=" << Workers << ": "
                       << R.Error;
@@ -493,7 +493,7 @@ TEST_P(ProfileAxisTest, ProfileBackedPipelinesMatchNative) {
   WorkloadOutput Native = Case.reference();
   LaunchProfile Real;
   DifferentialRun Record = runKernelCaseOnVm(Case, "", true, 16ull << 20, 1,
-                                             ExecMode::Auto, nullptr, &Real);
+                                             ExecMode::Decoded, nullptr, &Real);
   ASSERT_TRUE(Record.Ok) << Case.Name << ": " << Record.Error;
 
   const std::string Pipelines[] = {
@@ -501,7 +501,7 @@ TEST_P(ProfileAxisTest, ProfileBackedPipelinesMatchNative) {
       "threshold[profile],coarsen[profile]"};
   for (const std::string &Pipeline : Pipelines) {
     DifferentialRun Run = runKernelCaseOnVm(Case, Pipeline, true,
-                                            16ull << 20, 1, ExecMode::Auto,
+                                            16ull << 20, 1, ExecMode::Decoded,
                                             &Real);
     ASSERT_TRUE(Run.Ok) << Case.Name << " [" << Pipeline
                         << "]: " << Run.Error;
@@ -517,21 +517,20 @@ TEST_P(ProfileAxisTest, WrongProfileGuardFailureFallsBackExactly) {
   WorkloadOutput Native = Case.reference();
   LaunchProfile Real;
   DifferentialRun Record = runKernelCaseOnVm(Case, "", true, 16ull << 20, 1,
-                                             ExecMode::Auto, nullptr, &Real);
+                                             ExecMode::Decoded, nullptr, &Real);
   ASSERT_TRUE(Record.Ok) << Case.Name << ": " << Record.Error;
   LaunchProfile Wrong = corruptToTinyBounds(Real);
 
   DifferentialRun Ref;
-  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::DecodedNoTrace,
-                        ExecMode::Bytecode}) {
+  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
     DifferentialRun Run =
         runKernelCaseOnVm(Case, "speculate[profile]", true, 16ull << 20,
                           /*Workers=*/1, Mode, &Wrong);
-    ASSERT_TRUE(Run.Ok) << Case.Name << " engine=" << (int)Mode << ": "
-                        << Run.Error;
+    ASSERT_TRUE(Run.Ok) << Case.Name << " engine=" << execModeName(Mode)
+                        << ": " << Run.Error;
     std::string Why;
     EXPECT_TRUE(payloadsMatch(Case.Bench, Native, Run.Payload, Why))
-        << Case.Name << " engine=" << (int)Mode
+        << Case.Name << " engine=" << execModeName(Mode)
         << ": guarded fallback diverged: " << Why << "\ntransformed:\n"
         << Run.TransformedSource;
     if (Run.TransformedSource.find("__dpo_spec_guard") != std::string::npos)
@@ -553,7 +552,7 @@ TEST_P(ProfileAxisTest, WrongProfileGuardFailureFallsBackExactly) {
   for (unsigned Workers : {2u, 4u}) {
     DifferentialRun Par =
         runKernelCaseOnVm(Case, "speculate[profile]", true, 16ull << 20,
-                          Workers, ExecMode::Auto, &Wrong);
+                          Workers, ExecMode::Decoded, &Wrong);
     ASSERT_TRUE(Par.Ok) << Case.Name << " workers=" << Workers << ": "
                         << Par.Error;
     std::string Why;
@@ -601,7 +600,7 @@ __global__ void parent(int *rowptr, int *col, int *sums, int numV) {
 
 ProbeRun runSpecProbe(const std::string &Pipeline,
                       const LaunchProfile *ProfileIn = nullptr,
-                      unsigned Workers = 1, ExecMode Mode = ExecMode::Auto,
+                      unsigned Workers = 1, ExecMode Mode = ExecMode::Decoded,
                       LaunchProfile *ProfileOut = nullptr) {
   ProbeRun R;
   DiagnosticEngine Diags;
@@ -651,25 +650,24 @@ ProbeRun runSpecProbe(const std::string &Pipeline,
 
 TEST(SpeculationGuard, WrongProfileFailsEveryGuardAndFallsBack) {
   LaunchProfile Real;
-  ProbeRun Base = runSpecProbe("", nullptr, 1, ExecMode::Auto, &Real);
+  ProbeRun Base = runSpecProbe("", nullptr, 1, ExecMode::Decoded, &Real);
   ASSERT_TRUE(Base.Ok) << Base.Error;
   ASSERT_GT(Base.Stats.DeviceLaunches, 0u);
   ASSERT_FALSE(Real.Sites.empty());
   LaunchProfile Wrong = corruptToTinyBounds(Real);
 
   ProbeRun Ref;
-  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::DecodedNoTrace,
-                        ExecMode::Bytecode}) {
+  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
     for (unsigned Workers : {1u, 2u, 4u}) {
       ProbeRun Run = runSpecProbe("speculate[profile]", &Wrong, Workers,
                                   Mode);
-      ASSERT_TRUE(Run.Ok) << "engine=" << (int)Mode << " workers=" << Workers
-                          << ": " << Run.Error;
+      ASSERT_TRUE(Run.Ok) << "engine=" << execModeName(Mode)
+                          << " workers=" << Workers << ": " << Run.Error;
       // Every real launch is at least one 32-thread block, so a bound of
       // 1 fails every guard: the fallback path must relaunch everything
       // and reproduce the payload exactly.
       EXPECT_EQ(Run.Sums, Base.Sums)
-          << "engine=" << (int)Mode << " workers=" << Workers << "\n"
+          << "engine=" << execModeName(Mode) << " workers=" << Workers << "\n"
           << Run.Src;
       EXPECT_EQ(Run.Stats.SpecGuardFail, Base.Stats.DeviceLaunches);
       EXPECT_EQ(Run.Stats.SpecGuardPass, 0u);
@@ -684,7 +682,7 @@ TEST(SpeculationGuard, WrongProfileFailsEveryGuardAndFallsBack) {
         continue;
       }
       EXPECT_EQ(Run.Stats.Steps, Ref.Stats.Steps)
-          << "engine=" << (int)Mode
+          << "engine=" << execModeName(Mode)
           << ": guard-failure path step accounting diverged";
       EXPECT_EQ(Run.Stats.ThreadsExecuted, Ref.Stats.ThreadsExecuted);
     }
@@ -696,8 +694,7 @@ TEST(SpeculationGuard, HugeBoundPassesEveryGuardAndSerializes) {
   ASSERT_TRUE(Base.Ok) << Base.Error;
   ASSERT_GT(Base.Stats.DeviceLaunches, 0u);
 
-  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::DecodedNoTrace,
-                        ExecMode::Bytecode}) {
+  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
     ProbeRun Run = runSpecProbe("speculate[1000000]", nullptr, 1, Mode);
     ASSERT_TRUE(Run.Ok) << Run.Error;
     EXPECT_EQ(Run.Sums, Base.Sums) << Run.Src;
@@ -710,7 +707,7 @@ TEST(SpeculationGuard, HugeBoundPassesEveryGuardAndSerializes) {
 
 TEST(SpeculationGuard, RealProfileSpeculationIsExactAndAccounted) {
   LaunchProfile Real;
-  ProbeRun Base = runSpecProbe("", nullptr, 1, ExecMode::Auto, &Real);
+  ProbeRun Base = runSpecProbe("", nullptr, 1, ExecMode::Decoded, &Real);
   ASSERT_TRUE(Base.Ok) << Base.Error;
 
   ProbeRun Run = runSpecProbe("speculate[profile]", &Real);
@@ -734,7 +731,7 @@ TEST(SpeculationGuard, PerSiteThresholdMatchesTightenedGlobalLiteral) {
   // *identical* transformed source, and therefore identical bytecode, as
   // the best hand-picked literal `threshold[64:literal]`.
   LaunchProfile Real;
-  ProbeRun Base = runSpecProbe("", nullptr, 1, ExecMode::Auto, &Real);
+  ProbeRun Base = runSpecProbe("", nullptr, 1, ExecMode::Decoded, &Real);
   ASSERT_TRUE(Base.Ok) << Base.Error;
   ASSERT_EQ(Real.siteThreshold("parent->child#0", 128), 64u)
       << serializeProfile(Real);

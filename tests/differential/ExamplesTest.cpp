@@ -30,6 +30,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -87,12 +89,15 @@ std::unique_ptr<Device> buildOrDie(const std::string &Src, ExecMode Mode,
                                    bool Optimize, unsigned Workers) {
   VmCompileOptions Opts;
   Opts.OptimizeBytecode = Optimize;
-  Opts.Exec = Mode;
   DiagnosticEngine Diags;
-  auto Dev = buildDevice(Src, Diags, Opts);
-  EXPECT_NE(Dev, nullptr) << "VM build failed:\n" << Diags.str();
-  if (Dev)
-    Dev->setWorkers(Workers);
+  std::optional<VmProgram> Program =
+      compileWithPipeline(Src, "", PassPipelineConfig(), Opts, Diags);
+  EXPECT_TRUE(Program) << "VM build failed:\n" << Diags.str();
+  if (!Program)
+    return nullptr;
+  auto Dev = std::make_unique<Device>(std::move(*Program),
+                                      Device::DefaultMemoryBytes, Mode);
+  Dev->setWorkers(Workers);
   return Dev;
 }
 
@@ -170,14 +175,13 @@ QuickstartInput widerInput() {
 TEST(ExamplesDifferentialTest, QuickstartUntransformedMatchesNative) {
   for (const QuickstartInput &In : {exampleInput(), widerInput()}) {
     std::vector<int32_t> Native = quickstartNative(In);
-    for (ExecMode Mode :
-         {ExecMode::Decoded, ExecMode::DecodedNoTrace, ExecMode::Bytecode})
+    for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode})
       for (unsigned Workers : {1u, 2u, 4u}) {
         std::vector<int32_t> Vm =
             runQuickstart(QuickstartSource, In, Mode, /*Optimize=*/true,
                           Workers);
         ASSERT_EQ(Vm, Native)
-            << "engine=" << (int)Mode << " workers=" << Workers;
+            << "engine=" << execModeName(Mode) << " workers=" << Workers;
       }
   }
 }
@@ -287,8 +291,7 @@ TEST(ExamplesDifferentialTest, AutotuneSsspMatchesNative) {
 
   // Single-worker only: the example's relaxation is a plain conditional
   // store (no atomicMin), deterministic only on the sequential schedule.
-  for (ExecMode Mode :
-       {ExecMode::Decoded, ExecMode::DecodedNoTrace, ExecMode::Bytecode})
+  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode})
     for (bool Optimize : {true, false}) {
       auto Dev = buildOrDie(SsspSource, Mode, Optimize, /*Workers=*/1);
       ASSERT_NE(Dev, nullptr);
@@ -314,7 +317,7 @@ TEST(ExamplesDifferentialTest, AutotuneSsspMatchesNative) {
             << Dev->error();
 
       std::vector<int32_t> Vm = Dev->readI32Array(DistA, G.N);
-      ASSERT_EQ(Vm, Native) << "engine=" << (int)Mode
+      ASSERT_EQ(Vm, Native) << "engine=" << execModeName(Mode)
                             << " peephole=" << (Optimize ? "on" : "off");
     }
 }

@@ -95,8 +95,7 @@ TEST_P(ServiceAxisTest, CachedArtifactsExecuteIdenticallyToInMemoryCompiles) {
             serializeVmProgram(*Cached.Program))
       << Case.Name << ": cached artifact image is not bit-identical";
 
-  for (ExecMode Mode :
-       {ExecMode::Bytecode, ExecMode::Decoded, ExecMode::DecodedNoTrace}) {
+  for (ExecMode Mode : {ExecMode::Bytecode, ExecMode::Decoded}) {
     for (unsigned Workers : {1u, 2u, 4u}) {
       DifferentialRun InMem = runKernelCaseOnVmProgram(
           Case, *Fresh.Program, 16ull << 20, Workers, Mode,
@@ -104,9 +103,8 @@ TEST_P(ServiceAxisTest, CachedArtifactsExecuteIdenticallyToInMemoryCompiles) {
       DifferentialRun FromDisk = runKernelCaseOnVmProgram(
           Case, *Cached.Program, 16ull << 20, Workers, Mode,
           /*CaptureGridLog=*/true);
-      std::string Tag = Case.Name + " engine=" +
-                        std::to_string((int)Mode) + " workers=" +
-                        std::to_string(Workers);
+      std::string Tag = Case.Name + " engine=" + execModeName(Mode) +
+                        " workers=" + std::to_string(Workers);
       ASSERT_TRUE(InMem.Ok) << Tag << ": " << InMem.Error;
       ASSERT_TRUE(FromDisk.Ok) << Tag << ": " << FromDisk.Error;
 

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -276,6 +277,21 @@ TEST_F(CompileServiceTest, EvictionRespectsTheSizeBound) {
   for (const auto &E : fs::directory_iterator(cacheDir()))
     OnDisk += fs::file_size(E.path());
   EXPECT_LE(OnDisk, Bound);
+}
+
+TEST(ServiceConfigTest, InvalidCacheBoundKeepsTheDefault) {
+  // A negative bound must not wrap to 2^64-1 (which would turn eviction
+  // off); anything but a positive decimal byte count keeps the default.
+  const uint64_t Default = ServiceConfig().CacheMaxBytes;
+  for (const char *Bad :
+       {"-1", "0", "", "12MiB", "+5", "99999999999999999999"}) {
+    ASSERT_EQ(setenv("DPO_CACHE_MAX_BYTES", Bad, 1), 0);
+    EXPECT_EQ(serviceConfigFromEnv().CacheMaxBytes, Default)
+        << "'" << Bad << "'";
+  }
+  ASSERT_EQ(setenv("DPO_CACHE_MAX_BYTES", "4096", 1), 0);
+  EXPECT_EQ(serviceConfigFromEnv().CacheMaxBytes, 4096u);
+  unsetenv("DPO_CACHE_MAX_BYTES");
 }
 
 TEST_F(CompileServiceTest, TooDeepSourceFailsAndTheServiceCarriesOn) {

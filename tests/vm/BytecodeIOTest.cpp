@@ -11,7 +11,7 @@
 ///    every corpus program and for fuzz-generated programs (deterministic
 ///    bytes are what make the content-addressed cache keys meaningful);
 ///  - a deserialized program must execute bit-identically to the original
-///    across all three engines — same payload, same retired step counts;
+///    on both engines — same payload, same retired step counts;
 ///  - truncated, bit-flipped, and wrong-version images must fail cleanly
 ///    with a diagnostic, never crash or return a half-built program.
 ///
@@ -94,15 +94,14 @@ NestedRun runNested(VmProgram Program, const std::vector<int32_t> &Counts,
 /// engine.
 void expectExecutionIdentical(const VmProgram &P, const VmProgram &Q,
                               const std::vector<int32_t> &Counts) {
-  for (ExecMode Mode : {ExecMode::Bytecode, ExecMode::Decoded,
-                        ExecMode::DecodedNoTrace}) {
+  for (ExecMode Mode : {ExecMode::Bytecode, ExecMode::Decoded}) {
     NestedRun A = runNested(P, Counts, Mode);
     NestedRun B = runNested(Q, Counts, Mode);
     ASSERT_TRUE(A.Ok && B.Ok);
-    EXPECT_EQ(A.Out, B.Out) << "payload diverged, mode " << (int)Mode;
-    EXPECT_TRUE(A.Stats == B.Stats) << "stats diverged, mode " << (int)Mode
-                                    << ": " << A.Stats.Steps << " vs "
-                                    << B.Stats.Steps << " steps";
+    EXPECT_EQ(A.Out, B.Out) << "payload diverged, " << execModeName(Mode);
+    EXPECT_TRUE(A.Stats == B.Stats)
+        << "stats diverged, " << execModeName(Mode) << ": " << A.Stats.Steps
+        << " vs " << B.Stats.Steps << " steps";
   }
 }
 

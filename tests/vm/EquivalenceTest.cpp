@@ -10,7 +10,8 @@
 /// granularity), the transformed source must compute exactly the same
 /// memory state as the original. Both versions execute on the bytecode VM;
 /// outputs are compared element-wise over randomized nested-parallelism
-/// workloads.
+/// workloads, and the transformed version also runs on the bytecode
+/// reference engine, which must reproduce the decoded engine's memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <random>
 
 using namespace dpo;
@@ -121,16 +124,21 @@ struct RunOutcome {
   VmStats Stats;
 };
 
-/// Runs either version of a program: allocates buffers, invokes `parent`
-/// (directly, or through a generated `parent_agg` wrapper when present).
+/// Runs either version of a program on \p Engine: allocates buffers,
+/// invokes `parent` (directly, or through a generated `parent_agg` wrapper
+/// when present).
 RunOutcome runProgram(const std::string &Source, const Workload &W,
-                      bool WithAcc, unsigned ParentBlock = 128) {
+                      bool WithAcc, ExecMode Engine = ExecMode::Decoded) {
+  constexpr unsigned ParentBlock = 128;
   DiagnosticEngine Diags;
-  auto Dev = buildDevice(Source, Diags);
-  EXPECT_NE(Dev, nullptr) << Diags.str() << "\nsource:\n" << Source;
+  std::optional<VmProgram> Program = compileWithPipeline(
+      Source, "", PassPipelineConfig(), VmCompileOptions(), Diags);
+  EXPECT_TRUE(Program) << Diags.str() << "\nsource:\n" << Source;
   RunOutcome Outcome;
-  if (!Dev)
+  if (!Program)
     return Outcome;
+  auto Dev = std::make_unique<Device>(std::move(*Program),
+                                      Device::DefaultMemoryBytes, Engine);
 
   int NumV = (int)W.Counts.size();
   uint64_t Out = Dev->alloc(std::max(1, W.Total) * 4);
@@ -201,6 +209,16 @@ std::string transformWith(const std::string &Source,
   return Result;
 }
 
+/// Re-runs \p Transformed on the bytecode reference engine, which must
+/// reproduce the decoded engine's \p Decoded outcome exactly.
+void expectReferenceAgrees(const std::string &Transformed, const Workload &W,
+                           bool WithAcc, const RunOutcome &Decoded) {
+  RunOutcome Reference =
+      runProgram(Transformed, W, WithAcc, ExecMode::Bytecode);
+  EXPECT_EQ(Reference.Out, Decoded.Out) << "bytecode reference diverged";
+  EXPECT_EQ(Reference.Acc, Decoded.Acc) << "bytecode reference diverged";
+}
+
 const PipelineConfig Configs[] = {
     {"T_low", true, false, false, AggGranularity::None, 8, 1, false},
     {"T_high", true, false, false, AggGranularity::None, 1000000, 1, false},
@@ -236,6 +254,7 @@ TEST_P(EquivalenceTest, NestedWorkload) {
     ASSERT_EQ(Reference.Out[I], Result.Out[I])
         << "config " << Config.Name << " diverges at element " << I << "\n"
         << Transformed;
+  expectReferenceAgrees(Transformed, W, /*WithAcc=*/false, Result);
 }
 
 TEST_P(EquivalenceTest, VaryingBlockDims) {
@@ -249,6 +268,7 @@ TEST_P(EquivalenceTest, VaryingBlockDims) {
     ASSERT_EQ(Reference.Out[I], Result.Out[I])
         << "config " << Config.Name << " diverges at element " << I;
   EXPECT_EQ(Reference.Acc, Result.Acc) << "config " << Config.Name;
+  expectReferenceAgrees(Transformed, W, /*WithAcc=*/true, Result);
 }
 
 TEST_P(EquivalenceTest, EarlyReturnChild) {
@@ -261,6 +281,7 @@ TEST_P(EquivalenceTest, EarlyReturnChild) {
   for (size_t I = 0; I < Reference.Out.size(); ++I)
     ASSERT_EQ(Reference.Out[I], Result.Out[I])
         << "config " << Config.Name << " diverges at element " << I;
+  expectReferenceAgrees(Transformed, W, /*WithAcc=*/false, Result);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, EquivalenceTest,

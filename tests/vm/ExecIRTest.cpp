@@ -10,10 +10,11 @@
 ///  - decode is 1:1 except for the declared pair fusions, whose step
 ///    costs sum to the bytecode instruction count;
 ///  - fusion never crosses a jump target and jump operands are rebuilt;
-///  - both engines produce bit-identical memory and identical VmStats on
-///    kernels covering calls, barriers, launches, and frame memory;
-///  - the DPO_VM_EXEC environment override and the explicit ExecMode
-///    both select the engine.
+///  - the decoded engine and the bytecode reference produce
+///    bit-identical memory and identical VmStats on kernels covering
+///    calls, barriers, launches, and frame memory;
+///  - traces form on loop kernels, retire exactly, and compose with the
+///    worker pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,8 +95,7 @@ __global__ void k(int *out, int n) {
       EXPECT_LT((uint64_t)I.A, F.Code.size()) << "remapped target in range";
 
   // And the loop still computes the right sum on every engine.
-  for (ExecMode Mode :
-       {ExecMode::Decoded, ExecMode::DecodedNoTrace, ExecMode::Bytecode}) {
+  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
     VmProgram Prog = compileSource(Source);
     Device Dev(std::move(Prog), 16ull << 20, Mode);
     uint64_t Out = Dev.alloc(4);
@@ -105,16 +105,15 @@ __global__ void k(int *out, int n) {
   }
 }
 
-/// Runs `k(out, n)` on all three engines (peephole on and off) and
-/// compares device memory bit-for-bit plus the full VmStats.
+/// Runs `k(out, n)` on both engines (peephole on and off) and compares
+/// device memory bit-for-bit plus the full VmStats.
 void expectEngineEquivalent(const char *Source, int N, Dim3V Grid,
                             Dim3V Block) {
   for (bool Optimize : {true, false}) {
-    std::vector<int32_t> Results[3];
-    VmStats Stats[3];
+    std::vector<int32_t> Results[2];
+    VmStats Stats[2];
     int Idx = 0;
-    for (ExecMode Mode :
-         {ExecMode::Decoded, ExecMode::DecodedNoTrace, ExecMode::Bytecode}) {
+    for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
       VmProgram P = compileSource(Source, Optimize);
       Device Dev(std::move(P), 32ull << 20, Mode);
       ASSERT_EQ(Dev.execMode(), Mode);
@@ -125,15 +124,12 @@ void expectEngineEquivalent(const char *Source, int N, Dim3V Grid,
       Stats[Idx] = Dev.stats();
       ++Idx;
     }
-    for (int I = 1; I < 3; ++I) {
-      EXPECT_EQ(Results[0], Results[I]) << Source << " engine " << I;
-      EXPECT_EQ(Stats[0].Steps, Stats[I].Steps)
-          << "step accounting diverged, engine=" << I
-          << " peephole=" << Optimize;
-      EXPECT_EQ(Stats[0].GridsLaunched, Stats[I].GridsLaunched);
-      EXPECT_EQ(Stats[0].DeviceLaunches, Stats[I].DeviceLaunches);
-      EXPECT_EQ(Stats[0].ThreadsExecuted, Stats[I].ThreadsExecuted);
-    }
+    EXPECT_EQ(Results[0], Results[1]) << Source;
+    EXPECT_EQ(Stats[0].Steps, Stats[1].Steps)
+        << "step accounting diverged, peephole=" << Optimize;
+    EXPECT_EQ(Stats[0].GridsLaunched, Stats[1].GridsLaunched);
+    EXPECT_EQ(Stats[0].DeviceLaunches, Stats[1].DeviceLaunches);
+    EXPECT_EQ(Stats[0].ThreadsExecuted, Stats[1].ThreadsExecuted);
   }
 }
 
@@ -194,8 +190,7 @@ __global__ void k(int *out, int n) {
   out[0] = 10 / (n - n);
 }
 )";
-  for (ExecMode Mode :
-       {ExecMode::Decoded, ExecMode::DecodedNoTrace, ExecMode::Bytecode}) {
+  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
     VmProgram P = compileSource(Source);
     Device Dev(std::move(P), 16ull << 20, Mode);
     uint64_t Out = Dev.alloc(4);
@@ -209,8 +204,7 @@ __global__ void k(int *out, int n) {
   out[0] = n;
 }
 )";
-  for (ExecMode Mode :
-       {ExecMode::Decoded, ExecMode::DecodedNoTrace, ExecMode::Bytecode}) {
+  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
     VmProgram P = compileSource(Loop);
     Device Dev(std::move(P), 16ull << 20, Mode);
     Dev.setStepLimit(10000);
@@ -218,43 +212,6 @@ __global__ void k(int *out, int n) {
     EXPECT_FALSE(Dev.launchKernel("k", {1, 1, 1}, {1, 1, 1}, {(int64_t)Out, 5}));
     EXPECT_NE(Dev.error().find("step limit"), std::string::npos) << Dev.error();
   }
-}
-
-TEST(ExecIRTest, EnvironmentOverrideSelectsEngine) {
-#if defined(_WIN32)
-  GTEST_SKIP() << "setenv not available";
-#else
-  const char *Source = "__global__ void k(int *out, int n) { out[0] = n; }";
-  ASSERT_EQ(setenv("DPO_VM_EXEC", "bytecode", 1), 0);
-  {
-    VmProgram P = compileSource(Source);
-    Device Dev(std::move(P));
-    EXPECT_EQ(Dev.execMode(), ExecMode::Bytecode);
-  }
-  unsetenv("DPO_VM_EXEC");
-  {
-    VmProgram P = compileSource(Source);
-    Device Dev(std::move(P));
-    EXPECT_EQ(Dev.execMode(), ExecMode::Decoded);
-  }
-  // Explicit modes beat the environment.
-  ASSERT_EQ(setenv("DPO_VM_EXEC", "bytecode", 1), 0);
-  {
-    VmProgram P = compileSource(Source);
-    Device Dev(std::move(P), 16ull << 20, ExecMode::Decoded);
-    EXPECT_EQ(Dev.execMode(), ExecMode::Decoded);
-  }
-  unsetenv("DPO_VM_EXEC");
-  // The trace escape hatch: decoded dispatch without superblocks.
-  ASSERT_EQ(setenv("DPO_VM_EXEC", "decoded-notrace", 1), 0);
-  {
-    VmProgram P = compileSource(Source);
-    Device Dev(std::move(P));
-    EXPECT_EQ(Dev.execMode(), ExecMode::DecodedNoTrace);
-    EXPECT_EQ(Dev.decodeStats().TracesFormed, 0u);
-  }
-  unsetenv("DPO_VM_EXEC");
-#endif
 }
 
 TEST(ExecIRTest, DecodeStatsExposedOnDevice) {
@@ -308,18 +265,18 @@ TEST(ExecIRTest, LoopKernelsFormTracesAndRetireThroughThem) {
 }
 
 TEST(ExecIRTest, UntracedEnginesReportNoTraceActivity) {
-  for (ExecMode Mode : {ExecMode::DecodedNoTrace, ExecMode::Bytecode}) {
-    VmProgram P = compileSource(TracedLoopSource);
-    Device Dev(std::move(P), 16ull << 20, Mode);
-    EXPECT_EQ(Dev.decodeStats().TracesFormed, 0u);
-    uint64_t Out = Dev.alloc(64 * 4);
-    ASSERT_TRUE(
-        Dev.launchKernel("k", {2, 1, 1}, {32, 1, 1}, {(int64_t)Out, 64}))
-        << Dev.error();
-    EXPECT_EQ(Dev.stats().TraceEntries, 0u);
-    EXPECT_EQ(Dev.stats().TraceIters, 0u);
-    EXPECT_EQ(Dev.stats().TraceSideExits, 0u);
-  }
+  // The bytecode reference decodes nothing, so it forms and enters no
+  // traces.
+  VmProgram P = compileSource(TracedLoopSource);
+  Device Dev(std::move(P), 16ull << 20, ExecMode::Bytecode);
+  EXPECT_EQ(Dev.decodeStats().TracesFormed, 0u);
+  uint64_t Out = Dev.alloc(64 * 4);
+  ASSERT_TRUE(
+      Dev.launchKernel("k", {2, 1, 1}, {32, 1, 1}, {(int64_t)Out, 64}))
+      << Dev.error();
+  EXPECT_EQ(Dev.stats().TraceEntries, 0u);
+  EXPECT_EQ(Dev.stats().TraceIters, 0u);
+  EXPECT_EQ(Dev.stats().TraceSideExits, 0u);
 }
 
 TEST(ExecIRTest, StepLimitAbortsMidTraceWithExactAccounting) {
@@ -336,10 +293,9 @@ __global__ void k(int *out, int n) {
   out[0] = sum;
 }
 )";
-  uint64_t StepsAtAbort[3];
+  uint64_t StepsAtAbort[2];
   int Idx = 0;
-  for (ExecMode Mode :
-       {ExecMode::Decoded, ExecMode::DecodedNoTrace, ExecMode::Bytecode}) {
+  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
     VmProgram P = compileSource(Loop);
     Device Dev(std::move(P), 16ull << 20, Mode);
     if (Mode == ExecMode::Decoded)
@@ -354,7 +310,6 @@ __global__ void k(int *out, int n) {
   }
   EXPECT_EQ(StepsAtAbort[0], StepsAtAbort[1])
       << "mid-trace abort charged a different step count";
-  EXPECT_EQ(StepsAtAbort[0], StepsAtAbort[2]);
 }
 
 TEST(ExecIRTest, TracedExecutionComposesWithWorkerPool) {

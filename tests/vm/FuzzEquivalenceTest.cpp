@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 
@@ -117,13 +119,17 @@ struct RunResult {
 
 RunResult runNested(const std::string &Source,
                     const std::vector<int32_t> &Counts,
-                    const VmCompileOptions &Opts = {}, unsigned Workers = 0) {
+                    const VmCompileOptions &Opts = {}, unsigned Workers = 0,
+                    ExecMode Engine = ExecMode::Decoded) {
   RunResult R;
   DiagnosticEngine Diags;
-  auto Dev = buildDevice(Source, Diags, Opts);
-  EXPECT_NE(Dev, nullptr) << Diags.str() << "\n" << Source;
-  if (!Dev)
+  std::optional<VmProgram> Program =
+      compileWithPipeline(Source, "", PassPipelineConfig(), Opts, Diags);
+  EXPECT_TRUE(Program) << Diags.str() << "\n" << Source;
+  if (!Program)
     return R;
+  auto Dev = std::make_unique<Device>(std::move(*Program),
+                                      Device::DefaultMemoryBytes, Engine);
   if (Workers)
     Dev->setWorkers(Workers);
   int NumV = Counts.size();
@@ -193,33 +199,21 @@ TEST_P(FuzzEquivalenceTest, RandomProgramsSurviveAllPipelines) {
         << "peephole optimizer changed program semantics, seed " << Seed;
   }
 
-  // Engine axis: the traced decoded engine, the untraced decoded engine,
-  // and the bytecode interpreter must produce the same memory *and*
-  // retire the same step counts (decode-time fusions and trace regions
-  // carry the step cost of the instructions they replace), so tuner
-  // pricing is engine-independent.
+  // Engine axis: the traced decoded engine and the bytecode reference
+  // must produce the same memory *and* retire the same step counts
+  // (decode-time fusions and trace regions carry the step cost of the
+  // instructions they replace), so tuner pricing is engine-independent.
   {
-    VmCompileOptions DecodedOpts = Opts, NoTraceOpts = Opts,
-                     FallbackOpts = Opts;
-    DecodedOpts.Exec = ExecMode::Decoded;
-    NoTraceOpts.Exec = ExecMode::DecodedNoTrace;
-    FallbackOpts.Exec = ExecMode::Bytecode;
-    RunResult Dec = runNested(Source, Counts, DecodedOpts);
-    RunResult Plain = runNested(Source, Counts, NoTraceOpts);
-    RunResult Base = runNested(Source, Counts, FallbackOpts);
+    RunResult Dec = runNested(Source, Counts, Opts, 0, ExecMode::Decoded);
+    RunResult Base = runNested(Source, Counts, Opts, 0, ExecMode::Bytecode);
     ASSERT_TRUE(Dec.Ok);
-    ASSERT_TRUE(Plain.Ok);
     ASSERT_TRUE(Base.Ok);
     ASSERT_EQ(Reference.Out, Dec.Out)
         << "traced decoded engine changed program semantics, seed " << Seed;
-    ASSERT_EQ(Reference.Out, Plain.Out)
-        << "untraced decoded engine changed program semantics, seed " << Seed;
     ASSERT_EQ(Reference.Out, Base.Out)
-        << "bytecode fallback changed program semantics, seed " << Seed;
+        << "bytecode reference changed program semantics, seed " << Seed;
     ASSERT_EQ(Dec.Stats.Steps, Base.Stats.Steps)
         << "traced engine changed step accounting, seed " << Seed;
-    ASSERT_EQ(Plain.Stats.Steps, Base.Stats.Steps)
-        << "untraced decoded engine changed step accounting, seed " << Seed;
     ASSERT_EQ(Dec.Stats.DeviceLaunches, Base.Stats.DeviceLaunches);
     ASSERT_EQ(Dec.Stats.BlocksExecuted, Base.Stats.BlocksExecuted);
     ASSERT_EQ(Dec.Stats.ThreadsExecuted, Base.Stats.ThreadsExecuted);

@@ -10,9 +10,10 @@
 ///    (GlobalTidX, IncLocalI32, fused compare-and-branch, constant
 ///    folding, dead stack-shuffle elimination);
 ///  - dynamic: a battery of kernels is executed with the optimizer on and
-///    off and the resulting device memory compared bit-for-bit, proving
-///    the superinstructions are semantics-preserving (the fuzz suite
-///    extends this to randomized programs).
+///    off, on the decoded engine and on the bytecode reference, and the
+///    resulting device memory compared bit-for-bit, proving the
+///    superinstructions are semantics-preserving on both engines (the
+///    fuzz suite extends this to randomized programs).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -275,22 +276,36 @@ __global__ void k(unsigned int *out, unsigned int big) {
 // Dynamic on/off equivalence
 //===----------------------------------------------------------------------===//
 
-/// Runs `k(out, n)` over a grid with the optimizer on and off and
-/// compares the full output buffer.
+/// The engine x optimizer matrix every dynamic check runs: the peephole
+/// on and off, each on the decoded engine and on the bytecode reference.
+struct EngineRun {
+  ExecMode Engine;
+  bool Optimize;
+};
+constexpr EngineRun EngineRuns[] = {{ExecMode::Decoded, false},
+                                    {ExecMode::Decoded, true},
+                                    {ExecMode::Bytecode, false},
+                                    {ExecMode::Bytecode, true}};
+
+std::ostream &operator<<(std::ostream &OS, const EngineRun &R) {
+  return OS << execModeName(R.Engine)
+            << (R.Optimize ? " peephole=on" : " peephole=off");
+}
+
+/// Runs `k(out, n)` over a grid across EngineRuns and compares the full
+/// output buffer against the unoptimized decoded run.
 void expectEquivalent(const char *Source, int N, Dim3V Grid, Dim3V Block) {
-  std::vector<int32_t> Results[2];
-  for (int Pass = 0; Pass < 2; ++Pass) {
-    VmCompileOptions Opts;
-    Opts.OptimizeBytecode = Pass == 1;
-    DiagnosticEngine Diags;
-    auto Dev = buildDevice(Source, Diags, Opts);
-    ASSERT_NE(Dev, nullptr) << Diags.str();
-    uint64_t Out = Dev->alloc((uint64_t)N * 4);
-    ASSERT_TRUE(Dev->launchKernel("k", Grid, Block, {(int64_t)Out, N}))
-        << Dev->error();
-    Results[Pass] = Dev->readI32Array(Out, N);
+  std::vector<int32_t> Reference;
+  for (const EngineRun &R : EngineRuns) {
+    Device Dev(compileSource(Source, R.Optimize), 16ull << 20, R.Engine);
+    uint64_t Out = Dev.alloc((uint64_t)N * 4);
+    ASSERT_TRUE(Dev.launchKernel("k", Grid, Block, {(int64_t)Out, N}))
+        << R << ": " << Dev.error();
+    std::vector<int32_t> Result = Dev.readI32Array(Out, N);
+    if (Reference.empty())
+      Reference = Result;
+    EXPECT_EQ(Reference, Result) << R << "\n" << Source;
   }
-  EXPECT_EQ(Results[0], Results[1]) << Source;
 }
 
 TEST(PeepholeEquivalenceTest, LoopsAndBranches) {
@@ -385,23 +400,21 @@ __global__ void k(int *out, int n) {
   }
 }
 )";
-  std::vector<int32_t> Results[2];
-  for (int Pass = 0; Pass < 2; ++Pass) {
-    VmCompileOptions Opts;
-    Opts.OptimizeBytecode = Pass == 1;
-    DiagnosticEngine Diags;
-    auto Dev = buildDevice(Source, Diags, Opts);
-    ASSERT_NE(Dev, nullptr) << Diags.str();
-    uint64_t Out = Dev->alloc(256 * 4);
-    ASSERT_TRUE(Dev->launchKernel("k", {2, 1, 1}, {16, 1, 1},
-                                  {(int64_t)Out, 30}))
-        << Dev->error();
-    Results[Pass] = Dev->readI32Array(Out, 256);
+  std::vector<int32_t> Reference;
+  for (const EngineRun &R : EngineRuns) {
+    Device Dev(compileSource(Source, R.Optimize), 16ull << 20, R.Engine);
+    uint64_t Out = Dev.alloc(256 * 4);
+    ASSERT_TRUE(Dev.launchKernel("k", {2, 1, 1}, {16, 1, 1},
+                                 {(int64_t)Out, 30}))
+        << R << ": " << Dev.error();
+    std::vector<int32_t> Result = Dev.readI32Array(Out, 256);
+    if (Reference.empty())
+      Reference = Result;
+    EXPECT_EQ(Reference, Result) << R;
     // The launch structure itself must be identical, not just the output
     // (all 30 parents launch; v = 0 enqueues an empty grid).
-    EXPECT_EQ(Dev->stats().DeviceLaunches, 30u);
+    EXPECT_EQ(Dev.stats().DeviceLaunches, 30u) << R;
   }
-  EXPECT_EQ(Results[0], Results[1]);
 }
 
 TEST(PeepholeEquivalenceTest, TrapsStillFire) {
@@ -410,17 +423,13 @@ __global__ void k(int *out, int n) {
   out[0] = 10 / (n - n);
 }
 )";
-  for (int Pass = 0; Pass < 2; ++Pass) {
-    VmCompileOptions Opts;
-    Opts.OptimizeBytecode = Pass == 1;
-    DiagnosticEngine Diags;
-    auto Dev = buildDevice(Source, Diags, Opts);
-    ASSERT_NE(Dev, nullptr) << Diags.str();
-    uint64_t Out = Dev->alloc(4);
-    EXPECT_FALSE(Dev->launchKernel("k", {1, 1, 1}, {1, 1, 1},
-                                   {(int64_t)Out, 5}));
-    EXPECT_NE(Dev->error().find("division by zero"), std::string::npos)
-        << Dev->error();
+  for (const EngineRun &R : EngineRuns) {
+    Device Dev(compileSource(Source, R.Optimize), 16ull << 20, R.Engine);
+    uint64_t Out = Dev.alloc(4);
+    EXPECT_FALSE(
+        Dev.launchKernel("k", {1, 1, 1}, {1, 1, 1}, {(int64_t)Out, 5}));
+    EXPECT_NE(Dev.error().find("division by zero"), std::string::npos)
+        << R << ": " << Dev.error();
   }
 }
 

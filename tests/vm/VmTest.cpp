@@ -3,26 +3,54 @@
 // Part of the dpopt project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
+///
+/// \file
+/// VM semantics, one kernel per case. Every case runs on both engines (see
+/// VM_TEST): the decoded loop and the bytecode interpreter it is checked
+/// against, so neither engine's coverage depends on the environment.
+///
+//===----------------------------------------------------------------------===//
 
+#include "transform/Pipeline.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 
 using namespace dpo;
 
 namespace {
 
-std::unique_ptr<Device> makeDevice(std::string_view Source) {
+/// Compiles \p Source and builds a device running \p Engine.
+std::unique_ptr<Device> makeDevice(ExecMode Engine, std::string_view Source) {
   DiagnosticEngine Diags;
-  auto Dev = buildDevice(Source, Diags);
-  EXPECT_NE(Dev, nullptr) << Diags.str();
-  return Dev;
+  std::optional<VmProgram> Program = compileWithPipeline(
+      Source, "", PassPipelineConfig(), VmCompileOptions(), Diags);
+  EXPECT_TRUE(Program) << Diags.str();
+  if (!Program)
+    return nullptr;
+  return std::make_unique<Device>(std::move(*Program),
+                                  Device::DefaultMemoryBytes, Engine);
 }
 
-TEST(VmTest, SimpleKernelWritesIndices) {
-  auto Dev = makeDevice(R"(
+/// Defines VmTest.Name, whose body runs once per engine: the decoded loop
+/// every caller gets, then the bytecode interpreter it must agree with.
+/// The body sees the engine as `Engine`.
+#define VM_TEST(Name)                                                          \
+  void Name##OnEngine(ExecMode Engine);                                        \
+  TEST(VmTest, Name) {                                                         \
+    for (ExecMode Engine : {ExecMode::Decoded, ExecMode::Bytecode}) {          \
+      SCOPED_TRACE(execModeName(Engine));                                      \
+      Name##OnEngine(Engine);                                                  \
+    }                                                                          \
+  }                                                                            \
+  void Name##OnEngine(ExecMode Engine)
+
+VM_TEST(SimpleKernelWritesIndices) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out, int n) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   if (i < n) out[i] = i * 2;
@@ -37,8 +65,8 @@ __global__ void k(int *out, int n) {
     EXPECT_EQ(Dev->readI32(Out + I * 4), I * 2) << "index " << I;
 }
 
-TEST(VmTest, ControlFlowCollatz) {
-  auto Dev = makeDevice(R"(
+VM_TEST(ControlFlowCollatz) {
+  auto Dev = makeDevice(Engine, R"(
 __device__ int collatz(int n) {
   int steps = 0;
   while (n != 1) {
@@ -63,8 +91,8 @@ __global__ void k(int *out) {
     EXPECT_EQ(Dev->readI32(Out + I * 4), Expected[I]) << "n=" << I + 1;
 }
 
-TEST(VmTest, ForLoopAndBreakContinue) {
-  auto Dev = makeDevice(R"(
+VM_TEST(ForLoopAndBreakContinue) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out, int n) {
   int sumEven = 0;
   for (int i = 0; i < n; ++i) {
@@ -83,8 +111,8 @@ __global__ void k(int *out, int n) {
   EXPECT_EQ(Dev->readI32(Out), 0 + 2 + 4 + 6 + 8 + 10);
 }
 
-TEST(VmTest, DoWhileLoop) {
-  auto Dev = makeDevice(R"(
+VM_TEST(DoWhileLoop) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out) {
   int i = 0;
   int sum = 0;
@@ -100,8 +128,8 @@ __global__ void k(int *out) {
   EXPECT_EQ(Dev->readI32(Out), 10);
 }
 
-TEST(VmTest, FloatArithmetic) {
-  auto Dev = makeDevice(R"(
+VM_TEST(FloatArithmetic) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(float *out, float a, float b) {
   out[0] = a + b;
   out[1] = a * b;
@@ -125,8 +153,8 @@ __global__ void k(float *out, float a, float b) {
   EXPECT_FLOAT_EQ(Dev->readF32(Out + 16), 1.0f);
 }
 
-TEST(VmTest, UnsignedSemantics) {
-  auto Dev = makeDevice(R"(
+VM_TEST(UnsignedSemantics) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(unsigned int *out, unsigned int big) {
   out[0] = big / 2u;
   out[1] = big >> 1;
@@ -148,9 +176,9 @@ __global__ void k(unsigned int *out, unsigned int big) {
   EXPECT_EQ(Dev->readU32(Out + 16), 1u);
 }
 
-TEST(VmTest, PackedCounterSplit) {
+VM_TEST(PackedCounterSplit) {
   // The exact packed 64-bit pattern aggregation uses.
-  auto Dev = makeDevice(R"(
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(unsigned long long *cnt, unsigned int *out, unsigned int g) {
   unsigned long long packed =
       atomicAdd(cnt, ((unsigned long long)1 << 32) + (unsigned long long)g);
@@ -173,8 +201,8 @@ __global__ void k(unsigned long long *cnt, unsigned int *out, unsigned int g) {
   EXPECT_EQ((uint64_t)Dev->readI64(Cnt), ((uint64_t)8 << 32) + 40);
 }
 
-TEST(VmTest, AtomicsSemantics) {
-  auto Dev = makeDevice(R"(
+VM_TEST(AtomicsSemantics) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *acc, unsigned int *umax, int *hist) {
   int old = atomicAdd(acc, 2);
   hist[threadIdx.x] = old;
@@ -200,8 +228,8 @@ __global__ void k(int *acc, unsigned int *umax, int *hist) {
     EXPECT_EQ(Olds[T], T * 2);
 }
 
-TEST(VmTest, SharedMemoryReduction) {
-  auto Dev = makeDevice(R"(
+VM_TEST(SharedMemoryReduction) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void reduce(int *in, int *out, int n) {
   __shared__ int scratch[128];
   int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -230,9 +258,9 @@ __global__ void reduce(int *in, int *out, int n) {
   EXPECT_EQ(Dev->readI32(Out), Expected);
 }
 
-TEST(VmTest, BarrierWithEarlyExitThreads) {
+VM_TEST(BarrierWithEarlyExitThreads) {
   // Threads that return before the barrier must not deadlock it.
-  auto Dev = makeDevice(R"(
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *tmp, int *out, int n) {
   if (threadIdx.x >= n)
     return;
@@ -251,8 +279,8 @@ __global__ void k(int *tmp, int *out, int n) {
     EXPECT_EQ(Dev->readI32(Out + I * 4), (I + 1) % 4 + 1);
 }
 
-TEST(VmTest, DeviceFunctionRecursion) {
-  auto Dev = makeDevice(R"(
+VM_TEST(DeviceFunctionRecursion) {
+  auto Dev = makeDevice(Engine, R"(
 __device__ int fib(int n) {
   if (n < 2) return n;
   return fib(n - 1) + fib(n - 2);
@@ -269,8 +297,8 @@ __global__ void k(int *out) {
     EXPECT_EQ(Dev->readI32(Out + I * 4), Fib[I]);
 }
 
-TEST(VmTest, DynamicLaunchParentChild) {
-  auto Dev = makeDevice(R"(
+VM_TEST(DynamicLaunchParentChild) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void child(int *out, int base, int n) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   if (i < n) out[base + i] = base + i;
@@ -301,8 +329,8 @@ __global__ void parent(int *out, int *counts, int *offsets, int numV) {
   EXPECT_EQ(Dev->stats().DeviceLaunches, 4u); // count==0 launches nothing
 }
 
-TEST(VmTest, Dim3ParamsAndScalarCoercion) {
-  auto Dev = makeDevice(R"(
+VM_TEST(Dim3ParamsAndScalarCoercion) {
+  auto Dev = makeDevice(Engine, R"(
 __device__ void helper(int *out, dim3 g, dim3 b) {
   out[0] = g.x;
   out[1] = g.y;
@@ -320,8 +348,8 @@ __global__ void k(int *out, int n) {
   EXPECT_EQ(Dev->readI32(Out + 8), 64);
 }
 
-TEST(VmTest, Dim3LocalsAndMemberAssign) {
-  auto Dev = makeDevice(R"(
+VM_TEST(Dim3LocalsAndMemberAssign) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(unsigned int *out, int n) {
   dim3 g((n + 3) / 4, 1, 1);
   dim3 c = g;
@@ -339,8 +367,8 @@ __global__ void k(unsigned int *out, int n) {
   EXPECT_EQ(Dev->readU32(Out + 8), 1u);
 }
 
-TEST(VmTest, MultiDimensionalGrid) {
-  auto Dev = makeDevice(R"(
+VM_TEST(MultiDimensionalGrid) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out, int w) {
   int x = blockIdx.x * blockDim.x + threadIdx.x;
   int y = blockIdx.y * blockDim.y + threadIdx.y;
@@ -355,8 +383,8 @@ __global__ void k(int *out, int w) {
       EXPECT_EQ(Dev->readI32(Out + (Y * 8 + X) * 4), X + Y * 100);
 }
 
-TEST(VmTest, GlobalVariables) {
-  auto Dev = makeDevice(R"(
+VM_TEST(GlobalVariables) {
+  auto Dev = makeDevice(Engine, R"(
 int gCounter = 5;
 int gTable[4];
 __global__ void k(int *out) {
@@ -378,8 +406,8 @@ __global__ void readBack(int *out) {
   EXPECT_EQ(Dev->readI32(Out), 9); // 5 + 4 atomic increments
 }
 
-TEST(VmTest, HostFunctionWithCudaApi) {
-  auto Dev = makeDevice(R"(
+VM_TEST(HostFunctionWithCudaApi) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void fill(int *buf, int n, int value) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   if (i < n) buf[i] = value;
@@ -399,8 +427,8 @@ void run(int *out, int n) {
     EXPECT_EQ(Dev->readI32(Out + I * 4), 42);
 }
 
-TEST(VmTest, LocalArraysInFrameMemory) {
-  auto Dev = makeDevice(R"(
+VM_TEST(LocalArraysInFrameMemory) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out) {
   int tmp[8];
   for (int i = 0; i < 8; ++i)
@@ -418,8 +446,8 @@ __global__ void k(int *out) {
     EXPECT_EQ(Dev->readI32(Out + I * 4), 140);
 }
 
-TEST(VmTest, PointerArithmetic) {
-  auto Dev = makeDevice(R"(
+VM_TEST(PointerArithmetic) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *base, int off) {
   int *p = base + off;
   *p = 77;
@@ -436,8 +464,8 @@ __global__ void k(int *base, int off) {
   EXPECT_EQ(Dev->readI32(Base + 5 * 4), 155);
 }
 
-TEST(VmTest, TernaryAndShortCircuit) {
-  auto Dev = makeDevice(R"(
+VM_TEST(TernaryAndShortCircuit) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out, int *guard) {
   out[0] = threadIdx.x == 0 ? 10 : 20;
   // Short-circuit: the right side must not execute (would trap on null).
@@ -465,8 +493,8 @@ __global__ void k(int *out, int *guard) {
   EXPECT_EQ(Dev->readI32(Out + 8), 1);
 }
 
-TEST(VmTest, DivisionByZeroFails) {
-  auto Dev = makeDevice(R"(
+VM_TEST(DivisionByZeroFails) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out, int z) {
   out[0] = 10 / z;
 }
@@ -476,8 +504,8 @@ __global__ void k(int *out, int z) {
   EXPECT_NE(Dev->error().find("division by zero"), std::string::npos);
 }
 
-TEST(VmTest, OutOfBoundsFails) {
-  auto Dev = makeDevice(R"(
+VM_TEST(OutOfBoundsFails) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out) {
   out[1000000000] = 1;
 }
@@ -487,8 +515,8 @@ __global__ void k(int *out) {
   EXPECT_NE(Dev->error().find("out of bounds"), std::string::npos);
 }
 
-TEST(VmTest, InfiniteLoopHitsStepLimit) {
-  auto Dev = makeDevice(R"(
+VM_TEST(InfiniteLoopHitsStepLimit) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out) {
   while (1 == 1) {
     out[0] = out[0] + 1;
@@ -501,8 +529,8 @@ __global__ void k(int *out) {
   EXPECT_NE(Dev->error().find("step limit"), std::string::npos);
 }
 
-TEST(VmTest, EmptyGridCompletes) {
-  auto Dev = makeDevice(R"(
+VM_TEST(EmptyGridCompletes) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void child(int *out) { out[0] = 1; }
 __global__ void parent(int *out, int n) {
   child<<<n, 32>>>(out);
@@ -515,8 +543,8 @@ __global__ void parent(int *out, int n) {
   EXPECT_EQ(Dev->readI32(Out), 0); // Zero-block child never ran.
 }
 
-TEST(VmTest, NestedLaunchDepth) {
-  auto Dev = makeDevice(R"(
+VM_TEST(NestedLaunchDepth) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void leaf(int *out) {
   atomicAdd(out, 1);
 }
@@ -535,8 +563,8 @@ __global__ void top(int *out) {
   EXPECT_EQ(Dev->stats().DeviceLaunches, 3u);
 }
 
-TEST(VmTest, CompoundAssignAndIncDecValues) {
-  auto Dev = makeDevice(R"(
+VM_TEST(CompoundAssignAndIncDecValues) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out) {
   int a = 10;
   out[0] = a++;
@@ -564,10 +592,10 @@ __global__ void k(int *out) {
   EXPECT_EQ(Dev->readI32(Out + 7 * 4), 13);
 }
 
-TEST(VmTest, SpecGuardIntrinsicCountsOutcomes) {
+VM_TEST(SpecGuardIntrinsicCountsOutcomes) {
   // __dpo_spec_guard(n, k) -> n <= k, the speculative-serialization
   // guard. Each evaluation bumps exactly one of the two stat counters.
-  auto Dev = makeDevice(R"(
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out, int n, int bound) {
   if (__dpo_spec_guard(n, bound))
     out[0] = 1;
@@ -601,17 +629,8 @@ __global__ void k(int *out, int n, int bound) {
 
 //===--- Warp/block collectives (cooperative block mode) ------------------===//
 
-std::unique_ptr<Device> makeDeviceMode(std::string_view Source, ExecMode Mode) {
-  DiagnosticEngine Diags;
-  VmCompileOptions Opts;
-  Opts.Exec = Mode;
-  auto Dev = buildDevice(Source, Diags, Opts);
-  EXPECT_NE(Dev, nullptr) << Diags.str();
-  return Dev;
-}
-
-TEST(VmTest, WarpShuffleVariants) {
-  auto Dev = makeDevice(R"(
+VM_TEST(WarpShuffleVariants) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *idx, int *up, int *down, int *xr) {
   unsigned int t = threadIdx.x;
   int v = t * 10 + 1;
@@ -637,11 +656,11 @@ __global__ void k(int *idx, int *up, int *down, int *xr) {
   }
 }
 
-TEST(VmTest, WarpShuffleEarlyExitAndMaskedLanes) {
+VM_TEST(WarpShuffleEarlyExitAndMaskedLanes) {
   // Lanes that returned before the collective are not in the group, and
   // lanes outside the mask are never read: both cases fall back to the
   // reader's own contributed value.
-  auto Dev = makeDevice(R"(
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *a, int *b, int n) {
   unsigned int t = threadIdx.x;
   if (t >= n) return;
@@ -664,8 +683,8 @@ __global__ void k(int *a, int *b, int n) {
   }
 }
 
-TEST(VmTest, BallotSyncAcrossLiveLanes) {
-  auto Dev = makeDevice(R"(
+VM_TEST(BallotSyncAcrossLiveLanes) {
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(unsigned int *out, int n) {
   unsigned int t = threadIdx.x;
   if (t >= n) return;
@@ -684,10 +703,10 @@ __global__ void k(unsigned int *out, int n) {
     EXPECT_EQ(Dev->readU32(Out + L * 4), Expected) << "lane " << L;
 }
 
-TEST(VmTest, BlockReduceAddMinMax) {
+VM_TEST(BlockReduceAddMinMax) {
   // Block-wide (cross-warp) reduction over the live threads only: the
   // tail that returned early contributes nothing.
-  auto Dev = makeDevice(R"(
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *s, int *mn, int *mx, int n) {
   int t = threadIdx.x;
   if (t >= n) return;
@@ -712,10 +731,10 @@ __global__ void k(int *s, int *mn, int *mx, int n) {
   }
 }
 
-TEST(VmTest, WarpAllReduceButterfly) {
+VM_TEST(WarpAllReduceButterfly) {
   // The classic shfl_xor butterfly allreduce -- collectives inside a
   // loop body, which also exercises them inside superblock traces.
-  auto Dev = makeDevice(R"(
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out) {
   int v = threadIdx.x + 1;
   for (int off = 16; off > 0; off = off / 2)
@@ -730,10 +749,10 @@ __global__ void k(int *out) {
     EXPECT_EQ(Dev->readI32(Out + L * 4), 32 * 33 / 2) << "lane " << L;
 }
 
-TEST(VmTest, SharedMemoryBarrierReduction) {
+VM_TEST(SharedMemoryBarrierReduction) {
   // The canonical tiled tree reduction: shared scratch, guarded load,
   // barrier, stride-halving loop with an in-loop barrier.
-  auto Dev = makeDevice(R"(
+  auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *in, int *out, int n) {
   __shared__ int scratch[64];
   unsigned int t = threadIdx.x;
@@ -768,7 +787,7 @@ __global__ void k(int *in, int *out, int n) {
 
 // A divergent barrier: thread 3 spins forever and never reaches the
 // barrier the other three threads are parked at. The step budget must be
-// retired exactly (bytecode engine; the decoded engines may stop one
+// retired exactly (bytecode engine; the decoded engine may stop one
 // fused sub-instruction short, see vm/README.md) and the diagnostic must
 // name the parked threads deterministically.
 constexpr std::string_view DivergentBarrierSrc = R"(
@@ -783,7 +802,7 @@ __global__ void k(int *out) {
 
 TEST(VmTest, StepLimitAtBarrierRetiresExactBudget) {
   auto Run = [](ExecMode Mode) {
-    auto Dev = makeDeviceMode(DivergentBarrierSrc, Mode);
+    auto Dev = makeDevice(Mode, DivergentBarrierSrc);
     Dev->setStepLimit(5000);
     uint64_t Out = Dev->alloc(4 * 4);
     EXPECT_FALSE(Dev->launchKernel("k", {1, 1, 1}, {4, 1, 1}, {(int64_t)Out}));
@@ -793,28 +812,24 @@ TEST(VmTest, StepLimitAtBarrierRetiresExactBudget) {
   };
   // Bytecode checks the budget before charging: exactly the budget.
   EXPECT_EQ(Run(ExecMode::Bytecode), 5000u);
-  // Decoded engines uncharge the overrunning instruction; a fused pair
-  // can leave at most one sub-instruction of slack.
-  for (ExecMode Mode :
-       {ExecMode::Decoded, ExecMode::DecodedNoTrace, ExecMode::Auto}) {
-    uint64_t Steps = Run(Mode);
-    EXPECT_LE(Steps, 5000u);
-    EXPECT_GE(Steps, 4999u);
-    // Deterministic: a second identical run retires the identical count.
-    EXPECT_EQ(Run(Mode), Steps);
-  }
+  // The decoded engine uncharges the overrunning instruction; a fused
+  // pair can leave at most one sub-instruction of slack.
+  uint64_t Steps = Run(ExecMode::Decoded);
+  EXPECT_LE(Steps, 5000u);
+  EXPECT_GE(Steps, 4999u);
+  // Deterministic: a second identical run retires the identical count.
+  EXPECT_EQ(Run(ExecMode::Decoded), Steps);
 }
 
 TEST(VmTest, DivergentBarrierDiagnosedDeterministically) {
   auto Run = [](ExecMode Mode) {
-    auto Dev = makeDeviceMode(DivergentBarrierSrc, Mode);
+    auto Dev = makeDevice(Mode, DivergentBarrierSrc);
     Dev->setStepLimit(20000);
     uint64_t Out = Dev->alloc(4 * 4);
     EXPECT_FALSE(Dev->launchKernel("k", {1, 1, 1}, {4, 1, 1}, {(int64_t)Out}));
     return Dev->error();
   };
-  for (ExecMode Mode :
-       {ExecMode::Bytecode, ExecMode::Decoded, ExecMode::DecodedNoTrace}) {
+  for (ExecMode Mode : {ExecMode::Bytecode, ExecMode::Decoded}) {
     std::string Err = Run(Mode);
     EXPECT_NE(Err.find("step limit"), std::string::npos) << Err;
     EXPECT_NE(Err.find("divergent barrier"), std::string::npos) << Err;

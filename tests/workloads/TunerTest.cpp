@@ -251,8 +251,7 @@ TEST(EmpiricalTunerTest, ReplayRoundExactMatchesTheMeasurement) {
         "threshold[128:literal],coarsen[4:literal],"
         "aggregate[multiblock:8:literal]"}) {
     EmpiricalEvaluator Eval(Gpu, W, smallOptions());
-    std::optional<VmMeasurement> Measured =
-        Eval.measurePipeline(Pipeline, ExecMode::Decoded);
+    std::optional<VmMeasurement> Measured = Eval.measurePipeline(Pipeline);
     ASSERT_TRUE(Measured.has_value())
         << Pipeline << ": " << Eval.lastError();
 
