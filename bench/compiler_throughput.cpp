@@ -7,7 +7,9 @@
 /// \file
 /// google-benchmark microbenchmarks of the source-to-source pipeline
 /// itself: parse, print, each pass, the combined flow, and VM compilation.
-/// Generated inputs scale the number of parent/child kernel pairs.
+/// Generated inputs scale the number of parent/child kernel pairs;
+/// BM_AggregationCorpus runs every aggregation shape over the Table I
+/// kernels instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include "transform/Pipeline.h"
 #include "tuner/Tuner.h"
 #include "vm/VM.h"
+#include "workloads/KernelSources.h"
 
 #include <benchmark/benchmark.h>
 
@@ -94,6 +97,31 @@ void BM_Aggregation(benchmark::State &State) {
   benchTransform(State, "aggregate");
 }
 BENCHMARK(BM_Aggregation)->Arg(1)->Arg(8)->Arg(64);
+
+// Each aggregation shape (granularity, and the Section V-B participation
+// threshold) generates different Fig. 7 code; one iteration transforms
+// all seven Table I kernels with the literal knob spelling.
+void BM_AggregationCorpus(benchmark::State &State, const char *Pipeline) {
+  std::vector<std::string> Sources;
+  for (BenchmarkId Bench :
+       {BenchmarkId::BFS, BenchmarkId::SSSP, BenchmarkId::MSTF,
+        BenchmarkId::MSTV, BenchmarkId::TC, BenchmarkId::SP, BenchmarkId::BT})
+    Sources.push_back(kernelSourceFor(Bench));
+  for (auto _ : State)
+    for (const std::string &Source : Sources) {
+      DiagnosticEngine Diags;
+      std::string Out = transformSourceWithPipeline(
+          Source, Pipeline, literalKnobConfig(), Diags);
+      benchmark::DoNotOptimize(Out);
+    }
+}
+BENCHMARK_CAPTURE(BM_AggregationCorpus, warp, "aggregate[warp]");
+BENCHMARK_CAPTURE(BM_AggregationCorpus, block, "aggregate[block]");
+BENCHMARK_CAPTURE(BM_AggregationCorpus, multiblock8,
+                  "aggregate[multiblock:8]");
+BENCHMARK_CAPTURE(BM_AggregationCorpus, grid, "aggregate[grid]");
+BENCHMARK_CAPTURE(BM_AggregationCorpus, block_agg_threshold2,
+                  "aggregate[block:agg-threshold=2]");
 
 void BM_FullPipeline(benchmark::State &State) {
   benchTransform(State, "threshold,coarsen,aggregate");

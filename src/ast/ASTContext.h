@@ -65,6 +65,30 @@ public:
 
   ParenExpr *paren(Expr *Inner) { return create<ParenExpr>(Inner); }
 
+  UnaryOperator *unary(UnaryOpKind Op, Expr *Operand) {
+    return create<UnaryOperator>(Op, Operand);
+  }
+
+  /// `(T)Operand`.
+  CastExpr *castTo(Type T, Expr *Operand) {
+    return create<CastExpr>(std::move(T), Operand);
+  }
+
+  ArraySubscriptExpr *subscript(Expr *Base, Expr *Index) {
+    return create<ArraySubscriptExpr>(Base, Index);
+  }
+
+  /// `Callee(Args...)` (Callee synthesized as a DeclRefExpr).
+  CallExpr *call(std::string Callee, std::vector<Expr *> Args = {}) {
+    return create<CallExpr>(ref(std::move(Callee)), std::move(Args));
+  }
+
+  /// `T Name = Init;` (no initializer when \p Init is null).
+  DeclStmt *declare(Type T, std::string Name, Expr *Init = nullptr) {
+    return create<DeclStmt>(std::vector<VarDecl *>{
+        create<VarDecl>(std::move(T), std::move(Name), Init)});
+  }
+
   CompoundStmt *compound(std::vector<Stmt *> Body = {}) {
     return create<CompoundStmt>(std::move(Body));
   }

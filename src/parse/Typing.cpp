@@ -12,13 +12,13 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 using namespace dpo;
 
 namespace {
 
-using Scope = std::unordered_map<std::string, Type>;
 using FunctionTypeMap = std::unordered_map<std::string, Type>;
 
 /// Character literals are char; u/l/ll suffixes pick the unsigned and long
@@ -154,34 +154,36 @@ Type callType(const std::string &Name, const std::vector<Expr *> &Args,
 }
 
 /// Walks a unit in declaration order, keeping one scope per function (its
-/// parameters), compound statement and for statement.
+/// parameters), compound statement and for statement. A name resolves to
+/// its innermost, latest declaration.
 class TypeAssigner {
 public:
   TypeAssigner() {
     // CUDA built-in variables available inside kernels. Declaring them at
     // file scope is harmless for our subset and keeps typing simple.
-    Scopes.push_back({{"threadIdx", Type(BuiltinKind::Dim3)},
-                      {"blockIdx", Type(BuiltinKind::Dim3)},
-                      {"blockDim", Type(BuiltinKind::Dim3)},
-                      {"gridDim", Type(BuiltinKind::Dim3)},
-                      {"warpSize", Type(BuiltinKind::Int)}});
+    for (const char *Name : {"threadIdx", "blockIdx", "blockDim", "gridDim"})
+      Names.push_back({Name, Type(BuiltinKind::Dim3)});
+    Names.push_back({"warpSize", Type(BuiltinKind::Int)});
     Functions["dim3"] = Type(BuiltinKind::Dim3);
   }
 
   void unit(TranslationUnit *TU) {
     for (Decl *D : TU->decls()) {
-      if (auto *V = dyn_cast<VarDecl>(D)) {
+      if (auto *V = dyn_cast<VarDecl>(D))
         var(V);
-      } else if (auto *F = dyn_cast<FunctionDecl>(D)) {
-        Scopes.emplace_back();
-        for (VarDecl *P : F->params())
-          var(P);
-        Functions[F->name()] = F->returnType();
-        if (F->body())
-          stmt(F->body());
-        Scopes.pop_back();
-      }
+      else if (auto *F = dyn_cast<FunctionDecl>(D))
+        function(F);
     }
+  }
+
+  void function(FunctionDecl *F) {
+    size_t Scope = Names.size();
+    for (VarDecl *P : F->params())
+      var(P);
+    Functions[F->name()] = F->returnType();
+    if (F->body())
+      stmt(F->body());
+    Names.resize(Scope);
   }
 
   void expr(Expr *E) {
@@ -270,27 +272,6 @@ public:
     }
   }
 
-private:
-  /// Undeclared names (function names included) are `int`.
-  Type lookup(const std::string &Name) const {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return Found->second;
-    }
-    return Type(BuiltinKind::Int);
-  }
-
-  void var(VarDecl *V) {
-    for (Expr *Dim : V->arrayDims())
-      expr(Dim);
-    if (V->init())
-      expr(V->init());
-    // Arrays decay to pointers for typing purposes.
-    Scopes.back()[V->name()] =
-        V->isArray() ? V->type().pointerTo() : V->type();
-  }
-
   void stmt(Stmt *S) {
     if (!S)
       return;
@@ -299,12 +280,13 @@ private:
       return;
     }
     switch (S->kind()) {
-    case StmtKind::Compound:
-      Scopes.emplace_back();
+    case StmtKind::Compound: {
+      size_t Scope = Names.size();
       for (Stmt *Child : cast<CompoundStmt>(S)->body())
         stmt(Child);
-      Scopes.pop_back();
+      Names.resize(Scope);
       break;
+    }
     case StmtKind::DeclS:
       for (VarDecl *V : cast<DeclStmt>(S)->decls())
         var(V);
@@ -318,12 +300,12 @@ private:
     }
     case StmtKind::For: {
       auto *For = cast<ForStmt>(S);
-      Scopes.emplace_back();
+      size_t Scope = Names.size();
       stmt(For->init());
       expr(For->cond());
       expr(For->inc());
       stmt(For->body());
-      Scopes.pop_back();
+      Names.resize(Scope);
       break;
     }
     case StmtKind::While:
@@ -342,7 +324,30 @@ private:
     }
   }
 
-  std::vector<Scope> Scopes;
+private:
+  /// Undeclared names (function names included) are `int`.
+  const Type &lookup(std::string_view Name) const {
+    static const Type Undeclared(BuiltinKind::Int);
+    for (auto It = Names.rbegin(); It != Names.rend(); ++It)
+      if (It->first == Name)
+        return It->second;
+    return Undeclared;
+  }
+
+  void var(VarDecl *V) {
+    for (Expr *Dim : V->arrayDims())
+      expr(Dim);
+    if (V->init())
+      expr(V->init());
+    // Arrays decay to pointers for typing purposes.
+    Names.push_back(
+        {V->name(), V->isArray() ? V->type().pointerTo() : V->type()});
+  }
+
+  /// Every name in scope, innermost last; a scope is a suffix, closed by
+  /// truncating to the size it opened at. Declarations outlive their
+  /// typing walk, so the views stay valid.
+  std::vector<std::pair<std::string_view, Type>> Names;
   FunctionTypeMap Functions;
 };
 
@@ -350,4 +355,6 @@ private:
 
 void dpo::assignTypes(TranslationUnit *TU) { TypeAssigner().unit(TU); }
 
-void dpo::assignTypes(Expr *E) { TypeAssigner().expr(E); }
+void dpo::assignTypes(FunctionDecl *F) { TypeAssigner().function(F); }
+
+void dpo::assignTypes(Stmt *S) { TypeAssigner().stmt(S); }

@@ -27,8 +27,14 @@ namespace dpo {
 /// Types every expression in \p TU, visiting declarations in order.
 void assignTypes(TranslationUnit *TU);
 
-/// Types a standalone expression (only the built-in variables in scope).
-void assignTypes(Expr *E);
+/// Types \p F as the only declaration of a unit: the types parsing its
+/// printed text alone would give. Passes that build a whole function call
+/// this so later passes see the types they would after a re-parse.
+void assignTypes(FunctionDecl *F);
+
+/// Types a standalone statement or expression (only the built-in
+/// variables in scope).
+void assignTypes(Stmt *S);
 
 } // namespace dpo
 

@@ -6,6 +6,7 @@
 
 #include "service/ArtifactCache.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
@@ -52,6 +53,7 @@ void ArtifactCache::FileIndex::put(const std::string &Name, uint64_t Size,
   E.Epoch = Epoch;
   ByAge.insert({MTimeNs, Name});
   Bytes += Size;
+  NewestNs = std::max(NewestNs, MTimeNs);
 }
 
 void ArtifactCache::FileIndex::drop(decltype(Files)::iterator It) {
@@ -103,18 +105,45 @@ bool ArtifactCache::load(const std::string &Key, std::string &Bytes) {
   Blob.resize(Got);
   Bytes = std::move(Blob);
   // Touch for LRU; best-effort (a read-only cache dir still serves hits).
-  // An explicit clock reading, not UTIME_NOW: the kernel's file clock is
-  // only tick-granular, and a touch must order after stores in the same
-  // tick. The index takes the size and mtime the file now has.
-  struct timespec Now[2] = {};
-  ::clock_gettime(CLOCK_REALTIME, &Now[0]);
-  Now[1] = Now[0];
-  ::futimens(Fd, Now);
-  if (::fstat(Fd, &St) == 0)
-    Index.put(nameFor(Key), (uint64_t)St.st_size, mtimeNs(St));
+  int64_t Stamp = nextStamp();
+  struct timespec Times[2] = {{Stamp / 1000000000, Stamp % 1000000000}};
+  Times[1] = Times[0];
+  Index.put(nameFor(Key), Got,
+            ::futimens(Fd, Times) == 0 ? Stamp : mtimeNs(St));
   ::close(Fd);
   ++Stats.Hits;
   return true;
+}
+
+int64_t ArtifactCache::nextStamp() {
+  struct timespec Now {};
+  ::clock_gettime(CLOCK_REALTIME, &Now);
+  int64_t Stamp = std::max((int64_t)Now.tv_sec * 1000000000 + Now.tv_nsec,
+                           Index.NewestNs + 1);
+  Index.NewestNs = Stamp;
+  return Stamp;
+}
+
+bool ArtifactCache::stamp(const std::string &Path, int64_t StampNs) {
+  struct timespec Times[2] = {{StampNs / 1000000000, StampNs % 1000000000}};
+  Times[1] = Times[0];
+  return ::utimensat(AT_FDCWD, Path.c_str(), Times, 0) == 0;
+}
+
+void ArtifactCache::touch(const std::vector<std::string> &Keys) {
+  if (Keys.empty())
+    return;
+  std::lock_guard<std::mutex> G(Lock);
+  if (Dir.empty())
+    return;
+  for (const std::string &Key : Keys) {
+    int64_t Stamp = nextStamp();
+    if (!stamp(fileFor(Key), Stamp))
+      continue; // evicted or removed since; nothing to refresh
+    auto It = Index.Files.find(nameFor(Key));
+    if (It != Index.Files.end())
+      Index.put(It->first, It->second.Size, Stamp);
+  }
 }
 
 void ArtifactCache::reconcile() const {
@@ -197,8 +226,13 @@ bool ArtifactCache::store(const std::string &Key, std::string_view Bytes) {
     return false;
   }
   ++Stats.Stores;
+  // Stamp the store in use order; the file clock alone could date it
+  // before a touch made in the same tick.
+  int64_t Stamp = nextStamp();
   struct stat St {};
-  if (::stat(Final.c_str(), &St) == 0)
+  if (stamp(Final, Stamp))
+    Index.put(nameFor(Key), Bytes.size(), Stamp);
+  else if (::stat(Final.c_str(), &St) == 0)
     Index.put(nameFor(Key), (uint64_t)St.st_size, mtimeNs(St));
   return true;
 }

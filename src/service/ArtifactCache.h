@@ -15,7 +15,11 @@
 /// Durability model: stores write to a temporary file (named by process
 /// id and instance) and rename into place, so readers never observe a
 /// half-written artifact even with concurrent writers. Recency for LRU is
-/// the file mtime; loads touch it. All operations tolerate a hostile
+/// the file mtime: stores and loads stamp it, and touch() stamps the uses
+/// a caller served from a memory tier above this cache. Stamps strictly
+/// increase in the order of those operations (a clock reading, raised
+/// past the newest mtime seen), since the kernel's file clock is only
+/// tick-granular. All operations tolerate a hostile
 /// directory state (missing dir, unreadable files, files vanishing
 /// mid-scan) by degrading to a miss.
 ///
@@ -46,6 +50,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace dpo {
 
@@ -81,6 +86,11 @@ public:
   /// a corrupt blob, so the poisoned entry cannot be served again).
   void remove(const std::string &Key);
 
+  /// Refreshes the recency of each key's artifact, in order, as if each
+  /// had been loaded: the uses of a memory tier above this cache. Keys
+  /// without an artifact are skipped.
+  void touch(const std::vector<std::string> &Keys);
+
   ArtifactCacheStats stats() const;
 
 private:
@@ -98,6 +108,7 @@ private:
     std::set<std::pair<int64_t, std::string>> ByAge;
     uint64_t Bytes = 0; ///< Sum of the entries' sizes.
     uint64_t Epoch = 0;
+    int64_t NewestNs = 0; ///< The newest mtime ever put.
 
     /// Records \p Name at \p Size / \p MTimeNs, replacing any old entry.
     void put(const std::string &Name, uint64_t Size, int64_t MTimeNs);
@@ -114,6 +125,11 @@ private:
   void reconcile() const;
   /// Under Lock: delete oldest artifacts until Incoming more bytes fit.
   void evictToFit(uint64_t Incoming);
+  /// Under Lock: the next recency stamp, in ns since the epoch: now, or
+  /// just past the newest mtime the index has seen if that is later.
+  int64_t nextStamp();
+  /// Sets \p Path's mtime (and atime) to \p StampNs.
+  static bool stamp(const std::string &Path, int64_t StampNs);
 
   std::string Dir;
   uint64_t MaxBytes;

@@ -14,6 +14,7 @@
 #include "workloads/KernelSources.h"
 #include "workloads/VmWorkload.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -54,7 +55,39 @@ CompileService::CompileService(ServiceConfig ConfigIn)
     : Config(std::move(ConfigIn)),
       Disk(Config.CacheDir, Config.CacheMaxBytes) {}
 
-CompileService::~CompileService() = default;
+CompileService::~CompileService() {
+  // Persist the memory tier's recency, so the next instance over this
+  // directory evicts what this one used least.
+  std::vector<std::string> Uses;
+  {
+    std::lock_guard<std::mutex> G(Lock);
+    Uses = takeMemoryUses();
+  }
+  Disk.touch(Uses);
+}
+
+void CompileService::noteMemoryUse(MemoryMap::value_type &Slot) {
+  Slot.second.LastUse = ++UseClock;
+  if (Slot.second.UsePending)
+    return;
+  Slot.second.UsePending = true;
+  PendingUses.push_back(&Slot);
+}
+
+std::vector<std::string> CompileService::takeMemoryUses() {
+  std::sort(PendingUses.begin(), PendingUses.end(),
+            [](const MemoryMap::value_type *A, const MemoryMap::value_type *B) {
+              return A->second.LastUse < B->second.LastUse;
+            });
+  std::vector<std::string> Keys;
+  Keys.reserve(PendingUses.size());
+  for (MemoryMap::value_type *Slot : PendingUses) {
+    Slot->second.UsePending = false;
+    Keys.push_back(Slot->first);
+  }
+  PendingUses.clear();
+  return Keys;
+}
 
 //===----------------------------------------------------------------------===//
 // Cache keys
@@ -106,15 +139,16 @@ namespace {
 
 const char ArtifactMagic[4] = {'D', 'P', 'O', 'A'};
 
-void putU32(std::string &S, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    S.push_back((char)((V >> (8 * I)) & 0xff));
+/// Appends the \p N low bytes of \p V, little-endian, in one append.
+template <int N> void putLE(std::string &S, uint64_t V) {
+  char Bytes[N];
+  for (int I = 0; I < N; ++I)
+    Bytes[I] = (char)((V >> (8 * I)) & 0xff);
+  S.append(Bytes, N);
 }
 
-void putU64(std::string &S, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    S.push_back((char)((V >> (8 * I)) & 0xff));
-}
+void putU32(std::string &S, uint32_t V) { putLE<4>(S, V); }
+void putU64(std::string &S, uint64_t V) { putLE<8>(S, V); }
 
 bool getU32(std::string_view S, size_t &Pos, uint32_t &V) {
   if (Pos + 4 > S.size())
@@ -139,14 +173,16 @@ bool getU64(std::string_view S, size_t &Pos, uint64_t &V) {
 } // namespace
 
 std::string CompileService::encodeArtifact(const MemEntry &E) {
+  std::string Image = E.Program ? serializeVmProgram(*E.Program) : "";
   std::string Blob;
+  Blob.reserve(sizeof(ArtifactMagic) + 4 + 4 + 8 +
+               E.TransformedSource.size() + 8 + Image.size() + 8);
   Blob.append(ArtifactMagic, sizeof(ArtifactMagic));
   putU32(Blob, ArtifactFormatVersion);
   putU32(Blob, E.Program ? 1u : 0u); // flags: bit0 = has bytecode image
   putU64(Blob, E.TransformedSource.size());
   Blob += E.TransformedSource;
   if (E.Program) {
-    std::string Image = serializeVmProgram(*E.Program);
     putU64(Blob, Image.size());
     Blob += Image;
   }
@@ -262,19 +298,23 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
 
   // Fast path + single flight: under the lock, either serve the memory
   // entry, or wait for the in-flight compile of this key, or claim it.
+  std::vector<std::string> MemoryUses;
   {
     std::unique_lock<std::mutex> G(Lock);
     ++Stats.Requests;
     while (true) {
       auto It = Memory.find(Resp.Key);
       if (It != Memory.end()) {
-        bool NeedsProgram = Req.WantBytecode && !It->second.Program;
+        const MemEntry &Hit = It->second.Entry;
+        bool NeedsProgram = Req.WantBytecode && !Hit.Program;
         if (!NeedsProgram) {
           ++Stats.MemoryHits;
+          if (Disk.enabled())
+            noteMemoryUse(*It);
           Resp.Ok = true;
           Resp.Outcome = CacheOutcome::MemoryHit;
-          Resp.TransformedSource = It->second.TransformedSource;
-          Resp.Program = It->second.Program;
+          Resp.TransformedSource = Hit.TransformedSource;
+          Resp.Program = Hit.Program;
           return Resp;
         }
         // The cached entry lacks the program image this request wants;
@@ -285,9 +325,13 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
       KeyDone.wait(G);
     }
     InFlight.insert(Resp.Key);
+    MemoryUses = takeMemoryUses();
   }
 
-  // Slow path, no locks: disk probe, then compile (or upgrade).
+  // Slow path, no locks: hand the memory hits so far to the disk tier
+  // (before its next eviction decision), disk probe, then compile (or
+  // upgrade).
+  Disk.touch(MemoryUses);
   MemEntry Entry;
   bool HaveEntry = false;
   bool FromDisk = false;
@@ -316,7 +360,7 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
     std::lock_guard<std::mutex> G(Lock);
     auto It = Memory.find(Resp.Key);
     if (It != Memory.end())
-      UpgradeSource = It->second.TransformedSource;
+      UpgradeSource = It->second.Entry.TransformedSource;
   }
 
   bool NeedsProgram = Req.WantBytecode && !Entry.Program;
@@ -349,7 +393,9 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
   {
     std::lock_guard<std::mutex> G(Lock);
     if (Ok) {
-      Memory[Resp.Key] = Entry;
+      Memory[Resp.Key].Entry = Entry;
+      if (PendingUses.capacity() < Memory.size())
+        PendingUses.reserve(2 * Memory.size());
       if (FromDisk)
         ++Stats.DiskHits;
       else if (!UpgradeSource.empty())
@@ -480,6 +526,7 @@ TuneResponse CompileService::tune(const TuneRequest &Req) {
   std::string Spec = workloadSpecOf(Req);
   Resp.Key = tuneKeyFor(Req);
 
+  std::vector<std::string> MemoryUses;
   {
     // Single-flight, sharing the compile path's machinery (the "tune-"
     // key prefix keeps the namespaces disjoint): concurrent identical
@@ -497,11 +544,13 @@ TuneResponse CompileService::tune(const TuneRequest &Req) {
       }
       if (!InFlight.count(Resp.Key)) {
         InFlight.insert(Resp.Key);
+        MemoryUses = takeMemoryUses();
         break;
       }
       KeyDone.wait(G);
     }
   }
+  Disk.touch(MemoryUses);
   // From here on every exit must release the in-flight claim.
   auto Release = [&]() {
     std::lock_guard<std::mutex> G(Lock);

@@ -194,6 +194,15 @@ private:
     std::string TransformedSource;
     std::shared_ptr<const VmProgram> Program;
   };
+  /// A memory-tier entry plus its use since the disk tier last heard of
+  /// it: the disk tier's LRU must see memory hits, or it evicts the
+  /// hottest artifacts first.
+  struct MemSlot {
+    MemEntry Entry;
+    uint64_t LastUse = 0;     ///< UseClock at the latest memory hit.
+    bool UsePending = false;  ///< In PendingUses, not yet handed over.
+  };
+  using MemoryMap = std::map<std::string, MemSlot>;
 
   /// The compile-and-encode slow path (no locks held).
   bool compileUncached(const CompileRequest &Req, MemEntry &Out,
@@ -202,13 +211,23 @@ private:
   static std::string encodeArtifact(const MemEntry &E);
   static bool decodeArtifact(std::string_view Blob, MemEntry &Out,
                              std::string &Error);
+  /// Under Lock: records a memory hit on \p Slot. No allocation (see
+  /// PendingUses) and no system call.
+  void noteMemoryUse(MemoryMap::value_type &Slot);
+  /// Under Lock: the keys of the memory hits not yet handed to the disk
+  /// tier, in use order; clears them.
+  std::vector<std::string> takeMemoryUses();
 
   ServiceConfig Config;
   ArtifactCache Disk;
 
   mutable std::mutex Lock;
   std::condition_variable KeyDone;
-  std::map<std::string, MemEntry> Memory;
+  MemoryMap Memory;
+  /// Memory slots hit since the last hand-over, each once. Its capacity
+  /// is kept at least Memory.size(), so recording a hit never allocates.
+  std::vector<MemoryMap::value_type *> PendingUses;
+  uint64_t UseClock = 0;
   std::set<std::string> InFlight;
   std::map<std::string, TuneResponse> TuneMemory;
   ServiceStats Stats;

@@ -4,29 +4,30 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Code generation strategy: the aggregation/disaggregation skeletons are
-/// fixed code shapes with interpolated names, so they are generated as
-/// source text and parsed with the project's own frontend, then spliced
-/// into the translation unit. Expressions taken from the original launch
-/// (configuration, arguments) are printed into the template exactly once,
-/// preserving evaluation counts.
+/// Code generation: the aggregation/disaggregation skeletons of Fig. 7 are
+/// built directly as AST nodes, the way the other passes build theirs,
+/// then spliced into the translation unit. The nodes are the ones the
+/// parser would build from the figure's text: literals keep their
+/// spellings (`32u`, `4294967295u`), casts and explicit parentheses are
+/// nodes of their own, and each generated function or statement list is
+/// typed as that text would be on its own, so passes running after this
+/// one see the same tree a print and re-parse would give them. The
+/// launch's configuration and argument expressions move into the
+/// generated code, each still evaluated exactly once.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "transform/AggregationPass.h"
 
-#include "ast/ASTPrinter.h"
 #include "ast/Clone.h"
 #include "ast/Walk.h"
-#include "parse/Parser.h"
+#include "parse/Typing.h"
 #include "sema/LaunchSites.h"
 #include "support/Casting.h"
 #include "transform/BuiltinRewrite.h"
 
 #include <algorithm>
 #include <map>
-#include <set>
-#include <sstream>
 #include <unordered_map>
 
 using namespace dpo;
@@ -83,7 +84,6 @@ public:
       unsigned K = 0;
     };
     std::vector<SiteGen> Planned;
-    std::set<FunctionDecl *> Parents;
     for (const LaunchSite &Site : AllSites) {
       if (!Site.FromKernel)
         continue;
@@ -99,7 +99,6 @@ public:
       Gen.Site = Site;
       Gen.K = SiteCounter++;
       Planned.push_back(Gen);
-      Parents.insert(Site.Caller);
     }
     if (Planned.empty())
       return Result;
@@ -123,7 +122,6 @@ public:
       Result.SkipReasons.push_back(
           Parent->name() +
           ": a host launch of this kernel is not in statement position");
-      Parents.erase(Parent);
       It = Planned.erase(It);
     }
     if (Planned.empty())
@@ -175,20 +173,16 @@ public:
       }
     }
 
-    // Apply launch-site replacements.
-    for (Decl *D : TU->decls()) {
-      auto *F = dyn_cast<FunctionDecl>(D);
-      if (!F || !F->body())
-        continue;
-      rewriteStmts(F->body(), [&](Stmt *S) -> Stmt * {
-        auto It = Replacements.find(S);
-        return It != Replacements.end() ? It->second : nullptr;
-      });
-    }
+    // Apply launch-site replacements; each launch lies in its parent.
+    std::vector<FunctionDecl *> Callers;
+    for (auto &[Parent, Sites] : SitesOfParent)
+      Callers.push_back(Parent);
+    replaceLaunches(Callers, Replacements);
 
     // Host wrappers + host launch redirection.
     if (Options.EmitHostWrapper) {
       std::unordered_map<const Stmt *, Stmt *> HostRepl;
+      std::vector<FunctionDecl *> HostCallers;
       for (auto &[Parent, Sites] : SitesOfParent) {
         generateHostWrapper(Parent, Sites);
         ++Result.GeneratedWrappers;
@@ -196,17 +190,12 @@ public:
           if (Site.Child != Parent || Site.FromKernel)
             continue;
           HostRepl[Site.Launch] = buildWrapperCall(Parent, Site);
+          if (std::find(HostCallers.begin(), HostCallers.end(),
+                        Site.Caller) == HostCallers.end())
+            HostCallers.push_back(Site.Caller);
         }
       }
-      for (Decl *D : TU->decls()) {
-        auto *F = dyn_cast<FunctionDecl>(D);
-        if (!F || !F->body())
-          continue;
-        rewriteStmts(F->body(), [&](Stmt *S) -> Stmt * {
-          auto It = HostRepl.find(S);
-          return It != HostRepl.end() ? It->second : nullptr;
-        });
-      }
+      replaceLaunches(HostCallers, HostRepl);
     }
 
     Result.TransformedLaunches = Planned.size();
@@ -214,6 +203,17 @@ public:
   }
 
 private:
+  /// Replaces the launches keyed in \p Repl, which lie in \p Callers.
+  static void
+  replaceLaunches(const std::vector<FunctionDecl *> &Callers,
+                  const std::unordered_map<const Stmt *, Stmt *> &Repl) {
+    for (FunctionDecl *F : Callers)
+      rewriteStmts(F->body(), [&](Stmt *S) -> Stmt * {
+        auto It = Repl.find(S);
+        return It != Repl.end() ? It->second : nullptr;
+      });
+  }
+
   bool useAggThreshold() const {
     return Options.UseAggregationThreshold &&
            Options.Granularity == AggGranularity::Block;
@@ -248,9 +248,24 @@ private:
                "aggregation slot";
       return false;
     }
-    for (const VarDecl *P : Site.Caller->params()) {
-      if (P->name().rfind("_agg", 0) == 0) {
-        Reason = "parent already aggregated";
+    // The generated code shares scopes with the parent's and the child's
+    // own: any `_agg` name of theirs could capture or be captured. (An
+    // already aggregated parent has `_agg` buffer parameters.)
+    for (const FunctionDecl *F : {Site.Caller, Site.Child}) {
+      std::string Reserved;
+      for (const std::string &Name : usedNames(F))
+        if (Name.rfind("_agg", 0) == 0 && (Reserved.empty() || Name < Reserved))
+          Reserved = Name;
+      if (!Reserved.empty()) {
+        Reason = "'" + F->name() + "' uses the name '" + Reserved +
+                 "', which aggregation reserves for generated code";
+        return false;
+      }
+    }
+    for (const FunctionDecl *F : {Site.Caller, Site.Child}) {
+      if (TU->findFunction(F->name() + "_agg")) {
+        Reason = "a function named '" + F->name() +
+                 "_agg' already exists";
         return false;
       }
     }
@@ -263,77 +278,110 @@ private:
     TU->decls().insert(TU->decls().begin(), Ctx.create<RawDecl>(Text));
   }
 
-  /// Spelling of the multi-block group size in generated code.
-  std::string groupSizeText() const {
-    if (Options.Spelling == KnobSpelling::Macro)
-      return Options.GroupSizeMacroName;
-    return std::to_string(Options.GroupSize) + "u";
+  //===--------------------------------------------------------------------===//
+  // Node shorthands. Literals carry the spelling the parser would give
+  // them, so the generated code prints and types as Fig. 7's text does.
+  //===--------------------------------------------------------------------===//
+
+  IntegerLiteral *lit(uint64_t Value) {
+    return Ctx.create<IntegerLiteral>(Value, std::to_string(Value));
+  }
+  IntegerLiteral *ulit(uint64_t Value) {
+    return Ctx.create<IntegerLiteral>(Value, std::to_string(Value) + "u");
+  }
+  /// `Array[Index]` for a named array.
+  Expr *at(const std::string &Array, Expr *Index) {
+    return Ctx.subscript(Ctx.ref(Array), Index);
+  }
+  Expr *at(const std::string &Array, const std::string &Index) {
+    return at(Array, Ctx.ref(Index));
+  }
+  Stmt *declUInt(const std::string &Name, Expr *Init) {
+    return Ctx.declare(Type(BuiltinKind::UInt), Name, Init);
+  }
+  Stmt *ifThen(Expr *Cond, std::vector<Stmt *> Then, Stmt *Else = nullptr) {
+    return Ctx.create<IfStmt>(Cond, Ctx.compound(std::move(Then)), Else);
+  }
+  /// `&Array[Index]`, the address an atomic updates.
+  Expr *addressOf(const std::string &Array, const std::string &Index) {
+    return Ctx.unary(UnaryOpKind::AddrOf, at(Array, Index));
+  }
+  Expr *assign(Expr *LHS, Expr *RHS) {
+    return Ctx.binary(BinaryOpKind::Assign, LHS, RHS);
   }
 
-  std::string aggThresholdText() const {
+  /// `(unsigned int)(_aggPacked >> 32)`: a packed counter's parent count.
+  Expr *packedCount() {
+    Expr *Shift =
+        Ctx.binary(BinaryOpKind::Shr, Ctx.ref("_aggPacked"), lit(32));
+    return Ctx.castTo(Type(BuiltinKind::UInt), Ctx.paren(Shift));
+  }
+  /// `(unsigned int)(_aggPacked & 4294967295u)`: its grid-dimension sum.
+  Expr *packedSum() {
+    Expr *Mask = Ctx.binary(BinaryOpKind::BitAnd, Ctx.ref("_aggPacked"),
+                            ulit(4294967295u));
+    return Ctx.castTo(Type(BuiltinKind::UInt), Ctx.paren(Mask));
+  }
+
+  /// The multi-block group size in generated code.
+  Expr *groupSize() {
     if (Options.Spelling == KnobSpelling::Macro)
-      return Options.AggThresholdMacroName;
-    return std::to_string(Options.AggregationThreshold) + "u";
+      return Ctx.ref(Options.GroupSizeMacroName);
+    return ulit(Options.GroupSize);
+  }
+
+  Expr *aggThreshold() {
+    if (Options.Spelling == KnobSpelling::Macro)
+      return Ctx.ref(Options.AggThresholdMacroName);
+    return ulit(Options.AggregationThreshold);
+  }
+
+  /// `blockIdx.x * blockDim.x + threadIdx.x`.
+  Expr *globalThreadIdx() {
+    Expr *Base = Ctx.binary(BinaryOpKind::Mul, Ctx.member("blockIdx", "x"),
+                            Ctx.member("blockDim", "x"));
+    return Ctx.binary(BinaryOpKind::Add, Base, Ctx.member("threadIdx", "x"));
   }
 
   /// Group index of the current parent thread, device-side.
-  std::string groupIdxText() const {
+  Expr *groupIdx() {
     switch (Options.Granularity) {
     case AggGranularity::Warp:
-      return "(blockIdx.x * blockDim.x + threadIdx.x) / 32u";
+      return Ctx.binary(BinaryOpKind::Div, Ctx.paren(globalThreadIdx()),
+                        ulit(32));
     case AggGranularity::Block:
-      return "blockIdx.x";
+      return Ctx.member("blockIdx", "x");
     case AggGranularity::MultiBlock:
-      return "blockIdx.x / " + groupSizeText();
+      return Ctx.binary(BinaryOpKind::Div, Ctx.member("blockIdx", "x"),
+                        groupSize());
     case AggGranularity::Grid:
-      return "0u";
     case AggGranularity::None:
       break;
     }
-    return "0u";
+    return ulit(0);
   }
 
-  /// Maximum number of launching parents per group, device-side.
-  std::string capacityText() const {
+  /// Maximum number of launching parents per group. \p Grid / \p Block
+  /// name the dim3 values holding the parent configuration: the builtins
+  /// on the device, the wrapper's parameters on the host.
+  Expr *capacity(const std::string &Grid, const std::string &Block) {
     switch (Options.Granularity) {
     case AggGranularity::Warp:
-      return "32u";
+      return ulit(32);
     case AggGranularity::Block:
-      return "blockDim.x";
+      return Ctx.member(Block, "x");
     case AggGranularity::MultiBlock:
-      return "(" + groupSizeText() + " * blockDim.x)";
+      return Ctx.paren(Ctx.binary(BinaryOpKind::Mul, groupSize(),
+                                  Ctx.member(Block, "x")));
     case AggGranularity::Grid:
-      return "(gridDim.x * blockDim.x)";
+      return Ctx.paren(Ctx.binary(BinaryOpKind::Mul, Ctx.member(Grid, "x"),
+                                  Ctx.member(Block, "x")));
     case AggGranularity::None:
       break;
     }
-    return "1u";
+    return ulit(1);
   }
-
-  /// Parses a block of statements by wrapping them in a template function.
-  std::vector<Stmt *> parseStmts(const std::string &Body) {
-    std::string Source = "__device__ void _aggTemplate() {\n" + Body + "\n}\n";
-    DiagnosticEngine TemplateDiags;
-    TranslationUnit *Tmp = parseSource(Source, Ctx, TemplateDiags);
-    if (!Tmp) {
-      Diags.error({}, "internal error: aggregation template failed to parse: " +
-                          TemplateDiags.str() + "\n" + Source);
-      return {};
-    }
-    return Tmp->findFunction("_aggTemplate")->body()->body();
-  }
-
-  FunctionDecl *parseFunction(const std::string &Source,
-                              const std::string &Name) {
-    DiagnosticEngine TemplateDiags;
-    TranslationUnit *Tmp = parseSource(Source, Ctx, TemplateDiags);
-    if (!Tmp) {
-      Diags.error({}, "internal error: aggregation template failed to parse: " +
-                          TemplateDiags.str() + "\n" + Source);
-      return nullptr;
-    }
-    return Tmp->findFunction(Name);
-  }
+  Expr *deviceCapacity() { return capacity("gridDim", "blockDim"); }
 
   /// Child parameter type with const/restrict stripped (the values are
   /// staged through writable buffers).
@@ -358,46 +406,72 @@ private:
     Map["gridDim"].X = "_aggGDimX";
     Map["blockDim"].X = "_aggBDimX";
     rewriteBuiltins(Ctx, Body, Map, Diags);
-    std::string BodyText = printStmt(Body, 2);
 
-    std::ostringstream OS;
-    OS << "__global__ void " << Name << "(";
+    const Type UIntPtr = Type(BuiltinKind::UInt).pointerTo();
+    std::vector<VarDecl *> Params;
     for (size_t I = 0; I < Child->params().size(); ++I)
-      OS << bufferElemType(Child->params()[I]).pointerTo().str() << "_aggArg"
-         << I << ", ";
-    OS << "unsigned int *_aggScanArr, unsigned int *_aggBDimArrP, "
-          "unsigned int _aggNumParents) {\n";
+      Params.push_back(Ctx.create<VarDecl>(
+          bufferElemType(Child->params()[I]).pointerTo(),
+          "_aggArg" + std::to_string(I)));
+    Params.push_back(Ctx.create<VarDecl>(UIntPtr, "_aggScanArr"));
+    Params.push_back(Ctx.create<VarDecl>(UIntPtr, "_aggBDimArrP"));
+    Params.push_back(
+        Ctx.create<VarDecl>(Type(BuiltinKind::UInt), "_aggNumParents"));
+
+    std::vector<Stmt *> Stmts;
     // Binary search for the parent (first scan entry > blockIdx.x).
-    OS << "  unsigned int _aggLo = 0u;\n"
-          "  unsigned int _aggHi = _aggNumParents;\n"
-          "  while (_aggLo < _aggHi) {\n"
-          "    unsigned int _aggMid = (_aggLo + _aggHi) / 2u;\n"
-          "    if (_aggScanArr[_aggMid] <= blockIdx.x) {\n"
-          "      _aggLo = _aggMid + 1u;\n"
-          "    } else {\n"
-          "      _aggHi = _aggMid;\n"
-          "    }\n"
-          "  }\n"
-          "  unsigned int _aggParentIdx = _aggLo;\n"
-          "  unsigned int _aggPrevSum = _aggParentIdx == 0u ? 0u : "
-          "_aggScanArr[_aggParentIdx - 1u];\n"
-          "  unsigned int _aggBx = blockIdx.x - _aggPrevSum;\n"
-          "  unsigned int _aggGDimX = _aggScanArr[_aggParentIdx] - "
-          "_aggPrevSum;\n"
-          "  unsigned int _aggBDimX = _aggBDimArrP[_aggParentIdx];\n";
+    Stmts.push_back(declUInt("_aggLo", ulit(0)));
+    Stmts.push_back(declUInt("_aggHi", Ctx.ref("_aggNumParents")));
+    Expr *Mid = Ctx.binary(
+        BinaryOpKind::Div,
+        Ctx.paren(Ctx.binary(BinaryOpKind::Add, Ctx.ref("_aggLo"),
+                             Ctx.ref("_aggHi"))),
+        ulit(2));
+    Stmt *Narrow = ifThen(
+        Ctx.binary(BinaryOpKind::LE, at("_aggScanArr", "_aggMid"),
+                   Ctx.member("blockIdx", "x")),
+        {assign(Ctx.ref("_aggLo"),
+                Ctx.binary(BinaryOpKind::Add, Ctx.ref("_aggMid"), ulit(1)))},
+        Ctx.compound({assign(Ctx.ref("_aggHi"), Ctx.ref("_aggMid"))}));
+    Stmts.push_back(Ctx.create<WhileStmt>(
+        Ctx.binary(BinaryOpKind::LT, Ctx.ref("_aggLo"), Ctx.ref("_aggHi")),
+        Ctx.compound({declUInt("_aggMid", Mid), Narrow})));
+    Stmts.push_back(declUInt("_aggParentIdx", Ctx.ref("_aggLo")));
+    Expr *PrevEntry = at("_aggScanArr",
+                         Ctx.binary(BinaryOpKind::Sub,
+                                    Ctx.ref("_aggParentIdx"), ulit(1)));
+    Stmts.push_back(declUInt(
+        "_aggPrevSum",
+        Ctx.create<ConditionalOperator>(
+            Ctx.binary(BinaryOpKind::EQ, Ctx.ref("_aggParentIdx"), ulit(0)),
+            ulit(0), PrevEntry)));
+    Stmts.push_back(declUInt("_aggBx",
+                             Ctx.binary(BinaryOpKind::Sub,
+                                        Ctx.member("blockIdx", "x"),
+                                        Ctx.ref("_aggPrevSum"))));
+    Stmts.push_back(declUInt("_aggGDimX",
+                             Ctx.binary(BinaryOpKind::Sub,
+                                        at("_aggScanArr", "_aggParentIdx"),
+                                        Ctx.ref("_aggPrevSum"))));
+    Stmts.push_back(
+        declUInt("_aggBDimX", at("_aggBDimArrP", "_aggParentIdx")));
     for (size_t I = 0; I < Child->params().size(); ++I) {
       const VarDecl *P = Child->params()[I];
-      OS << "  " << bufferElemType(P).str()
-         << (bufferElemType(P).isPointer() ? "" : " ") << P->name()
-         << " = _aggArg" << I << "[_aggParentIdx];\n";
+      Stmts.push_back(
+          Ctx.declare(bufferElemType(P), P->name(),
+                      at("_aggArg" + std::to_string(I), "_aggParentIdx")));
     }
-    OS << "  if (threadIdx.x < _aggBDimX) ";
-    OS << BodyText.substr(BodyText.find('{'));
-    OS << "}\n";
+    Stmts.push_back(Ctx.create<IfStmt>(
+        Ctx.binary(BinaryOpKind::LT, Ctx.member("threadIdx", "x"),
+                   Ctx.ref("_aggBDimX")),
+        Body, nullptr));
 
-    FunctionDecl *Kernel = parseFunction(OS.str(), Name);
-    if (!Kernel)
-      return false;
+    FunctionQualifiers Quals;
+    Quals.Global = true;
+    auto *Kernel = Ctx.create<FunctionDecl>(Quals, Type(BuiltinKind::Void),
+                                            Name, std::move(Params),
+                                            Ctx.compound(std::move(Stmts)));
+    assignTypes(Kernel);
     auto It = std::find(TU->decls().begin(), TU->decls().end(),
                         static_cast<Decl *>(Child));
     assert(It != TU->decls().end() && "child kernel not in translation unit");
@@ -406,228 +480,284 @@ private:
     return true;
   }
 
-  /// Buffer parameter names for site \p K, in declaration order.
-  std::vector<std::pair<std::string, Type>>
-  bufferParams(const LaunchSite &Site, unsigned K) const {
+  /// One buffer parameter appended to the parent for site K.
+  struct BufferParam {
+    std::string Name;
+    Type Ty;
+    bool PerGroup; ///< One element per group (else one per slot).
+  };
+
+  /// Buffer parameters for site \p K, in declaration order.
+  std::vector<BufferParam> bufferParams(const LaunchSite &Site,
+                                        unsigned K) const {
     std::string Suffix = std::to_string(K);
-    std::vector<std::pair<std::string, Type>> Params;
+    const Type UIntPtr = Type(BuiltinKind::UInt).pointerTo();
+    std::vector<BufferParam> Params;
     Params.push_back({"_aggCnt" + Suffix,
-                      Type(BuiltinKind::ULongLong).pointerTo()});
-    Params.push_back({"_aggMaxB" + Suffix, Type(BuiltinKind::UInt).pointerTo()});
+                      Type(BuiltinKind::ULongLong).pointerTo(), true});
+    Params.push_back({"_aggMaxB" + Suffix, UIntPtr, true});
     if (Options.Granularity != AggGranularity::Grid)
-      Params.push_back({"_aggFin" + Suffix,
-                        Type(BuiltinKind::UInt).pointerTo()});
-    Params.push_back({"_aggScan" + Suffix,
-                      Type(BuiltinKind::UInt).pointerTo()});
-    Params.push_back({"_aggBDimArr" + Suffix,
-                      Type(BuiltinKind::UInt).pointerTo()});
+      Params.push_back({"_aggFin" + Suffix, UIntPtr, true});
+    Params.push_back({"_aggScan" + Suffix, UIntPtr, false});
+    Params.push_back({"_aggBDimArr" + Suffix, UIntPtr, false});
     for (size_t I = 0; I < Site.Child->params().size(); ++I)
       Params.push_back({"_aggArg" + std::to_string(I) + "_" + Suffix,
-                        bufferElemType(Site.Child->params()[I]).pointerTo()});
+                        bufferElemType(Site.Child->params()[I]).pointerTo(),
+                        false});
     return Params;
   }
 
   void appendParentParams(const LaunchSite &Site, unsigned K) {
-    for (const auto &[Name, Ty] : bufferParams(Site, K))
-      Site.Caller->params().push_back(Ctx.create<VarDecl>(Ty, Name));
+    for (const BufferParam &P : bufferParams(Site, K))
+      Site.Caller->params().push_back(Ctx.create<VarDecl>(P.Ty, P.Name));
   }
 
   /// Fig. 7 lines 14-25: the per-thread aggregation logic replacing the
-  /// launch statement.
+  /// launch statement. The launch's configuration and argument
+  /// expressions move into it, each evaluated once as before.
   Stmt *buildPartA(const LaunchSite &Site, unsigned K) {
-    const LaunchExpr *L = Site.Launch;
+    LaunchExpr *L = Site.Launch;
     std::string S = std::to_string(K);
-    std::ostringstream OS;
-    OS << "unsigned int _aggG = " << printExpr(L->gridDim()) << ";\n";
-    OS << "unsigned int _aggB = " << printExpr(L->blockDim()) << ";\n";
-    OS << "if (_aggG > 0u) {\n";
-    OS << "  unsigned int _aggGroupIdx = " << groupIdxText() << ";\n";
-    OS << "  unsigned long long _aggPacked = atomicAdd(&_aggCnt" << S
-       << "[_aggGroupIdx], ((unsigned long long)1 << 32) + (unsigned long "
-          "long)_aggG);\n";
-    OS << "  unsigned int _aggParentIdx = (unsigned int)(_aggPacked >> 32);\n";
-    OS << "  unsigned int _aggSumPrev = (unsigned int)(_aggPacked & "
-          "4294967295u);\n";
-    OS << "  unsigned int _aggSlot = _aggGroupIdx * " << capacityText()
-       << " + _aggParentIdx;\n";
+    const Type ULL(BuiltinKind::ULongLong);
+
+    // ((unsigned long long)1 << 32) + (unsigned long long)_aggG
+    Expr *Increment = Ctx.binary(
+        BinaryOpKind::Add,
+        Ctx.paren(Ctx.binary(BinaryOpKind::Shl, Ctx.castTo(ULL, lit(1)),
+                             lit(32))),
+        Ctx.castTo(ULL, Ctx.ref("_aggG")));
+    std::vector<Stmt *> Then;
+    Then.push_back(declUInt("_aggGroupIdx", groupIdx()));
+    Then.push_back(Ctx.declare(
+        ULL, "_aggPacked",
+        Ctx.call("atomicAdd",
+                 {addressOf("_aggCnt" + S, "_aggGroupIdx"), Increment})));
+    Then.push_back(declUInt("_aggParentIdx", packedCount()));
+    Then.push_back(declUInt("_aggSumPrev", packedSum()));
+    Then.push_back(declUInt(
+        "_aggSlot",
+        Ctx.binary(BinaryOpKind::Add,
+                   Ctx.binary(BinaryOpKind::Mul, Ctx.ref("_aggGroupIdx"),
+                              deviceCapacity()),
+                   Ctx.ref("_aggParentIdx"))));
     for (size_t I = 0; I < L->args().size(); ++I) {
-      Type ElemTy = bufferElemType(Site.Child->params()[I]);
-      std::string TyText = ElemTy.str();
-      OS << "  " << TyText << (ElemTy.isPointer() ? "" : " ") << "_aggA" << I
-         << " = " << printExpr(L->args()[I]) << ";\n";
-      OS << "  _aggArg" << I << "_" << S << "[_aggSlot] = _aggA" << I
-         << ";\n";
+      std::string Local = "_aggA" + std::to_string(I);
+      Then.push_back(Ctx.declare(bufferElemType(Site.Child->params()[I]),
+                                 Local, L->args()[I]));
+      Then.push_back(
+          assign(at("_aggArg" + std::to_string(I) + "_" + S, "_aggSlot"),
+                 Ctx.ref(Local)));
     }
-    OS << "  _aggScan" << S << "[_aggSlot] = _aggSumPrev + _aggG;\n";
-    OS << "  _aggBDimArr" << S << "[_aggSlot] = _aggB;\n";
-    OS << "  atomicMax(&_aggMaxB" << S << "[_aggGroupIdx], _aggB);\n";
+    Then.push_back(assign(at("_aggScan" + S, "_aggSlot"),
+                          Ctx.binary(BinaryOpKind::Add, Ctx.ref("_aggSumPrev"),
+                                     Ctx.ref("_aggG"))));
+    Then.push_back(
+        assign(at("_aggBDimArr" + S, "_aggSlot"), Ctx.ref("_aggB")));
+    Then.push_back(Ctx.call("atomicMax",
+                            {addressOf("_aggMaxB" + S, "_aggGroupIdx"),
+                             Ctx.ref("_aggB")}));
     if (useAggThreshold()) {
-      OS << "  _aggMySlot" << S << " = _aggSlot;\n";
-      OS << "  _aggMyG" << S << " = _aggG;\n";
-      OS << "  _aggMyB" << S << " = _aggB;\n";
+      Then.push_back(assign(Ctx.ref("_aggMySlot" + S), Ctx.ref("_aggSlot")));
+      Then.push_back(assign(Ctx.ref("_aggMyG" + S), Ctx.ref("_aggG")));
+      Then.push_back(assign(Ctx.ref("_aggMyB" + S), Ctx.ref("_aggB")));
     }
-    OS << "}\n";
-    std::vector<Stmt *> Stmts = parseStmts(OS.str());
-    return Ctx.compound(std::move(Stmts));
+
+    CompoundStmt *PartA = Ctx.compound(
+        {declUInt("_aggG", L->gridDim()), declUInt("_aggB", L->blockDim()),
+         ifThen(Ctx.binary(BinaryOpKind::GT, Ctx.ref("_aggG"), ulit(0)),
+                std::move(Then))});
+    assignTypes(PartA);
+    return PartA;
   }
 
   /// Declarations at the top of the parent used by the aggregation
   /// threshold epilogue (each thread remembers its slot/configuration).
   void insertThresholdLocals(const LaunchSite &Site, unsigned K) {
     std::string S = std::to_string(K);
-    std::ostringstream OS;
-    OS << "unsigned int _aggMySlot" << S << " = 4294967295u;\n";
-    OS << "unsigned int _aggMyG" << S << " = 0u;\n";
-    OS << "unsigned int _aggMyB" << S << " = 0u;\n";
-    std::vector<Stmt *> Stmts = parseStmts(OS.str());
+    CompoundStmt *Locals =
+        Ctx.compound({declUInt("_aggMySlot" + S, ulit(4294967295u)),
+                      declUInt("_aggMyG" + S, ulit(0)),
+                      declUInt("_aggMyB" + S, ulit(0))});
+    assignTypes(Locals);
     auto &Body = Site.Caller->body()->body();
-    Body.insert(Body.begin(), Stmts.begin(), Stmts.end());
+    Body.insert(Body.begin(), Locals->body().begin(), Locals->body().end());
   }
 
-  /// The pointer expression for a group's segment of a per-slot buffer.
-  std::string segmentText(const std::string &Buffer) const {
-    return Buffer + " + _aggGroupIdx * " + capacityText();
+  /// The pointer to a group's segment of a per-slot buffer.
+  Expr *segment(const std::string &Buffer) {
+    return Ctx.binary(BinaryOpKind::Add, Ctx.ref(Buffer),
+                      Ctx.binary(BinaryOpKind::Mul, Ctx.ref("_aggGroupIdx"),
+                                 deviceCapacity()));
   }
 
-  /// The aggregated launch (Fig. 7 lines 31-33) as template text.
-  std::string aggregatedLaunchText(const LaunchSite &Site, unsigned K) const {
+  /// The aggregated launch (Fig. 7 lines 31-33).
+  Expr *aggregatedLaunch(const LaunchSite &Site, unsigned K) {
     std::string S = std::to_string(K);
-    std::ostringstream OS;
-    OS << AggKernelNames.at(Site.Child) << "<<<_aggTotal, _aggMaxB" << S
-       << "[_aggGroupIdx]>>>(";
+    std::vector<Expr *> Args;
     for (size_t I = 0; I < Site.Child->params().size(); ++I)
-      OS << segmentText("_aggArg" + std::to_string(I) + "_" + S) << ", ";
-    OS << segmentText("_aggScan" + S) << ", "
-       << segmentText("_aggBDimArr" + S) << ", _aggNumP)";
-    return OS.str();
+      Args.push_back(segment("_aggArg" + std::to_string(I) + "_" + S));
+    Args.push_back(segment("_aggScan" + S));
+    Args.push_back(segment("_aggBDimArr" + S));
+    Args.push_back(Ctx.ref("_aggNumP"));
+    return Ctx.create<LaunchExpr>(
+        AggKernelNames.at(Site.Child), Ctx.ref("_aggTotal"),
+        at("_aggMaxB" + S, "_aggGroupIdx"), nullptr, nullptr, std::move(Args));
+  }
+
+  /// Reads the group's packed counter into `_aggNumP` / `_aggTotal`.
+  void unpackGroupCounter(std::vector<Stmt *> &Out, const std::string &S) {
+    Out.push_back(Ctx.declare(Type(BuiltinKind::ULongLong), "_aggPacked",
+                              at("_aggCnt" + S, "_aggGroupIdx")));
+    Out.push_back(declUInt("_aggNumP", packedCount()));
+    Out.push_back(declUInt("_aggTotal", packedSum()));
+  }
+
+  /// `if (_aggTotal > 0u) { <aggregated launch>; }`
+  Stmt *launchIfAny(const LaunchSite &Site, unsigned K) {
+    return ifThen(
+        Ctx.binary(BinaryOpKind::GT, Ctx.ref("_aggTotal"), ulit(0)),
+        {aggregatedLaunch(Site, K)});
+  }
+
+  /// The last arrival of a group (`_aggNFin == Arrivals`) launches.
+  void launchWhenLast(std::vector<Stmt *> &Out, const LaunchSite &Site,
+                      unsigned K, const std::string &Arrivals) {
+    std::string S = std::to_string(K);
+    Expr *Arrive = Ctx.call(
+        "atomicAdd", {addressOf("_aggFin" + S, "_aggGroupIdx"), ulit(1)});
+    Out.push_back(declUInt("_aggNFin",
+                           Ctx.binary(BinaryOpKind::Add, Arrive, ulit(1))));
+    std::vector<Stmt *> Last;
+    unpackGroupCounter(Last, S);
+    Last.push_back(launchIfAny(Site, K));
+    Out.push_back(ifThen(
+        Ctx.binary(BinaryOpKind::EQ, Ctx.ref("_aggNFin"), Ctx.ref(Arrivals)),
+        std::move(Last)));
   }
 
   /// Appends the group-completion epilogue to the parent kernel
   /// (Fig. 7 lines 26-35).
   void appendEpilogue(const LaunchSite &Site, unsigned K) {
     std::string S = std::to_string(K);
-    std::ostringstream OS;
-    OS << "__threadfence();\n";
+    std::vector<Stmt *> Epilogue;
+    Epilogue.push_back(Ctx.call("__threadfence"));
 
     if (Options.Granularity == AggGranularity::Warp) {
-      OS << "{\n"
-            "  unsigned int _aggTid = blockIdx.x * blockDim.x + "
-            "threadIdx.x;\n"
-            "  unsigned int _aggGroupIdx = _aggTid / 32u;\n"
-            "  unsigned int _aggGroupSize = min(32u, gridDim.x * blockDim.x "
-            "- _aggGroupIdx * 32u);\n"
-            "  unsigned int _aggNFin = atomicAdd(&_aggFin"
-         << S << "[_aggGroupIdx], 1u) + 1u;\n";
-      OS << "  if (_aggNFin == _aggGroupSize) {\n";
-      OS << "    unsigned long long _aggPacked = _aggCnt" << S
-         << "[_aggGroupIdx];\n";
-      OS << "    unsigned int _aggNumP = (unsigned int)(_aggPacked >> 32);\n";
-      OS << "    unsigned int _aggTotal = (unsigned int)(_aggPacked & "
-            "4294967295u);\n";
-      OS << "    if (_aggTotal > 0u) {\n";
-      OS << "      " << aggregatedLaunchText(Site, K) << ";\n";
-      OS << "    }\n  }\n}\n";
-      spliceEpilogue(Site, OS.str());
+      // min(32u, gridDim.x * blockDim.x - _aggGroupIdx * 32u)
+      Expr *Threads = Ctx.binary(BinaryOpKind::Mul, Ctx.member("gridDim", "x"),
+                                 Ctx.member("blockDim", "x"));
+      Expr *Before = Ctx.binary(BinaryOpKind::Mul, Ctx.ref("_aggGroupIdx"),
+                                ulit(32));
+      std::vector<Stmt *> Group;
+      Group.push_back(declUInt("_aggTid", globalThreadIdx()));
+      Group.push_back(declUInt(
+          "_aggGroupIdx",
+          Ctx.binary(BinaryOpKind::Div, Ctx.ref("_aggTid"), ulit(32))));
+      Group.push_back(declUInt(
+          "_aggGroupSize",
+          Ctx.call("min", {ulit(32), Ctx.binary(BinaryOpKind::Sub, Threads,
+                                                Before)})));
+      launchWhenLast(Group, Site, K, "_aggGroupSize");
+      Epilogue.push_back(Ctx.compound(std::move(Group)));
+      spliceEpilogue(Site, std::move(Epilogue));
       return;
     }
 
-    OS << "__syncthreads();\n";
+    Epilogue.push_back(Ctx.call("__syncthreads"));
 
     if (useAggThreshold()) {
       // Block granularity with the Section V-B aggregation threshold: after
       // the barrier every thread sees the participant count; below the
       // threshold each participant launches its own child grid directly.
-      OS << "{\n"
-            "  unsigned int _aggGroupIdx = blockIdx.x;\n"
-            "  unsigned long long _aggPacked = _aggCnt"
-         << S << "[_aggGroupIdx];\n"
-         << "  unsigned int _aggNumP = (unsigned int)(_aggPacked >> 32);\n"
-            "  unsigned int _aggTotal = (unsigned int)(_aggPacked & "
-            "4294967295u);\n";
-      OS << "  if (_aggNumP < " << aggThresholdText() << ") {\n";
-      OS << "    if (_aggMySlot" << S << " != 4294967295u) {\n";
-      OS << "      " << Site.Child->name() << "<<<_aggMyG" << S << ", _aggMyB"
-         << S << ">>>(";
-      for (size_t I = 0; I < Site.Child->params().size(); ++I) {
-        if (I)
-          OS << ", ";
-        OS << "_aggArg" << I << "_" << S << "[_aggMySlot" << S << "]";
-      }
-      OS << ");\n    }\n";
-      OS << "  } else if (threadIdx.x == 0u) {\n";
-      OS << "    if (_aggTotal > 0u) {\n";
-      OS << "      " << aggregatedLaunchText(Site, K) << ";\n";
-      OS << "    }\n  }\n}\n";
-      spliceEpilogue(Site, OS.str());
+      std::vector<Stmt *> Group;
+      Group.push_back(declUInt("_aggGroupIdx", Ctx.member("blockIdx", "x")));
+      unpackGroupCounter(Group, S);
+      std::vector<Expr *> DirectArgs;
+      for (size_t I = 0; I < Site.Child->params().size(); ++I)
+        DirectArgs.push_back(
+            at("_aggArg" + std::to_string(I) + "_" + S, "_aggMySlot" + S));
+      Stmt *Direct = ifThen(
+          Ctx.binary(BinaryOpKind::NE, Ctx.ref("_aggMySlot" + S),
+                     ulit(4294967295u)),
+          {Ctx.create<LaunchExpr>(Site.Child->name(), Ctx.ref("_aggMyG" + S),
+                                  Ctx.ref("_aggMyB" + S), nullptr, nullptr,
+                                  std::move(DirectArgs))});
+      Stmt *Leader = ifThen(
+          Ctx.binary(BinaryOpKind::EQ, Ctx.member("threadIdx", "x"), ulit(0)),
+          {launchIfAny(Site, K)});
+      Group.push_back(ifThen(
+          Ctx.binary(BinaryOpKind::LT, Ctx.ref("_aggNumP"), aggThreshold()),
+          {Direct}, Leader));
+      Epilogue.push_back(Ctx.compound(std::move(Group)));
+      spliceEpilogue(Site, std::move(Epilogue));
       return;
     }
 
     // Block / multi-block: one thread per block bumps the group's finished
     // counter; the last block of the group launches.
-    std::string GroupIdx = Options.Granularity == AggGranularity::Block
-                               ? "blockIdx.x"
-                               : "blockIdx.x / " + groupSizeText();
-    std::string GroupBlocks =
-        Options.Granularity == AggGranularity::Block
-            ? "1u"
-            : "min(" + groupSizeText() + ", gridDim.x - _aggGroupIdx * " +
-                  groupSizeText() + ")";
-    OS << "if (threadIdx.x == 0u) {\n";
-    OS << "  unsigned int _aggGroupIdx = " << GroupIdx << ";\n";
-    OS << "  unsigned int _aggGroupBlocks = " << GroupBlocks << ";\n";
-    OS << "  unsigned int _aggNFin = atomicAdd(&_aggFin" << S
-       << "[_aggGroupIdx], 1u) + 1u;\n";
-    OS << "  if (_aggNFin == _aggGroupBlocks) {\n";
-    OS << "    unsigned long long _aggPacked = _aggCnt" << S
-       << "[_aggGroupIdx];\n";
-    OS << "    unsigned int _aggNumP = (unsigned int)(_aggPacked >> 32);\n";
-    OS << "    unsigned int _aggTotal = (unsigned int)(_aggPacked & "
-          "4294967295u);\n";
-    OS << "    if (_aggTotal > 0u) {\n";
-    OS << "      " << aggregatedLaunchText(Site, K) << ";\n";
-    OS << "    }\n  }\n}\n";
-    spliceEpilogue(Site, OS.str());
+    std::vector<Stmt *> Leader;
+    if (Options.Granularity == AggGranularity::Block) {
+      Leader.push_back(declUInt("_aggGroupIdx", Ctx.member("blockIdx", "x")));
+      Leader.push_back(declUInt("_aggGroupBlocks", ulit(1)));
+    } else {
+      // min(G, gridDim.x - _aggGroupIdx * G)
+      Expr *Left = Ctx.binary(
+          BinaryOpKind::Sub, Ctx.member("gridDim", "x"),
+          Ctx.binary(BinaryOpKind::Mul, Ctx.ref("_aggGroupIdx"), groupSize()));
+      Leader.push_back(declUInt("_aggGroupIdx",
+                                Ctx.binary(BinaryOpKind::Div,
+                                           Ctx.member("blockIdx", "x"),
+                                           groupSize())));
+      Leader.push_back(
+          declUInt("_aggGroupBlocks", Ctx.call("min", {groupSize(), Left})));
+    }
+    launchWhenLast(Leader, Site, K, "_aggGroupBlocks");
+    Epilogue.push_back(ifThen(
+        Ctx.binary(BinaryOpKind::EQ, Ctx.member("threadIdx", "x"), ulit(0)),
+        std::move(Leader)));
+    spliceEpilogue(Site, std::move(Epilogue));
   }
 
-  void spliceEpilogue(const LaunchSite &Site, const std::string &Text) {
-    std::vector<Stmt *> Stmts = parseStmts(Text);
+  void spliceEpilogue(const LaunchSite &Site, std::vector<Stmt *> Stmts) {
+    assignTypes(Ctx.compound(Stmts));
     auto &Body = Site.Caller->body()->body();
     Body.insert(Body.end(), Stmts.begin(), Stmts.end());
   }
 
   /// Number of groups as a host-side expression over `_aggGrid/_aggBlock`.
-  std::string numGroupsHostText() const {
+  Expr *numGroupsHost() {
+    Expr *GridX = Ctx.member("_aggGrid", "x");
     switch (Options.Granularity) {
-    case AggGranularity::Warp:
-      return "(_aggGrid.x * _aggBlock.x + 31u) / 32u";
+    case AggGranularity::Warp: {
+      // (_aggGrid.x * _aggBlock.x + 31u) / 32u
+      Expr *Threads = Ctx.binary(BinaryOpKind::Mul, GridX,
+                                 Ctx.member("_aggBlock", "x"));
+      return Ctx.binary(
+          BinaryOpKind::Div,
+          Ctx.paren(Ctx.binary(BinaryOpKind::Add, Threads, ulit(31))),
+          ulit(32));
+    }
     case AggGranularity::Block:
-      return "_aggGrid.x";
-    case AggGranularity::MultiBlock:
-      return "(_aggGrid.x + " + groupSizeText() + " - 1u) / " +
-             groupSizeText();
+      return GridX;
+    case AggGranularity::MultiBlock: {
+      // (_aggGrid.x + G - 1u) / G
+      Expr *Sum = Ctx.binary(BinaryOpKind::Add, GridX, groupSize());
+      return Ctx.binary(
+          BinaryOpKind::Div,
+          Ctx.paren(Ctx.binary(BinaryOpKind::Sub, Sum, ulit(1))),
+          groupSize());
+    }
     case AggGranularity::Grid:
-      return "1u";
     case AggGranularity::None:
       break;
     }
-    return "1u";
+    return ulit(1);
   }
 
-  /// Slot capacity per group as a host-side expression.
-  std::string capacityHostText() const {
-    switch (Options.Granularity) {
-    case AggGranularity::Warp:
-      return "32u";
-    case AggGranularity::Block:
-      return "_aggBlock.x";
-    case AggGranularity::MultiBlock:
-      return "(" + groupSizeText() + " * _aggBlock.x)";
-    case AggGranularity::Grid:
-      return "(_aggGrid.x * _aggBlock.x)";
-    case AggGranularity::None:
-      break;
-    }
-    return "1u";
+  /// `Count * sizeof(Elem)`.
+  Expr *bufferBytes(const std::string &Count, const Type &Elem) {
+    return Ctx.binary(BinaryOpKind::Mul, Ctx.ref(Count),
+                      Ctx.create<SizeofExpr>(Elem));
   }
 
   /// Generates `void <parent>_agg(dim3, dim3, <params>)`: allocates the
@@ -636,83 +766,97 @@ private:
   template <typename SiteGenVec>
   void generateHostWrapper(FunctionDecl *Parent, const SiteGenVec &Sites) {
     std::string Name = Parent->name() + "_agg";
-    std::ostringstream OS;
-    OS << "void " << Name << "(dim3 _aggGrid, dim3 _aggBlock";
+    std::vector<VarDecl *> Params = {
+        Ctx.create<VarDecl>(Type(BuiltinKind::Dim3), "_aggGrid"),
+        Ctx.create<VarDecl>(Type(BuiltinKind::Dim3), "_aggBlock")};
     // The parent's original parameters (appended buffer params excluded).
     size_t NumOrig = Parent->params().size();
     for (const auto *Gen : Sites)
       NumOrig -= bufferParams(Gen->Site, Gen->K).size();
     for (size_t I = 0; I < NumOrig; ++I) {
       const VarDecl *P = Parent->params()[I];
-      OS << ", " << P->type().str() << (P->type().isPointer() ? "" : " ")
-         << P->name();
+      Params.push_back(Ctx.create<VarDecl>(P->type(), P->name()));
     }
-    OS << ") {\n";
-    OS << "  unsigned int _aggNumGroups = " << numGroupsHostText() << ";\n";
-    OS << "  unsigned int _aggSlots = _aggNumGroups * " << capacityHostText()
-       << ";\n";
 
+    std::vector<Stmt *> Body;
+    Body.push_back(declUInt("_aggNumGroups", numGroupsHost()));
+    Body.push_back(declUInt("_aggSlots",
+                            Ctx.binary(BinaryOpKind::Mul,
+                                       Ctx.ref("_aggNumGroups"),
+                                       capacity("_aggGrid", "_aggBlock"))));
     std::vector<std::string> AllBuffers;
     for (const auto *Gen : Sites) {
-      for (const auto &[BufName, Ty] : bufferParams(Gen->Site, Gen->K)) {
-        Type Elem = Ty.pointee();
-        bool PerGroup = BufName.rfind("_aggCnt", 0) == 0 ||
-                        BufName.rfind("_aggMaxB", 0) == 0 ||
-                        BufName.rfind("_aggFin", 0) == 0;
-        std::string Count = PerGroup ? "_aggNumGroups" : "_aggSlots";
-        OS << "  " << Ty.str() << BufName << " = 0;\n";
-        OS << "  cudaMalloc((void **)&" << BufName << ", " << Count
-           << " * sizeof(" << Elem.str() << "));\n";
-        if (PerGroup)
-          OS << "  cudaMemset(" << BufName << ", 0, " << Count << " * sizeof("
-             << Elem.str() << "));\n";
-        AllBuffers.push_back(BufName);
+      for (const BufferParam &Buf : bufferParams(Gen->Site, Gen->K)) {
+        Type Elem = Buf.Ty.pointee();
+        std::string Count = Buf.PerGroup ? "_aggNumGroups" : "_aggSlots";
+        Body.push_back(Ctx.declare(Buf.Ty, Buf.Name, lit(0)));
+        Expr *Slot = Ctx.unary(UnaryOpKind::AddrOf, Ctx.ref(Buf.Name));
+        Body.push_back(Ctx.call(
+            "cudaMalloc", {Ctx.castTo(Type(BuiltinKind::Void, 2), Slot),
+                           bufferBytes(Count, Elem)}));
+        if (Buf.PerGroup)
+          Body.push_back(Ctx.call("cudaMemset", {Ctx.ref(Buf.Name), lit(0),
+                                                 bufferBytes(Count, Elem)}));
+        AllBuffers.push_back(Buf.Name);
       }
     }
 
-    OS << "  " << Parent->name() << "<<<_aggGrid, _aggBlock>>>(";
-    for (size_t I = 0; I < Parent->params().size(); ++I) {
-      if (I)
-        OS << ", ";
-      OS << Parent->params()[I]->name();
-    }
-    OS << ");\n";
+    std::vector<Expr *> ParentArgs;
+    for (const VarDecl *P : Parent->params())
+      ParentArgs.push_back(Ctx.ref(P->name()));
+    Body.push_back(Ctx.create<LaunchExpr>(
+        Parent->name(), Ctx.ref("_aggGrid"), Ctx.ref("_aggBlock"), nullptr,
+        nullptr, std::move(ParentArgs)));
 
     if (Options.Granularity == AggGranularity::Grid) {
-      OS << "  cudaDeviceSynchronize();\n";
-      for (const auto *Gen : Sites) {
-        std::string S = std::to_string(Gen->K);
-        OS << "  {\n";
-        OS << "    unsigned long long _aggPacked = 0;\n";
-        OS << "    cudaMemcpy(&_aggPacked, _aggCnt" << S
-           << ", sizeof(unsigned long long), cudaMemcpyDeviceToHost);\n";
-        OS << "    unsigned int _aggNumP = (unsigned int)(_aggPacked >> "
-              "32);\n";
-        OS << "    unsigned int _aggTotal = (unsigned int)(_aggPacked & "
-              "4294967295u);\n";
-        OS << "    unsigned int _aggMaxBH = 0u;\n";
-        OS << "    cudaMemcpy(&_aggMaxBH, _aggMaxB" << S
-           << ", sizeof(unsigned int), cudaMemcpyDeviceToHost);\n";
-        OS << "    if (_aggTotal > 0u) {\n";
-        OS << "      " << AggKernelNames.at(Gen->Site.Child)
-           << "<<<_aggTotal, _aggMaxBH>>>(";
-        for (size_t I = 0; I < Gen->Site.Child->params().size(); ++I)
-          OS << "_aggArg" << I << "_" << S << ", ";
-        OS << "_aggScan" << S << ", _aggBDimArr" << S << ", _aggNumP);\n";
-        OS << "    }\n  }\n";
-      }
+      Body.push_back(Ctx.call("cudaDeviceSynchronize"));
+      for (const auto *Gen : Sites)
+        Body.push_back(hostAggregatedLaunch(Gen->Site, Gen->K));
     }
 
-    OS << "  cudaDeviceSynchronize();\n";
+    Body.push_back(Ctx.call("cudaDeviceSynchronize"));
     for (const std::string &BufName : AllBuffers)
-      OS << "  cudaFree(" << BufName << ");\n";
-    OS << "}\n";
+      Body.push_back(Ctx.call("cudaFree", {Ctx.ref(BufName)}));
 
-    FunctionDecl *Wrapper = parseFunction(OS.str(), Name);
-    if (!Wrapper)
-      return;
+    auto *Wrapper = Ctx.create<FunctionDecl>(
+        FunctionQualifiers(), Type(BuiltinKind::Void), Name, std::move(Params),
+        Ctx.compound(std::move(Body)));
+    assignTypes(Wrapper);
     TU->decls().push_back(Wrapper);
     WrapperNames[Parent] = Name;
+  }
+
+  /// Grid granularity: after the parent grid finished, the host reads the
+  /// site's counter and performs the one aggregated launch.
+  Stmt *hostAggregatedLaunch(const LaunchSite &Site, unsigned K) {
+    std::string S = std::to_string(K);
+    const Type ULL(BuiltinKind::ULongLong);
+    auto CopyToHost = [&](const std::string &Local, const std::string &Buf,
+                          const Type &Elem) -> Stmt * {
+      return Ctx.call("cudaMemcpy",
+                      {Ctx.unary(UnaryOpKind::AddrOf, Ctx.ref(Local)),
+                       Ctx.ref(Buf), Ctx.create<SizeofExpr>(Elem),
+                       Ctx.ref("cudaMemcpyDeviceToHost")});
+    };
+    std::vector<Expr *> Args;
+    for (size_t I = 0; I < Site.Child->params().size(); ++I)
+      Args.push_back(Ctx.ref("_aggArg" + std::to_string(I) + "_" + S));
+    Args.push_back(Ctx.ref("_aggScan" + S));
+    Args.push_back(Ctx.ref("_aggBDimArr" + S));
+    Args.push_back(Ctx.ref("_aggNumP"));
+    Stmt *Launch = ifThen(
+        Ctx.binary(BinaryOpKind::GT, Ctx.ref("_aggTotal"), ulit(0)),
+        {Ctx.create<LaunchExpr>(AggKernelNames.at(Site.Child),
+                                Ctx.ref("_aggTotal"), Ctx.ref("_aggMaxBH"),
+                                nullptr, nullptr, std::move(Args))});
+    return Ctx.compound({Ctx.declare(ULL, "_aggPacked", lit(0)),
+                         CopyToHost("_aggPacked", "_aggCnt" + S, ULL),
+                         declUInt("_aggNumP", packedCount()),
+                         declUInt("_aggTotal", packedSum()),
+                         declUInt("_aggMaxBH", ulit(0)),
+                         CopyToHost("_aggMaxBH", "_aggMaxB" + S,
+                                    Type(BuiltinKind::UInt)),
+                         Launch});
   }
 
   /// Replaces `parent<<<g, b>>>(args)` on the host with
@@ -721,9 +865,7 @@ private:
     auto AsDim3 = [&](Expr *E) -> Expr * {
       if (E->type().isDim3())
         return E;
-      auto *Ctor = Ctx.create<CallExpr>(
-          Ctx.ref("dim3"),
-          std::vector<Expr *>{E, Ctx.intLit(1), Ctx.intLit(1)});
+      auto *Ctor = Ctx.call("dim3", {E, Ctx.intLit(1), Ctx.intLit(1)});
       Ctor->setType(Type(BuiltinKind::Dim3));
       return Ctor;
     };
@@ -732,8 +874,7 @@ private:
     Args.push_back(AsDim3(Site.Launch->blockDim()));
     for (Expr *Arg : Site.Launch->args())
       Args.push_back(Arg);
-    return Ctx.create<CallExpr>(Ctx.ref(WrapperNames.at(Parent)),
-                                std::move(Args));
+    return Ctx.call(WrapperNames.at(Parent), std::move(Args));
   }
 
   ASTContext &Ctx;

@@ -189,6 +189,16 @@ std::unordered_set<std::string> dpo::declaredNames(const FunctionDecl *Fn) {
   return Names;
 }
 
+std::unordered_set<std::string> dpo::usedNames(const FunctionDecl *Fn) {
+  std::unordered_set<std::string> Names = declaredNames(Fn);
+  if (Fn->body())
+    forEachExpr(Fn->body(), [&](const Expr *E) {
+      if (const auto *Ref = dyn_cast<DeclRefExpr>(E))
+        Names.insert(Ref->name());
+    });
+  return Names;
+}
+
 std::string dpo::freshVarName(std::unordered_set<std::string> &Taken,
                               const std::string &Base) {
   std::string Name = Base;

@@ -67,6 +67,11 @@ bool usesBuiltinComponent(const Stmt *Root, const std::string &Builtin,
 /// shadowing — or being captured by — what an earlier pass generated.
 std::unordered_set<std::string> declaredNames(const FunctionDecl *Fn);
 
+/// declaredNames(Fn) plus every name Fn's body references (globals and
+/// callees included): the names a variable generated into Fn's body
+/// could capture or shadow.
+std::unordered_set<std::string> usedNames(const FunctionDecl *Fn);
+
 /// The first of Base, Base_0, Base_1, ... not in \p Taken; the chosen
 /// name is inserted into \p Taken and returned.
 std::string freshVarName(std::unordered_set<std::string> &Taken,

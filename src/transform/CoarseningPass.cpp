@@ -267,24 +267,20 @@ private:
         CallArgs.push_back(Ctx.ref(P->name()));
       CallArgs.push_back(Ctx.ref(ParamName));
       CallArgs.push_back(Ctx.ref(Bx));
-      PerBlock =
-          Ctx.create<CallExpr>(Ctx.ref(HelperName), std::move(CallArgs));
+      PerBlock = Ctx.call(HelperName, std::move(CallArgs));
     } else {
       auto *Body = cast<CompoundStmt>(cloneStmt(Ctx, Child->body()));
       rewriteBuiltins(Ctx, Body, Map, Diags);
       PerBlock = Body;
     }
     if (Cooperative)
-      PerBlock = Ctx.compound(
-          {PerBlock, Ctx.create<CallExpr>(Ctx.ref("__syncthreads"),
-                                          std::vector<Expr *>{})});
+      PerBlock = Ctx.compound({PerBlock, Ctx.call("__syncthreads")});
 
     // for (unsigned int _bx = blockIdx.x; _bx < <bound>; _bx += gridDim.x)
     Expr *Bound = Scalar ? static_cast<Expr *>(Ctx.ref(ParamName))
                          : static_cast<Expr *>(Ctx.member(ParamName, "x"));
-    auto *Init = Ctx.create<DeclStmt>(std::vector<VarDecl *>{
-        Ctx.create<VarDecl>(Type(BuiltinKind::UInt), Bx,
-                            Ctx.member("blockIdx", "x"))});
+    auto *Init =
+        Ctx.declare(Type(BuiltinKind::UInt), Bx, Ctx.member("blockIdx", "x"));
     auto *Cond = Ctx.binary(BinaryOpKind::LT, Ctx.ref(Bx), Bound);
     auto *Inc = Ctx.binary(BinaryOpKind::AddAssign, Ctx.ref(Bx),
                            Ctx.member("gridDim", "x"));
@@ -298,14 +294,11 @@ private:
   DeclStmt *makeDim3Var(const std::string &Name, Expr *Value) {
     Expr *Init = Value;
     if (!Value->type().isDim3()) {
-      auto *Ctor = Ctx.create<CallExpr>(
-          Ctx.ref("dim3"),
-          std::vector<Expr *>{Value, Ctx.intLit(1), Ctx.intLit(1)});
+      auto *Ctor = Ctx.call("dim3", {Value, Ctx.intLit(1), Ctx.intLit(1)});
       Ctor->setType(Type(BuiltinKind::Dim3));
       Init = Ctor;
     }
-    return Ctx.create<DeclStmt>(std::vector<VarDecl *>{
-        Ctx.create<VarDecl>(Type(BuiltinKind::Dim3), Name, Init)});
+    return Ctx.declare(Type(BuiltinKind::Dim3), Name, Init);
   }
 
   /// Fig. 6 lines 08-10 for dynamic launches; identity configuration for
@@ -320,8 +313,7 @@ private:
     std::string GVar =
         (Scalar ? "_gDimX" : "_gDim") + std::to_string(K);
     if (Scalar) {
-      auto *GDecl = Ctx.create<DeclStmt>(std::vector<VarDecl *>{
-          Ctx.create<VarDecl>(Type(BuiltinKind::UInt), GVar, L->gridDim())});
+      auto *GDecl = Ctx.declare(Type(BuiltinKind::UInt), GVar, L->gridDim());
       Stmts.push_back(GDecl);
     } else {
       Stmts.push_back(makeDim3Var(GVar, L->gridDim()));
@@ -340,16 +332,14 @@ private:
       };
       if (Scalar) {
         std::string CVar = "_cgDimX" + std::to_string(K);
-        auto *CDecl = Ctx.create<DeclStmt>(std::vector<VarDecl *>{
-            Ctx.create<VarDecl>(Type(BuiltinKind::UInt), CVar,
-                                MakeCeilDiv(Ctx.ref(GVar)))});
+        auto *CDecl = Ctx.declare(Type(BuiltinKind::UInt), CVar,
+                                  MakeCeilDiv(Ctx.ref(GVar)));
         Stmts.push_back(CDecl);
         ConfigVar = CVar;
       } else {
         std::string CVar = "_cgDim" + std::to_string(K);
-        auto *CDecl = Ctx.create<DeclStmt>(std::vector<VarDecl *>{
-            Ctx.create<VarDecl>(Type(BuiltinKind::Dim3), CVar,
-                                Ctx.ref(GVar))});
+        auto *CDecl =
+            Ctx.declare(Type(BuiltinKind::Dim3), CVar, Ctx.ref(GVar));
         auto *Assign =
             Ctx.binary(BinaryOpKind::Assign, Ctx.member(CVar, "x"),
                        MakeCeilDiv(Ctx.member(GVar, "x")));

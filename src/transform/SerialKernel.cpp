@@ -162,11 +162,10 @@ SerialKernelBuilder::ensureSerialVersion(FunctionDecl *Child,
 
   auto MakeLoop = [&](const std::string &Var, const std::string &Bound,
                       const std::string &Component, Stmt *Body) -> Stmt * {
-    auto *Init = Ctx.create<DeclStmt>(std::vector<VarDecl *>{
-        Ctx.create<VarDecl>(Type(BuiltinKind::UInt), Var, Ctx.intLit(0))});
+    auto *Init = Ctx.declare(Type(BuiltinKind::UInt), Var, Ctx.intLit(0));
     auto *Cond = Ctx.binary(BinaryOpKind::LT, Ctx.ref(Var),
                             Ctx.member(Bound, Component));
-    auto *Inc = Ctx.create<UnaryOperator>(UnaryOpKind::PreInc, Ctx.ref(Var));
+    auto *Inc = Ctx.unary(UnaryOpKind::PreInc, Ctx.ref(Var));
     return Ctx.create<ForStmt>(Init, Cond, Inc, Body);
   };
 
@@ -241,9 +240,8 @@ SerialKernelBuilder::ensureSerialVersion(FunctionDecl *Child,
             std::vector<Stmt *> Body;
             for (const VarDecl *D : RematOrder)
               if (Needed.count(D->name()))
-                Body.push_back(Ctx.create<DeclStmt>(std::vector<VarDecl *>{
-                    Ctx.create<VarDecl>(D->type(), D->name(),
-                                        cloneExpr(Ctx, D->init()))}));
+                Body.push_back(Ctx.declare(D->type(), D->name(),
+                                           cloneExpr(Ctx, D->init())));
             for (Stmt *S : SegClone)
               Body.push_back(S);
             Out.push_back(ThreadLoopNest(std::move(Body)));
@@ -278,17 +276,13 @@ SerialKernelBuilder::ensureSerialVersion(FunctionDecl *Child,
                         Count *= Lit->value();
                     std::string Zi = freshVarName(Taken, "_zi");
                     auto *ZInit =
-                        Ctx.create<DeclStmt>(std::vector<VarDecl *>{
-                            Ctx.create<VarDecl>(Type(BuiltinKind::UInt), Zi,
-                                                Ctx.intLit(0))});
+                        Ctx.declare(Type(BuiltinKind::UInt), Zi, Ctx.intLit(0));
                     auto *ZCond = Ctx.binary(BinaryOpKind::LT, Ctx.ref(Zi),
                                              Ctx.intLit(Count));
-                    auto *ZInc = Ctx.create<UnaryOperator>(
-                        UnaryOpKind::PreInc, Ctx.ref(Zi));
+                    auto *ZInc = Ctx.unary(UnaryOpKind::PreInc, Ctx.ref(Zi));
                     auto *ZAssign = Ctx.binary(
                         BinaryOpKind::Assign,
-                        Ctx.create<ArraySubscriptExpr>(Ctx.ref(D->name()),
-                                                       Ctx.ref(Zi)),
+                        Ctx.subscript(Ctx.ref(D->name()), Ctx.ref(Zi)),
                         Ctx.intLit(0));
                     SharedDecls.push_back(
                         Ctx.create<ForStmt>(ZInit, ZCond, ZInc, ZAssign));
@@ -375,8 +369,7 @@ SerialKernelBuilder::ensureSerialVersion(FunctionDecl *Child,
       for (auto &LoopSet : {BlockLoops, ThreadLoops})
         for (const auto &[VarName, Component] : LoopSet)
           CallArgs.push_back(Ctx.ref(VarName));
-      PerThread =
-          Ctx.create<CallExpr>(Ctx.ref(ThreadFnName), std::move(CallArgs));
+      PerThread = Ctx.call(ThreadFnName, std::move(CallArgs));
     } else {
       auto *Body = cast<CompoundStmt>(cloneStmt(Ctx, Child->body()));
       rewriteBuiltins(Ctx, Body, Map, Diags);
@@ -416,6 +409,5 @@ Expr *SerialKernelBuilder::buildSerialCall(const LaunchSite &Site) {
     SerialArgs.push_back(cloneExpr(Ctx, Arg));
   SerialArgs.push_back(cloneExpr(Ctx, L->gridDim()));
   SerialArgs.push_back(cloneExpr(Ctx, L->blockDim()));
-  return Ctx.create<CallExpr>(Ctx.ref(SerialNames.at(Site.Child)),
-                              std::move(SerialArgs));
+  return Ctx.call(SerialNames.at(Site.Child), std::move(SerialArgs));
 }

@@ -13,10 +13,12 @@
 #include "sema/PurityAnalysis.h"
 #include "sema/Transformability.h"
 #include "support/Casting.h"
+#include "transform/BuiltinRewrite.h"
 #include "transform/SerialKernel.h"
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace dpo;
 
@@ -158,22 +160,25 @@ private:
   ///     else { <launch>; } }
   Stmt *buildSpeculatedLaunch(const LaunchSite &Site, uint64_t Bound) {
     LaunchExpr *L = Site.Launch;
-    std::string CountVar = "_spec" + std::to_string(SiteCounter++);
+    // A name the caller already uses would capture (or be captured by)
+    // the launch's own expressions.
+    std::unordered_set<std::string> Taken = usedNames(Site.Caller);
+    std::string CountVar;
+    do
+      CountVar = "_spec" + std::to_string(SiteCounter++);
+    while (Taken.count(CountVar));
 
     Expr *CountInit = Ctx.binary(
         BinaryOpKind::Mul, Ctx.paren(cloneExpr(Ctx, L->gridDim())),
         Ctx.paren(cloneExpr(Ctx, L->blockDim())));
     Type CountType(BuiltinKind::ULongLong);
-    auto *CountDecl = Ctx.create<DeclStmt>(std::vector<VarDecl *>{
-        Ctx.create<VarDecl>(CountType, CountVar, CountInit)});
+    auto *CountDecl = Ctx.declare(CountType, CountVar, CountInit);
 
     Expr *SerialCall = Serial.buildSerialCall(Site);
 
     auto *CountRef = Ctx.ref(CountVar);
     CountRef->setType(CountType);
-    Expr *Guard = Ctx.create<CallExpr>(
-        Ctx.ref("__dpo_spec_guard"),
-        std::vector<Expr *>{CountRef, boundExpr(Bound)});
+    Expr *Guard = Ctx.call("__dpo_spec_guard", {CountRef, boundExpr(Bound)});
     auto *If = Ctx.create<IfStmt>(Guard, Ctx.compound({SerialCall}),
                                   Ctx.compound({L}));
     return Ctx.compound({CountDecl, If});

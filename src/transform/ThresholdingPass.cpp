@@ -6,16 +6,15 @@
 
 #include "transform/ThresholdingPass.h"
 
-#include "ast/ASTPrinter.h"
 #include "ast/Clone.h"
 #include "ast/Walk.h"
-#include "parse/Parser.h"
 #include "profile/Profile.h"
 #include "sema/GridDimAnalysis.h"
 #include "sema/LaunchSites.h"
 #include "sema/PurityAnalysis.h"
 #include "sema/Transformability.h"
 #include "support/Casting.h"
+#include "transform/BuiltinRewrite.h"
 #include "transform/SerialKernel.h"
 
 #include <algorithm>
@@ -171,7 +170,13 @@ private:
   Stmt *buildThresholdedLaunch(const LaunchSite &Site, const GridDimInfo &Info,
                                unsigned Threshold, bool TotalThreadsFallback) {
     LaunchExpr *L = Site.Launch;
-    std::string ThreadsVar = "_threads" + std::to_string(SiteCounter++);
+    // A name the caller already uses would capture (or be captured by)
+    // the launch's own expressions.
+    std::unordered_set<std::string> Taken = usedNames(Site.Caller);
+    std::string ThreadsVar;
+    do
+      ThreadsVar = "_threads" + std::to_string(SiteCounter++);
+    while (Taken.count(ThreadsVar));
 
     Expr *CountInit = nullptr;
     if (TotalThreadsFallback) {
@@ -196,8 +201,7 @@ private:
     Type CountType = CountInit->type();
     if (!CountType.isInteger())
       CountType = Type(BuiltinKind::Int);
-    auto *CountDecl = Ctx.create<DeclStmt>(std::vector<VarDecl *>{
-        Ctx.create<VarDecl>(CountType, ThreadsVar, CountInit)});
+    auto *CountDecl = Ctx.declare(CountType, ThreadsVar, CountInit);
 
     // Serial call: original args plus the (post-substitution) launch
     // configuration.

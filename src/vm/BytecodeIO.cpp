@@ -57,27 +57,53 @@ const char Magic[4] = {'D', 'P', 'O', 'B'};
 
 class Writer {
 public:
-  void u8(uint8_t V) { Out.push_back((char)V); }
-  void u32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Out.push_back((char)((V >> (8 * I)) & 0xff));
+  /// Writes into \p Out from its current end; \p SizeHint more bytes are
+  /// expected, so writes normally land in place without regrowing.
+  Writer(std::string &Out, size_t SizeHint) : Out(Out), Pos(Out.size()) {
+    Out.resize(Pos + SizeHint);
   }
-  void u64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Out.push_back((char)((V >> (8 * I)) & 0xff));
-  }
+  /// Trims \p Out to what was written.
+  ~Writer() { Out.resize(Pos); }
+  Writer(const Writer &) = delete;
+  Writer &operator=(const Writer &) = delete;
+
+  void u8(uint8_t V) { word<1>(V); }
+  void u32(uint32_t V) { word<4>(V); }
+  void u64(uint64_t V) { word<8>(V); }
   void i64(int64_t V) { u64((uint64_t)V); }
   void str(std::string_view S) {
     u32((uint32_t)S.size());
-    Out.append(S.data(), S.size());
+    raw(S.data(), S.size());
   }
   void raw(const void *Data, size_t Size) {
-    Out.append((const char *)Data, Size);
+    if (Size)
+      std::memcpy(room(Size), Data, Size);
   }
-  std::string take() { return std::move(Out); }
+  /// Overwrites the u64 written at offset \p At.
+  void patchU64(size_t At, uint64_t V) { le<8>(&Out[At], V); }
+  /// The bytes written from offset \p At on.
+  std::string_view writtenSince(size_t At) const {
+    return std::string_view(Out.data() + At, Pos - At);
+  }
 
 private:
-  std::string Out;
+  template <int N> static void le(char *At, uint64_t V) {
+    for (int I = 0; I < N; ++I)
+      At[I] = (char)((V >> (8 * I)) & 0xff);
+  }
+  /// Little-endian, the same bytes on any host.
+  template <int N> void word(uint64_t V) { le<N>(room(N), V); }
+  /// Claims \p N bytes at Pos, growing only if the hint fell short.
+  char *room(size_t N) {
+    if (Pos + N > Out.size())
+      Out.resize(std::max(2 * Out.size(), Pos + N));
+    char *At = &Out[Pos];
+    Pos += N;
+    return At;
+  }
+
+  std::string &Out;
+  size_t Pos;
 };
 
 //===----------------------------------------------------------------------===//
@@ -190,9 +216,31 @@ bool readType(Reader &R, Type &Out, std::string &Error) {
   return true;
 }
 
-std::string serializePayload(const VmProgram &P) {
-  Writer W;
+/// The payload's size, so serialization appends without regrowing.
+size_t payloadSize(const VmProgram &P) {
+  auto Str = [](std::string_view S) { return 4 + S.size(); };
+  size_t Size = 4;
+  for (const FuncDef &F : P.Functions) {
+    Size += Str(F.Name) + 1 + 5 * 4;
+    for (const Type &T : F.ParamTypes)
+      Size += 1 + 4 + 1 +
+              Str(T.kind() == BuiltinKind::Named ? T.name()
+                                                 : std::string_view());
+    Size += 4 + F.Code.size() * (1 + 8 + 8 + 4);
+  }
+  Size += 4;
+  for (const std::string &M : P.TrapMessages)
+    Size += Str(M);
+  Size += 8 + P.GlobalImage.size() + 4;
+  for (const auto &[Name, Off] : P.GlobalOffsets)
+    Size += Str(Name) + 4;
+  Size += 4;
+  for (const std::string &S : P.LaunchSiteNames)
+    Size += Str(S);
+  return Size;
+}
 
+void serializePayload(const VmProgram &P, Writer &W) {
   W.u32((uint32_t)P.Functions.size());
   for (const FuncDef &F : P.Functions) {
     W.str(F.Name);
@@ -235,8 +283,6 @@ std::string serializePayload(const VmProgram &P) {
   W.u32((uint32_t)P.LaunchSiteNames.size());
   for (const std::string &S : P.LaunchSiteNames)
     W.str(S);
-
-  return W.take();
 }
 
 bool deserializePayload(std::string_view Payload, VmProgram &P,
@@ -373,14 +419,19 @@ bool deserializePayload(std::string_view Payload, VmProgram &P,
 } // namespace
 
 std::string dpo::serializeVmProgram(const VmProgram &Program) {
-  std::string Payload = serializePayload(Program);
-  Writer W;
-  W.raw(Magic, sizeof(Magic));
-  W.u32(BytecodeFormatVersion);
-  W.u64(Payload.size());
-  W.u64(fnv1a64(Payload));
-  std::string Image = W.take();
-  Image += Payload;
+  constexpr size_t HeaderBytes = sizeof(Magic) + 4 + 8 + 8;
+  std::string Image;
+  {
+    Writer W(Image, HeaderBytes + payloadSize(Program));
+    W.raw(Magic, sizeof(Magic));
+    W.u32(BytecodeFormatVersion);
+    W.u64(0); // payload length and checksum, patched below
+    W.u64(0);
+    serializePayload(Program, W);
+    std::string_view Payload = W.writtenSince(HeaderBytes);
+    W.patchU64(HeaderBytes - 16, Payload.size());
+    W.patchU64(HeaderBytes - 8, fnv1a64(Payload));
+  }
   return Image;
 }
 

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The bookkeeping under the compile service's disk cache:
-///  - ArtifactCache's index: LRU order with loads refreshing recency and
-///    the file name breaking mtime ties; stores by another instance on the
+///  - ArtifactCache's index: LRU order with loads and touches refreshing
+///    recency, stamps strictly increasing in use order, and the file name
+///    breaking mtime ties; stores by another instance on the
 ///    same directory count against the bound; files deleted behind the
 ///    cache's back leave the index without counting as evictions;
 ///  - contentKey: tails, lengths and field boundaries reach the key, and
@@ -88,6 +89,22 @@ TEST_F(ArtifactCacheTest, LoadKeepsAnEntryAliveAndNamesBreakTies) {
   EXPECT_TRUE(resident("b")) << "the load kept b alive";
   EXPECT_EQ(Cache.stats().Evictions, 2u);
   EXPECT_EQ(bytesOnDisk(), 300u);
+}
+
+TEST_F(ArtifactCacheTest, StoresLoadsAndTouchesStampInUseOrder) {
+  ArtifactCache Cache(Dir.string(), 1000);
+  ASSERT_TRUE(Cache.store("a", Blob));
+  ASSERT_TRUE(Cache.store("b", Blob));
+  std::string Bytes;
+  ASSERT_TRUE(Cache.load("a", Bytes));
+  ASSERT_TRUE(Cache.store("c", Blob));
+  Cache.touch({"b", "missing"});
+  // Use order: a's load, c's store, b's touch. The mtimes strictly
+  // increase in that order even within one tick of the file clock.
+  auto MTime = [&](const char *Key) { return fs::last_write_time(file(Key)); };
+  EXPECT_LT(MTime("a"), MTime("c"));
+  EXPECT_LT(MTime("c"), MTime("b"));
+  EXPECT_FALSE(resident("missing")); // touching never creates a file
 }
 
 TEST_F(ArtifactCacheTest, AnotherInstancesStoresCountAgainstTheBound) {

@@ -279,6 +279,32 @@ TEST_F(CompileServiceTest, EvictionRespectsTheSizeBound) {
   EXPECT_LE(OnDisk, Bound);
 }
 
+TEST_F(CompileServiceTest, MemoryHitsKeepArtifactsAliveOnDisk) {
+  // Four requests whose artifacts have the same size (only a two-digit
+  // threshold differs).
+  CompileRequest X = request("threshold[32]");
+  CompileRequest Y = request("threshold[64]");
+  CompileRequest Z = request("threshold[96]");
+  CompileRequest W = request("threshold[16]");
+  uint64_t ThreeArtifacts = 0;
+  {
+    CompileService A(diskConfig());
+    for (const CompileRequest *R : {&X, &Y, &Z})
+      ASSERT_EQ(A.compile(*R).Outcome, CacheOutcome::Miss);
+    // X is now A's most recent use, though the disk tier never loads it.
+    ASSERT_EQ(A.compile(X).Outcome, CacheOutcome::MemoryHit);
+    ThreeArtifacts = A.stats().ResidentBytes;
+  }
+  // B's directory is full; storing W evicts the least recently used
+  // artifact, which is Y.
+  CompileService B(diskConfig(ThreeArtifacts));
+  ASSERT_EQ(B.compile(W).Outcome, CacheOutcome::Miss);
+  EXPECT_EQ(B.stats().Evictions, 1u);
+  EXPECT_EQ(B.compile(X).Outcome, CacheOutcome::DiskHit);
+  EXPECT_EQ(B.compile(Z).Outcome, CacheOutcome::DiskHit);
+  EXPECT_EQ(B.compile(Y).Outcome, CacheOutcome::Miss);
+}
+
 TEST(ServiceConfigTest, InvalidCacheBoundKeepsTheDefault) {
   // A negative bound must not wrap to 2^64-1 (which would turn eviction
   // off); anything but a positive decimal byte count keeps the default.

@@ -262,6 +262,35 @@ TEST(AggregationPassTest, OutputReparses) {
   }
 }
 
+TEST(AggregationPassTest, HostWrapperKeepsRestrictParameters) {
+  // The wrapper re-declares the parent's parameters; a `__restrict__`
+  // pointer keeps its qualifier and its name apart.
+  const char *Source = R"(
+__global__ void child(int *data, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) {
+    data[i] = i;
+  }
+}
+__global__ void parent(int *__restrict__ data, const int *counts, int numV) {
+  int v = blockIdx.x * blockDim.x + threadIdx.x;
+  if (v < numV) {
+    child<<<(counts[v] + 31) / 32, 32>>>(data, counts[v]);
+  }
+}
+)";
+  DiagnosticEngine Diags;
+  std::string Printed;
+  std::optional<VmProgram> Program =
+      compileWithPipeline(Source, "aggregate[block]", literalKnobConfig(),
+                          VmCompileOptions(), Diags, &Printed);
+  ASSERT_TRUE(Program) << Diags.str() << "\n" << Printed;
+  EXPECT_NE(Printed.find("void parent_agg(dim3 _aggGrid, dim3 _aggBlock, "
+                         "int * __restrict__ data, const int *counts"),
+            std::string::npos)
+      << Printed;
+}
+
 // Full pipeline composition (Fig. 8).
 
 TEST(PipelineTest, ThresholdCoarsenAggregateCompose) {
