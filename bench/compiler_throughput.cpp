@@ -15,7 +15,7 @@
 
 #include "ast/ASTPrinter.h"
 #include "parse/Parser.h"
-#include "sema/Analysis.h"
+#include "sema/LaunchSites.h"
 #include "transform/Pipeline.h"
 #include "tuner/Tuner.h"
 #include "vm/VM.h"
@@ -128,10 +128,8 @@ void BM_FullPipeline(benchmark::State &State) {
 }
 BENCHMARK(BM_FullPipeline)->Arg(1)->Arg(8)->Arg(64);
 
-// Since the pass-manager refactor the full pipeline shares one
-// AnalysisManager: the launch-site walk runs once, not once per pass.
-// BM_LaunchSiteAnalysis prices that walk; BM_AnalysisManagerHit prices the
-// cached query answering the second and third pass.
+// Every pass queries launch sites afresh; BM_LaunchSiteAnalysis prices
+// one such walk.
 void BM_LaunchSiteAnalysis(benchmark::State &State) {
   std::string Source = makeSource(State.range(0));
   ASTContext Ctx;
@@ -141,18 +139,6 @@ void BM_LaunchSiteAnalysis(benchmark::State &State) {
     benchmark::DoNotOptimize(findLaunchSites(TU));
 }
 BENCHMARK(BM_LaunchSiteAnalysis)->Arg(1)->Arg(8)->Arg(64);
-
-void BM_AnalysisManagerHit(benchmark::State &State) {
-  std::string Source = makeSource(State.range(0));
-  ASTContext Ctx;
-  DiagnosticEngine Diags;
-  TranslationUnit *TU = parseSource(Source, Ctx, Diags);
-  AnalysisManager AM(Ctx, TU);
-  AM.launchSites(); // Prime the cache; the loop measures hits.
-  for (auto _ : State)
-    benchmark::DoNotOptimize(&AM.launchSites());
-}
-BENCHMARK(BM_AnalysisManagerHit)->Arg(1)->Arg(8)->Arg(64);
 
 // The textual pipeline front end (parse spec, registry lookup, run).
 void BM_PipelineFromText(benchmark::State &State) {

@@ -23,8 +23,7 @@
 /// simulator sweep, empirical VM-in-the-loop search, or the hybrid of
 /// both) to pick the pipeline. The chosen pipeline is rendered once as
 /// canonical text with the knob flags filled in; that text is what gets
-/// measured and emitted. --print-pass-stats shows per-pass timings and
-/// analysis-cache hits.
+/// measured and emitted. --print-pass-stats shows per-pass timings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,6 +108,7 @@ static void usage() {
       "                      name is derived from the workload spec; with\n"
       "                      this flag the input file is optional\n"
       "                      (tune-only)\n"
+      "  --print-pass-stats  print each pass's wall time to stderr\n"
       "  --print-vm-stats    execute the selected pipeline on the VM's\n"
       "                      decoded engine (against --workload=, else the\n"
       "                      canonical nested workload) and report the\n"

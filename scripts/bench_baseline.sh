@@ -14,7 +14,7 @@
 #                        bench_compare.py gates only the single-worker
 #                        entries since multi-worker wall time depends on
 #                        the host's core count)
-#   BENCH_compiler.json  compiler_throughput (parse, passes, analysis cache)
+#   BENCH_compiler.json  compiler_throughput (parse, print, passes, VM compile)
 #   BENCH_service.json   service_throughput (compile-service cold/warm/
 #                        duplicate-mix/disk-warm series; the
 #                        BM_ServeBatch/{2,4} worker entries are outside

@@ -1,28 +1,16 @@
-//===--- Analysis.h - Cached sema analyses for the pass pipeline -------------===//
+//===--- Analysis.h - Sema analyses for the pass pipeline --------------------===//
 //
 // Part of the dpopt project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The AnalysisManager caches the sema results the transformation passes
-/// share — launch sites, serializability, grid-dimension recovery, and
-/// expression purity — so a multi-pass pipeline computes each analysis once
-/// instead of once per pass. Results are keyed by (analysis, unit): the
-/// launch-site analysis is per translation unit, serializability is per
-/// function, and grid-dim/purity are per expression node.
-///
-/// Invalidation is explicit: a pass reports the analyses it left valid via
-/// a PreservedAnalyses set, and the PassManager drops everything else
-/// before the next pass runs. A pass that did not mutate the AST returns
-/// PreservedAnalyses::all(); the conservative default is none().
-///
-/// Sharp edge, by design: GridDimInfo results own freshly synthesized
-/// expression nodes (ThreadCount) and may point into the analyzed grid
-/// expression (InlineSite). A consumer that splices those nodes into the
-/// tree — the thresholding pass does — must not report the grid-dim
-/// analysis as preserved, so a later query recomputes instead of handing
-/// out nodes that are already part of the AST.
+/// The AnalysisManager is the handle the transformation passes query sema
+/// through: launch sites, serializability, grid-dimension recovery, and
+/// expression purity over one translation unit. It holds no results.
+/// Every query runs the analysis on the tree as it is now and returns by
+/// value, so a pass that mutates the AST leaves nothing stale behind and
+/// the nodes a GridDimInfo owns are fresh on every call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,93 +21,15 @@
 #include "ast/Decl.h"
 #include "sema/GridDimAnalysis.h"
 #include "sema/LaunchSites.h"
+#include "sema/PurityAnalysis.h"
 #include "sema/Transformability.h"
 
-#include <array>
-#include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace dpo {
 
-/// The analyses the manager knows how to compute and cache.
-enum class AnalysisID : unsigned {
-  LaunchSites = 0,   ///< findLaunchSites over the whole TU.
-  Transformability,  ///< analyzeSerializability, per child kernel.
-  GridDim,           ///< analyzeGridDim, per grid-dimension expression.
-  Purity,            ///< isPureExpr, per expression.
-};
-inline constexpr unsigned NumAnalysisIDs = 4;
-
-const char *analysisName(AnalysisID ID);
-
-/// The set of analyses a pass run left valid. Defaults to empty (a pass
-/// that mutated the AST and makes no promises).
-///
-/// A pass that knows exactly which functions it mutated can additionally
-/// scope the invalidation with limitToFunctions: abandoned analyses are
-/// then dropped only for results attached to the named functions, and
-/// everything cached for untouched functions survives. The whole-TU
-/// launch-site list is refreshed per function under a scoped
-/// invalidation instead of recomputed from scratch.
-class PreservedAnalyses {
-public:
-  /// Everything stays valid (the pass made no changes, or none an analysis
-  /// can observe).
-  static PreservedAnalyses all() {
-    PreservedAnalyses PA;
-    PA.Preserved.fill(true);
-    return PA;
-  }
-  /// Nothing survives (the conservative default).
-  static PreservedAnalyses none() { return PreservedAnalyses(); }
-
-  PreservedAnalyses &preserve(AnalysisID ID) {
-    Preserved[static_cast<unsigned>(ID)] = true;
-    return *this;
-  }
-  PreservedAnalyses &abandon(AnalysisID ID) {
-    Preserved[static_cast<unsigned>(ID)] = false;
-    return *this;
-  }
-  bool isPreserved(AnalysisID ID) const {
-    return Preserved[static_cast<unsigned>(ID)];
-  }
-
-  /// Scopes the abandoned analyses to \p Fns: results attached to any
-  /// other function stay cached. Only sound when the pass mutated nothing
-  /// outside the named functions (new declarations it *added* need no
-  /// entry — nothing was cached for them). Function-level caveat: if a
-  /// touched function is __device__, analyses that look through device
-  /// calls (transformability) are dropped wholesale, since the manager
-  /// does not track reverse call edges.
-  PreservedAnalyses &limitToFunctions(std::vector<const FunctionDecl *> Fns) {
-    Scoped = true;
-    Touched = std::move(Fns);
-    return *this;
-  }
-  bool isScoped() const { return Scoped; }
-  const std::vector<const FunctionDecl *> &touchedFunctions() const {
-    return Touched;
-  }
-
-private:
-  std::array<bool, NumAnalysisIDs> Preserved{};
-  bool Scoped = false;
-  std::vector<const FunctionDecl *> Touched;
-};
-
-/// Per-analysis cache counters, exposed for --print-pass-stats and tests.
-struct AnalysisStats {
-  unsigned Computed = 0;      ///< Cache misses: the analysis actually ran.
-  unsigned Hits = 0;          ///< Queries answered from the cache.
-  unsigned Invalidations = 0; ///< Times cached results were dropped.
-};
-
-/// Caches analysis results over one translation unit. Created once per
-/// compilation and threaded through every pass; see the file comment for
-/// the invalidation contract.
+/// Runs sema analyses over one translation unit on demand. Created once
+/// per compilation and threaded through every pass.
 class AnalysisManager {
 public:
   AnalysisManager(ASTContext &Ctx, TranslationUnit *TU) : Ctx(Ctx), TU(TU) {}
@@ -127,64 +37,27 @@ public:
   AnalysisManager(const AnalysisManager &) = delete;
   AnalysisManager &operator=(const AnalysisManager &) = delete;
 
-  TranslationUnit *translationUnit() const { return TU; }
-  ASTContext &context() const { return Ctx; }
-
-  /// All launch sites in the translation unit (TU-level, computed once).
-  const std::vector<LaunchSite> &launchSites();
+  /// All launch sites in the translation unit, in declaration order.
+  std::vector<LaunchSite> launchSites() const { return findLaunchSites(TU); }
 
   /// Whether \p Child can be serialized into its parent thread
-  /// (function-level; transitive over __device__ callees in the TU).
-  const Transformability &serializability(const FunctionDecl *Child);
+  /// (transitive over __device__ callees in the TU).
+  Transformability serializability(const FunctionDecl *Child) const {
+    return analyzeSerializability(Child, TU);
+  }
 
   /// The Fig. 4 desired-thread-count recovery for \p GridExpr inside
-  /// \p Parent (expression-level). See the file comment: the returned
-  /// nodes are single-use; consumers that splice them must abandon
-  /// AnalysisID::GridDim.
-  const GridDimInfo &gridDim(const FunctionDecl *Parent, Expr *GridExpr);
-
-  /// Side-effect freedom of \p E (expression-level). \p Scope is the
-  /// function containing \p E; scoped invalidations keep results for
-  /// untouched scopes and always drop scopeless (null) entries.
-  bool isPure(const Expr *E, const FunctionDecl *Scope = nullptr);
-
-  /// Drops every cached result not in \p PA.
-  void invalidate(const PreservedAnalyses &PA);
-  void invalidateAll() { invalidate(PreservedAnalyses::none()); }
-
-  const AnalysisStats &stats(AnalysisID ID) const {
-    return Stats[static_cast<unsigned>(ID)];
+  /// \p Parent. The returned nodes are the caller's to splice.
+  GridDimInfo gridDim(const FunctionDecl *Parent, Expr *GridExpr) const {
+    return analyzeGridDim(Ctx, Parent, GridExpr);
   }
 
-  /// Human-readable cache-counter table (one line per analysis).
-  std::string statsReport() const;
+  /// Side-effect freedom of \p E.
+  bool isPure(const Expr *E) const { return isPureExpr(E); }
 
 private:
-  AnalysisStats &statsFor(AnalysisID ID) {
-    return Stats[static_cast<unsigned>(ID)];
-  }
-
   ASTContext &Ctx;
   TranslationUnit *TU;
-
-  /// Whole-TU site list, assembled from LaunchSitesByFn in declaration
-  /// order. Reset (cheaply) whenever any per-function list changes.
-  std::optional<std::vector<LaunchSite>> LaunchSitesCache;
-  /// Per-function site lists — the unit of scoped invalidation.
-  std::unordered_map<const FunctionDecl *, std::vector<LaunchSite>>
-      LaunchSitesByFn;
-  std::unordered_map<const FunctionDecl *, Transformability>
-      TransformabilityCache;
-  /// Expression-level results remember their owning function so a scoped
-  /// invalidation can drop exactly the touched functions' entries.
-  template <typename T> struct Owned {
-    const FunctionDecl *Owner = nullptr;
-    T Value;
-  };
-  std::unordered_map<const Expr *, Owned<GridDimInfo>> GridDimCache;
-  std::unordered_map<const Expr *, Owned<bool>> PurityCache;
-
-  std::array<AnalysisStats, NumAnalysisIDs> Stats{};
 };
 
 } // namespace dpo

@@ -66,24 +66,30 @@ CompileService::~CompileService() {
   Disk.touch(Uses);
 }
 
-void CompileService::noteMemoryUse(MemoryMap::value_type &Slot) {
-  Slot.second.LastUse = ++UseClock;
-  if (Slot.second.UsePending)
+void CompileService::noteMemoryUse(const std::string &Key, UseMark &Use) {
+  Use.LastUse = ++UseClock;
+  if (Use.UsePending)
     return;
-  Slot.second.UsePending = true;
-  PendingUses.push_back(&Slot);
+  Use.UsePending = true;
+  PendingUses.emplace_back(&Key, &Use);
+}
+
+void CompileService::reservePendingUses() {
+  size_t Entries = Memory.size() + TuneMemory.size();
+  if (PendingUses.capacity() < Entries)
+    PendingUses.reserve(2 * Entries);
 }
 
 std::vector<std::string> CompileService::takeMemoryUses() {
   std::sort(PendingUses.begin(), PendingUses.end(),
-            [](const MemoryMap::value_type *A, const MemoryMap::value_type *B) {
-              return A->second.LastUse < B->second.LastUse;
+            [](const PendingUse &A, const PendingUse &B) {
+              return A.second->LastUse < B.second->LastUse;
             });
   std::vector<std::string> Keys;
   Keys.reserve(PendingUses.size());
-  for (MemoryMap::value_type *Slot : PendingUses) {
-    Slot->second.UsePending = false;
-    Keys.push_back(Slot->first);
+  for (const auto &[Key, Use] : PendingUses) {
+    Use->UsePending = false;
+    Keys.push_back(*Key);
   }
   PendingUses.clear();
   return Keys;
@@ -310,7 +316,7 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
         if (!NeedsProgram) {
           ++Stats.MemoryHits;
           if (Disk.enabled())
-            noteMemoryUse(*It);
+            noteMemoryUse(It->first, It->second);
           Resp.Ok = true;
           Resp.Outcome = CacheOutcome::MemoryHit;
           Resp.TransformedSource = Hit.TransformedSource;
@@ -394,8 +400,7 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
     std::lock_guard<std::mutex> G(Lock);
     if (Ok) {
       Memory[Resp.Key].Entry = Entry;
-      if (PendingUses.capacity() < Memory.size())
-        PendingUses.reserve(2 * Memory.size());
+      reservePendingUses();
       if (FromDisk)
         ++Stats.DiskHits;
       else if (!UpgradeSource.empty())
@@ -537,7 +542,9 @@ TuneResponse CompileService::tune(const TuneRequest &Req) {
       auto It = TuneMemory.find(Resp.Key);
       if (It != TuneMemory.end()) {
         ++Stats.TuneCacheHits;
-        TuneResponse Cached = It->second;
+        if (Disk.enabled())
+          noteMemoryUse(It->first, It->second);
+        TuneResponse Cached = It->second.Response;
         Cached.Key = Resp.Key;
         Cached.CacheHit = true;
         return Cached;
@@ -569,7 +576,8 @@ TuneResponse CompileService::tune(const TuneRequest &Req) {
       ++Stats.TuneCacheHits;
       TuneResponse Memo = Resp;
       Memo.CacheHit = false; // memory hits re-mark on the way out
-      TuneMemory[Resp.Key] = Memo;
+      TuneMemory[Resp.Key].Response = Memo;
+      reservePendingUses();
       InFlight.erase(Resp.Key);
       KeyDone.notify_all();
       return Resp;
@@ -625,7 +633,8 @@ TuneResponse CompileService::tune(const TuneRequest &Req) {
   Disk.store(Resp.Key, encodeTuneResult(Resp.Result));
   {
     std::lock_guard<std::mutex> G(Lock);
-    TuneMemory[Resp.Key] = Resp;
+    TuneMemory[Resp.Key].Response = Resp;
+    reservePendingUses();
     InFlight.erase(Resp.Key);
     KeyDone.notify_all();
   }

@@ -194,15 +194,21 @@ private:
     std::string TransformedSource;
     std::shared_ptr<const VmProgram> Program;
   };
-  /// A memory-tier entry plus its use since the disk tier last heard of
-  /// it: the disk tier's LRU must see memory hits, or it evicts the
-  /// hottest artifacts first.
-  struct MemSlot {
-    MemEntry Entry;
+  /// A memory-tier entry's use since the disk tier last heard of it: the
+  /// disk tier's LRU must see memory hits, or it evicts the hottest
+  /// artifacts first.
+  struct UseMark {
     uint64_t LastUse = 0;     ///< UseClock at the latest memory hit.
     bool UsePending = false;  ///< In PendingUses, not yet handed over.
   };
-  using MemoryMap = std::map<std::string, MemSlot>;
+  struct MemSlot : UseMark {
+    MemEntry Entry;
+  };
+  struct TuneSlot : UseMark {
+    TuneResponse Response;
+  };
+  /// A queued memory hit: the entry's key and its mark.
+  using PendingUse = std::pair<const std::string *, UseMark *>;
 
   /// The compile-and-encode slow path (no locks held).
   bool compileUncached(const CompileRequest &Req, MemEntry &Out,
@@ -211,9 +217,12 @@ private:
   static std::string encodeArtifact(const MemEntry &E);
   static bool decodeArtifact(std::string_view Blob, MemEntry &Out,
                              std::string &Error);
-  /// Under Lock: records a memory hit on \p Slot. No allocation (see
-  /// PendingUses) and no system call.
-  void noteMemoryUse(MemoryMap::value_type &Slot);
+  /// Under Lock: records a memory hit on the entry \p Key. No allocation
+  /// (see PendingUses) and no system call.
+  void noteMemoryUse(const std::string &Key, UseMark &Use);
+  /// Under Lock, after adding a memory-tier entry: keeps PendingUses'
+  /// capacity at least the number of entries.
+  void reservePendingUses();
   /// Under Lock: the keys of the memory hits not yet handed to the disk
   /// tier, in use order; clears them.
   std::vector<std::string> takeMemoryUses();
@@ -223,13 +232,14 @@ private:
 
   mutable std::mutex Lock;
   std::condition_variable KeyDone;
-  MemoryMap Memory;
-  /// Memory slots hit since the last hand-over, each once. Its capacity
-  /// is kept at least Memory.size(), so recording a hit never allocates.
-  std::vector<MemoryMap::value_type *> PendingUses;
+  std::map<std::string, MemSlot> Memory;
+  std::map<std::string, TuneSlot> TuneMemory;
+  /// Compile and tune slots hit since the last hand-over, each once. Its
+  /// capacity is kept at least Memory.size() + TuneMemory.size(), so
+  /// recording a hit never allocates.
+  std::vector<PendingUse> PendingUses;
   uint64_t UseClock = 0;
   std::set<std::string> InFlight;
-  std::map<std::string, TuneResponse> TuneMemory;
   ServiceStats Stats;
 };
 

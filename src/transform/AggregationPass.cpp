@@ -34,6 +34,10 @@ using namespace dpo;
 
 namespace {
 
+/// The knobs' names in macro spelling; `#ifndef` defaults are emitted.
+constexpr const char *GroupSizeMacro = "_AGG_SIZE";
+constexpr const char *AggThresholdMacro = "_AGG_THRESHOLD";
+
 bool containsReturn(const Stmt *Root) {
   bool Found = false;
   forEachStmt(Root, [&](const Stmt *S) {
@@ -76,7 +80,7 @@ public:
     if (Options.Granularity == AggGranularity::None)
       return Result;
 
-    const std::vector<LaunchSite> &AllSites = AM.launchSites();
+    const std::vector<LaunchSite> AllSites = AM.launchSites();
 
     // Select eligible dynamic launch sites.
     struct SiteGen {
@@ -129,10 +133,9 @@ public:
 
     if (Options.Spelling == KnobSpelling::Macro) {
       if (Options.Granularity == AggGranularity::MultiBlock)
-        emitMacroDefault(Options.GroupSizeMacroName, Options.GroupSize);
+        emitMacroDefault(GroupSizeMacro, Options.GroupSize);
       if (useAggThreshold())
-        emitMacroDefault(Options.AggThresholdMacroName,
-                         Options.AggregationThreshold);
+        emitMacroDefault(AggThresholdMacro, Options.AggregationThreshold);
     }
 
     // Generate the aggregated child kernel for each distinct child.
@@ -180,23 +183,21 @@ public:
     replaceLaunches(Callers, Replacements);
 
     // Host wrappers + host launch redirection.
-    if (Options.EmitHostWrapper) {
-      std::unordered_map<const Stmt *, Stmt *> HostRepl;
-      std::vector<FunctionDecl *> HostCallers;
-      for (auto &[Parent, Sites] : SitesOfParent) {
-        generateHostWrapper(Parent, Sites);
-        ++Result.GeneratedWrappers;
-        for (const LaunchSite &Site : AllSites) {
-          if (Site.Child != Parent || Site.FromKernel)
-            continue;
-          HostRepl[Site.Launch] = buildWrapperCall(Parent, Site);
-          if (std::find(HostCallers.begin(), HostCallers.end(),
-                        Site.Caller) == HostCallers.end())
-            HostCallers.push_back(Site.Caller);
-        }
+    std::unordered_map<const Stmt *, Stmt *> HostRepl;
+    std::vector<FunctionDecl *> HostCallers;
+    for (auto &[Parent, Sites] : SitesOfParent) {
+      generateHostWrapper(Parent, Sites);
+      ++Result.GeneratedWrappers;
+      for (const LaunchSite &Site : AllSites) {
+        if (Site.Child != Parent || Site.FromKernel)
+          continue;
+        HostRepl[Site.Launch] = buildWrapperCall(Parent, Site);
+        if (std::find(HostCallers.begin(), HostCallers.end(), Site.Caller) ==
+            HostCallers.end())
+          HostCallers.push_back(Site.Caller);
       }
-      replaceLaunches(HostCallers, HostRepl);
     }
+    replaceLaunches(HostCallers, HostRepl);
 
     Result.TransformedLaunches = Planned.size();
     return Result;
@@ -326,13 +327,13 @@ private:
   /// The multi-block group size in generated code.
   Expr *groupSize() {
     if (Options.Spelling == KnobSpelling::Macro)
-      return Ctx.ref(Options.GroupSizeMacroName);
+      return Ctx.ref(GroupSizeMacro);
     return ulit(Options.GroupSize);
   }
 
   Expr *aggThreshold() {
     if (Options.Spelling == KnobSpelling::Macro)
-      return Ctx.ref(Options.AggThresholdMacroName);
+      return Ctx.ref(AggThresholdMacro);
     return ulit(Options.AggregationThreshold);
   }
 
@@ -897,13 +898,6 @@ AggregationResult dpo::applyAggregation(ASTContext &Ctx, TranslationUnit *TU,
   return Transformer.run();
 }
 
-AggregationResult dpo::applyAggregation(ASTContext &Ctx, TranslationUnit *TU,
-                                        const AggregationOptions &Options,
-                                        DiagnosticEngine &Diags) {
-  AnalysisManager AM(Ctx, TU);
-  return applyAggregation(Ctx, TU, Options, Diags, AM);
-}
-
 std::string AggregationPass::repr() const {
   std::string R =
       std::string("aggregate[") + aggGranularityName(Options.Granularity);
@@ -918,13 +912,7 @@ std::string AggregationPass::repr() const {
   return R + "]";
 }
 
-PreservedAnalyses AggregationPass::run(ASTContext &Ctx, TranslationUnit *TU,
-                                       AnalysisManager &AM,
-                                       DiagnosticEngine &Diags) {
+void AggregationPass::run(ASTContext &Ctx, TranslationUnit *TU,
+                          AnalysisManager &AM, DiagnosticEngine &Diags) {
   Result = applyAggregation(Ctx, TU, Options, Diags, AM);
-  // Skips leave the unit untouched; only actual transformation (which
-  // removes launch statements and splices generated kernels) invalidates.
-  if (Result.TransformedLaunches == 0 && Result.GeneratedKernels == 0)
-    return PreservedAnalyses::all();
-  return PreservedAnalyses::none();
 }

@@ -69,20 +69,13 @@ struct AggregationResult {
 };
 
 /// Applies aggregation to every dynamic launch site in \p TU, in place,
-/// consuming \p AM's analyses.
+/// querying sema through \p AM.
 AggregationResult applyAggregation(ASTContext &Ctx, TranslationUnit *TU,
                                    const AggregationOptions &Options,
                                    DiagnosticEngine &Diags,
                                    AnalysisManager &AM);
 
-/// Standalone form: runs with a private AnalysisManager.
-AggregationResult applyAggregation(ASTContext &Ctx, TranslationUnit *TU,
-                                   const AggregationOptions &Options,
-                                   DiagnosticEngine &Diags);
-
-/// The aggregation transformation as a pipeline pass. Aggregation replaces
-/// launch statements with buffer-store sequences and splices freshly parsed
-/// kernels/wrappers into the unit, so a transforming run preserves nothing.
+/// The aggregation transformation as a pipeline pass.
 class AggregationPass : public TransformPass {
 public:
   explicit AggregationPass(AggregationOptions Options = {})
@@ -90,8 +83,8 @@ public:
 
   std::string name() const override { return "aggregate"; }
   std::string repr() const override;
-  PreservedAnalyses run(ASTContext &Ctx, TranslationUnit *TU,
-                        AnalysisManager &AM, DiagnosticEngine &Diags) override;
+  void run(ASTContext &Ctx, TranslationUnit *TU, AnalysisManager &AM,
+           DiagnosticEngine &Diags) override;
 
   const AggregationOptions &options() const { return Options; }
   const AggregationResult &result() const { return Result; }

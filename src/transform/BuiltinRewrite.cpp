@@ -134,30 +134,15 @@ std::string BuiltinRewritePass::repr() const {
   return R;
 }
 
-PreservedAnalyses BuiltinRewritePass::run(ASTContext &Ctx, TranslationUnit *TU,
-                                          AnalysisManager &AM,
-                                          DiagnosticEngine &Diags) {
+void BuiltinRewritePass::run(ASTContext &Ctx, TranslationUnit *TU,
+                             AnalysisManager &, DiagnosticEngine &Diags) {
   if (Map.empty())
-    return PreservedAnalyses::all();
-  std::vector<const FunctionDecl *> Changed;
+    return;
   for (Decl *D : TU->decls()) {
     auto *F = dyn_cast<FunctionDecl>(D);
-    if (!F || !F->body())
-      continue;
-    if (rewriteBuiltins(Ctx, F->body(), Map, Diags))
-      Changed.push_back(F);
+    if (F && F->body())
+      rewriteBuiltins(Ctx, F->body(), Map, Diags);
   }
-  if (Changed.empty())
-    return PreservedAnalyses::all();
-  PreservedAnalyses PA;
-  // Only variable references are replaced: launch nodes and the call/shared
-  // structure transformability inspects are untouched. Subexpressions of
-  // grid expressions may have been rewritten in place, so grid-dim and
-  // purity keys are stale — in the functions that actually changed.
-  PA.preserve(AnalysisID::LaunchSites);
-  PA.preserve(AnalysisID::Transformability);
-  PA.limitToFunctions(std::move(Changed));
-  return PA;
 }
 
 bool dpo::usesBuiltinComponent(const Stmt *Root, const std::string &Builtin,

@@ -81,7 +81,7 @@ std::string freshVarName(std::unordered_set<std::string> &Taken,
 /// building block for pipeline experiments ("builtin-rewrite[gridDim=_gd:
 /// blockIdx.x=_bx]" renames builtins across every kernel body). Unmapped
 /// components are left untouched, so partial maps are safe. With an empty
-/// map the pass is the identity and preserves every analysis.
+/// map the pass is the identity.
 class BuiltinRewritePass : public TransformPass {
 public:
   explicit BuiltinRewritePass(
@@ -90,8 +90,8 @@ public:
 
   std::string name() const override { return "builtin-rewrite"; }
   std::string repr() const override;
-  PreservedAnalyses run(ASTContext &Ctx, TranslationUnit *TU,
-                        AnalysisManager &AM, DiagnosticEngine &Diags) override;
+  void run(ASTContext &Ctx, TranslationUnit *TU, AnalysisManager &AM,
+           DiagnosticEngine &Diags) override;
 
   const std::unordered_map<std::string, BuiltinRemap> &map() const {
     return Map;

@@ -11,7 +11,6 @@
 #include "sema/PurityAnalysis.h"
 #include "support/Casting.h"
 
-#include <algorithm>
 #include <unordered_set>
 #include <vector>
 
@@ -56,7 +55,6 @@ VarDecl *assignedOnceLocal(const FunctionDecl *F, const std::string &Name) {
 struct Counters {
   unsigned ShiftDivs = 0;
   unsigned Folds = 0;
-  unsigned total() const { return ShiftDivs + Folds; }
 };
 
 /// Bottom-up normalization of one expression slot: literal-literal
@@ -139,11 +137,9 @@ void canonicalizeSlot(ASTContext &Ctx, Expr *&Slot, Counters &C) {
 
 /// Canonicalizes one launch's grid dimension plus the initializers of every
 /// assigned-once local it (transitively) refers to — the same variable
-/// chain the matcher's findCount resolution walks. Returns the number of
-/// rewrites performed.
-unsigned canonicalizeSite(ASTContext &Ctx, const FunctionDecl *Caller,
-                          LaunchExpr *L, Counters &C) {
-  unsigned Before = C.total();
+/// chain the matcher's findCount resolution walks.
+void canonicalizeSite(ASTContext &Ctx, const FunctionDecl *Caller,
+                      LaunchExpr *L, Counters &C) {
   canonicalizeSlot(Ctx, L->gridDimSlot(), C);
 
   std::unordered_set<VarDecl *> Visited;
@@ -165,7 +161,6 @@ unsigned canonicalizeSite(ASTContext &Ctx, const FunctionDecl *Caller,
     canonicalizeSlot(Ctx, D->initSlot(), C);
     Collect(D->init());
   }
-  return C.total() - Before;
 }
 
 } // namespace
@@ -175,39 +170,14 @@ CanonicalizeResult dpo::applyCanonicalize(ASTContext &Ctx, TranslationUnit *TU,
                                           AnalysisManager &AM) {
   CanonicalizeResult Result;
   Counters C;
-  for (const LaunchSite &Site : AM.launchSites()) {
-    if (canonicalizeSite(Ctx, Site.Caller, Site.Launch, C) == 0)
-      continue;
-    if (std::find(Result.TouchedFunctions.begin(),
-                  Result.TouchedFunctions.end(),
-                  Site.Caller) == Result.TouchedFunctions.end())
-      Result.TouchedFunctions.push_back(Site.Caller);
-  }
+  for (const LaunchSite &Site : AM.launchSites())
+    canonicalizeSite(Ctx, Site.Caller, Site.Launch, C);
   Result.NormalizedShiftDivs = C.ShiftDivs;
   Result.FoldedLiterals = C.Folds;
   return Result;
 }
 
-CanonicalizeResult dpo::applyCanonicalize(ASTContext &Ctx, TranslationUnit *TU,
-                                          DiagnosticEngine &Diags) {
-  AnalysisManager AM(Ctx, TU);
-  return applyCanonicalize(Ctx, TU, Diags, AM);
-}
-
-PreservedAnalyses CanonicalizePass::run(ASTContext &Ctx, TranslationUnit *TU,
-                                        AnalysisManager &AM,
-                                        DiagnosticEngine &Diags) {
+void CanonicalizePass::run(ASTContext &Ctx, TranslationUnit *TU,
+                           AnalysisManager &AM, DiagnosticEngine &Diags) {
   Result = applyCanonicalize(Ctx, TU, Diags, AM);
-  if (Result.total() == 0)
-    return PreservedAnalyses::all();
-  PreservedAnalyses PA;
-  // Launch nodes stay in place — only subexpressions of their grid
-  // configuration are replaced — so the cached site list stays exact.
-  PA.preserve(AnalysisID::LaunchSites);
-  // Child kernel bodies are untouched, so serializability verdicts hold.
-  PA.preserve(AnalysisID::Transformability);
-  // Grid-dim and purity results may key on expressions the rewrite just
-  // replaced — but only inside the callers it mutated.
-  PA.limitToFunctions(Result.TouchedFunctions);
-  return PA;
 }

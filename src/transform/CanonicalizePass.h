@@ -47,37 +47,27 @@ struct CanonicalizeResult {
   unsigned NormalizedShiftDivs = 0;
   /// Literal-literal arithmetic collapsed to a single literal.
   unsigned FoldedLiterals = 0;
-  /// Functions whose bodies were mutated — the invalidation scope.
-  std::vector<const FunctionDecl *> TouchedFunctions;
 
   unsigned total() const { return NormalizedShiftDivs + FoldedLiterals; }
   bool ok() const { return true; } ///< Normalization never fails the build.
 };
 
 /// Canonicalizes the launch-dimension expressions of every launch site in
-/// \p TU, in place, consuming \p AM's cached launch sites.
+/// \p TU, in place, finding them through \p AM.
 CanonicalizeResult applyCanonicalize(ASTContext &Ctx, TranslationUnit *TU,
                                      DiagnosticEngine &Diags,
                                      AnalysisManager &AM);
 
-/// Standalone form: runs with a private AnalysisManager.
-CanonicalizeResult applyCanonicalize(ASTContext &Ctx, TranslationUnit *TU,
-                                     DiagnosticEngine &Diags);
-
 /// The canonicalizer as a pipeline pass. Run it ahead of threshold/coarsen
-/// so their grid-dimension matcher sees canonical spellings. Preserves the
-/// launch-site analysis (only subexpressions inside launch configurations
-/// are replaced, never the launch nodes) and transformability (child
-/// kernel bodies are untouched); grid-dim and purity caches are dropped
-/// for the mutated callers.
+/// so their grid-dimension matcher sees canonical spellings.
 class CanonicalizePass : public TransformPass {
 public:
   CanonicalizePass() = default;
 
   std::string name() const override { return "canonicalize"; }
   std::string repr() const override { return "canonicalize"; }
-  PreservedAnalyses run(ASTContext &Ctx, TranslationUnit *TU,
-                        AnalysisManager &AM, DiagnosticEngine &Diags) override;
+  void run(ASTContext &Ctx, TranslationUnit *TU, AnalysisManager &AM,
+           DiagnosticEngine &Diags) override;
 
   const CanonicalizeResult &result() const { return Result; }
 

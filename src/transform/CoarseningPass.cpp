@@ -33,6 +33,9 @@ using namespace dpo;
 
 namespace {
 
+/// The knob's name in macro spelling; an `#ifndef` default is emitted.
+constexpr const char *FactorMacro = "_CFACTOR";
+
 bool containsReturn(const Stmt *Root) {
   bool Found = false;
   forEachStmt(Root, [&](const Stmt *S) {
@@ -62,7 +65,7 @@ public:
 
   CoarseningResult run() {
     CoarseningResult Result;
-    const std::vector<LaunchSite> &AllSites = AM.launchSites();
+    const std::vector<LaunchSite> AllSites = AM.launchSites();
 
     // Candidate kernels: children of dynamic launches.
     std::set<FunctionDecl *> Candidates;
@@ -87,18 +90,8 @@ public:
       if (Skipped.count(Child))
         continue;
       ScalarMode[Child] = allLaunchesScalar(Child, AllSites);
-      // The body is about to be cloned into the strided loop; nested
-      // launches inside it get duplicated, which stales the cached sites.
-      bool HasNestedLaunch = false;
-      forEachExpr(Child->body(), [&](const Expr *E) {
-        if (isa<LaunchExpr>(E))
-          HasNestedLaunch = true;
-      });
-      if (HasNestedLaunch)
-        ++Result.CoarsenedNestedLaunchKernels;
       coarsenKernel(Child);
       ++Result.CoarsenedKernels;
-      Result.TouchedFunctions.push_back(Child);
       AnyCoarsened = true;
     }
     if (!AnyCoarsened)
@@ -107,7 +100,7 @@ public:
     // Per-site values can't share one macro: profile mode always spells
     // its factors as literals.
     if (Options.Spelling == KnobSpelling::Macro && !Options.UseProfile)
-      emitMacroDefault(Options.MacroName, Options.Factor);
+      emitMacroDefault(FactorMacro, Options.Factor);
 
     const LaunchProfile *Profile =
         Options.UseProfile ? Options.Profile : nullptr;
@@ -135,10 +128,6 @@ public:
       Replacements[Site.Launch] =
           buildPatchedLaunch(Site, Site.FromKernel && Factor > 1, Factor);
       ++Result.RewrittenLaunches;
-      if (std::find(Result.TouchedFunctions.begin(),
-                    Result.TouchedFunctions.end(),
-                    Site.Caller) == Result.TouchedFunctions.end())
-        Result.TouchedFunctions.push_back(Site.Caller);
     }
 
     for (Decl *D : TU->decls()) {
@@ -189,7 +178,7 @@ private:
 
   Expr *factorExpr(unsigned Factor) {
     if (Options.Spelling == KnobSpelling::Macro && !Options.UseProfile)
-      return Ctx.ref(Options.MacroName);
+      return Ctx.ref(FactorMacro);
     return Ctx.intLit(Factor);
   }
 
@@ -380,13 +369,6 @@ CoarseningResult dpo::applyCoarsening(ASTContext &Ctx, TranslationUnit *TU,
   return Transformer.run();
 }
 
-CoarseningResult dpo::applyCoarsening(ASTContext &Ctx, TranslationUnit *TU,
-                                      const CoarseningOptions &Options,
-                                      DiagnosticEngine &Diags) {
-  AnalysisManager AM(Ctx, TU);
-  return applyCoarsening(Ctx, TU, Options, Diags, AM);
-}
-
 std::string CoarseningPass::repr() const {
   if (Options.UseProfile)
     return "coarsen[profile]";
@@ -396,20 +378,7 @@ std::string CoarseningPass::repr() const {
   return R + "]";
 }
 
-PreservedAnalyses CoarseningPass::run(ASTContext &Ctx, TranslationUnit *TU,
-                                      AnalysisManager &AM,
-                                      DiagnosticEngine &Diags) {
+void CoarseningPass::run(ASTContext &Ctx, TranslationUnit *TU,
+                         AnalysisManager &AM, DiagnosticEngine &Diags) {
   Result = applyCoarsening(Ctx, TU, Options, Diags, AM);
-  if (Result.CoarsenedKernels == 0)
-    return PreservedAnalyses::all();
-  PreservedAnalyses PA;
-  // Patched launches reuse the original LaunchExpr nodes in place, so the
-  // cached site list stays exact unless a cloned body duplicated launches.
-  if (Result.CoarsenedNestedLaunchKernels == 0)
-    PA.preserve(AnalysisID::LaunchSites);
-  // Coarsened kernels got new bodies and an extra parameter: serializability
-  // verdicts, recovered grid-dim expressions, and purity keys are stale —
-  // for the coarsened kernels and their patched callers only.
-  PA.limitToFunctions(Result.TouchedFunctions);
-  return PA;
 }

@@ -45,32 +45,16 @@ struct CoarseningResult {
   unsigned CoarsenedKernels = 0;
   unsigned RewrittenLaunches = 0;
   unsigned SkippedLaunches = 0;
-  /// Coarsened kernels whose body contained launches (nested dynamic
-  /// parallelism). Coarsening clones the body, duplicating those launch
-  /// nodes, so a nonzero count invalidates the launch-site analysis.
-  unsigned CoarsenedNestedLaunchKernels = 0;
-  /// The functions the pass mutated: coarsened child kernels (new bodies,
-  /// extra parameter) and every caller whose launch was patched — the
-  /// scope of the analysis invalidation.
-  std::vector<const FunctionDecl *> TouchedFunctions;
   std::vector<std::string> SkipReasons;
 };
 
 /// Applies coarsening to every child kernel of a dynamic launch in \p TU,
-/// in place, consuming \p AM's analyses.
+/// in place, querying sema through \p AM.
 CoarseningResult applyCoarsening(ASTContext &Ctx, TranslationUnit *TU,
                                  const CoarseningOptions &Options,
                                  DiagnosticEngine &Diags, AnalysisManager &AM);
 
-/// Standalone form: runs with a private AnalysisManager.
-CoarseningResult applyCoarsening(ASTContext &Ctx, TranslationUnit *TU,
-                                 const CoarseningOptions &Options,
-                                 DiagnosticEngine &Diags);
-
-/// The coarsening transformation as a pipeline pass. Launch sites survive
-/// (the patched launches are the original LaunchExpr nodes) unless a
-/// coarsened kernel contained nested launches; coarsened kernel bodies are
-/// rebuilt, so transformability/grid-dim/purity results are dropped.
+/// The coarsening transformation as a pipeline pass.
 class CoarseningPass : public TransformPass {
 public:
   explicit CoarseningPass(CoarseningOptions Options = {})
@@ -78,8 +62,8 @@ public:
 
   std::string name() const override { return "coarsen"; }
   std::string repr() const override;
-  PreservedAnalyses run(ASTContext &Ctx, TranslationUnit *TU,
-                        AnalysisManager &AM, DiagnosticEngine &Diags) override;
+  void run(ASTContext &Ctx, TranslationUnit *TU, AnalysisManager &AM,
+           DiagnosticEngine &Diags) override;
 
   const CoarseningOptions &options() const { return Options; }
   const CoarseningResult &result() const { return Result; }

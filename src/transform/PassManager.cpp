@@ -31,20 +31,31 @@ void PassManager::addPass(std::unique_ptr<TransformPass> Pass) {
 bool PassManager::run(ASTContext &Ctx, TranslationUnit *TU,
                       AnalysisManager &AM, DiagnosticEngine &Diags) {
   Timings.clear();
+  // The passes index a launch's arguments by the child's parameters, so a
+  // mismatched launch must stop here rather than inside a pass.
+  bool ArityOk = true;
+  for (const LaunchSite &Site : AM.launchSites()) {
+    const LaunchExpr *L = Site.Launch;
+    if (!Site.Child || !Site.Child->isDefinition() ||
+        L->args().size() == Site.Child->params().size())
+      continue;
+    Diags.error(L->loc(), "kernel '" + L->kernel() + "' expects " +
+                              std::to_string(Site.Child->params().size()) +
+                              " arguments, got " +
+                              std::to_string(L->args().size()));
+    ArityOk = false;
+  }
+  if (!ArityOk)
+    return false;
   for (const std::unique_ptr<TransformPass> &Pass : Passes) {
     auto Start = std::chrono::steady_clock::now();
-    PreservedAnalyses PA = Pass->run(Ctx, TU, AM, Diags);
+    Pass->run(Ctx, TU, AM, Diags);
     auto End = std::chrono::steady_clock::now();
     Timings.push_back(
         {Pass->name(),
          std::chrono::duration<double, std::milli>(End - Start).count()});
-    if (Diags.hasErrors()) {
-      // The failed pass may have half-mutated the tree; don't leave caches
-      // describing the pre-mutation AST behind for a reused manager.
-      AM.invalidateAll();
+    if (Diags.hasErrors())
       return false;
-    }
-    AM.invalidate(PA);
   }
   return true;
 }
@@ -59,7 +70,7 @@ std::string PassManager::pipelineText() const {
   return Text;
 }
 
-std::string PassManager::statsReport(const AnalysisManager &AM) const {
+std::string PassManager::statsReport() const {
   std::ostringstream OS;
   OS << "pass timings\n";
   double Total = 0.0;
@@ -73,7 +84,6 @@ std::string PassManager::statsReport(const AnalysisManager &AM) const {
   char Line[96];
   std::snprintf(Line, sizeof(Line), "  %-17s %9.3f ms\n", "total", Total);
   OS << Line;
-  OS << AM.statsReport();
   return OS.str();
 }
 

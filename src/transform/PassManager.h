@@ -8,10 +8,8 @@
 /// LLVM-style pass infrastructure for the paper's transformations. The
 /// three paper passes (thresholding, coarsening, aggregation) and the
 /// builtin-rewrite building block are TransformPass subclasses; a
-/// PassManager runs a sequence of them over one translation unit, sharing
-/// an AnalysisManager so sema analyses are computed once and invalidated
-/// only when a pass mutates state they depend on (each pass declares what
-/// it preserved via PreservedAnalyses).
+/// PassManager runs a sequence of them over one translation unit, each
+/// querying sema through the same AnalysisManager handle.
 ///
 /// Pipelines are spelled as text and parsed by parsePassPipeline, e.g.:
 ///
@@ -26,8 +24,7 @@
 /// Pass names and parameter meanings come from the PassRegistry, which
 /// also accepts externally registered passes (tests register custom ones).
 /// The PassManager records per-pass wall time; statsReport() renders the
-/// timings together with the AnalysisManager's cache counters
-/// (dpoptcc --print-pass-stats).
+/// timings (dpoptcc --print-pass-stats).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +46,7 @@
 namespace dpo {
 
 /// Base class of every source-to-source transformation pass. A pass runs
-/// in place over the translation unit and reports which cached analyses
-/// are still valid afterwards.
+/// in place over the translation unit.
 class TransformPass {
 public:
   virtual ~TransformPass() = default;
@@ -63,11 +59,9 @@ public:
   virtual std::string repr() const { return name(); }
 
   /// Transforms \p TU in place. Errors go to \p Diags (a pass that
-  /// reported an error aborts the pipeline). The returned set names the
-  /// analyses whose cached results are still valid.
-  virtual PreservedAnalyses run(ASTContext &Ctx, TranslationUnit *TU,
-                                AnalysisManager &AM,
-                                DiagnosticEngine &Diags) = 0;
+  /// reported an error aborts the pipeline).
+  virtual void run(ASTContext &Ctx, TranslationUnit *TU, AnalysisManager &AM,
+                   DiagnosticEngine &Diags) = 0;
 };
 
 /// Wall time of one executed pass.
@@ -87,9 +81,10 @@ public:
     return Passes;
   }
 
-  /// Runs every pass in order, invalidating non-preserved analyses
-  /// between passes. Stops at (and returns false after) the first pass
-  /// that reports an error.
+  /// Checks every launch of a kernel defined in \p TU against the
+  /// kernel's parameter count, then runs every pass in order. Returns
+  /// false after an arity error (before any pass runs) or after the first
+  /// pass that reports an error.
   bool run(ASTContext &Ctx, TranslationUnit *TU, AnalysisManager &AM,
            DiagnosticEngine &Diags);
 
@@ -99,8 +94,8 @@ public:
   /// The canonical pipeline text ("threshold[128],coarsen[4]").
   std::string pipelineText() const;
 
-  /// Per-pass timing table plus \p AM's analysis-cache counters.
-  std::string statsReport(const AnalysisManager &AM) const;
+  /// Per-pass timing table.
+  std::string statsReport() const;
 
 private:
   std::vector<std::unique_ptr<TransformPass>> Passes;

@@ -17,7 +17,6 @@
 #ifndef DPO_TRANSFORM_PASSOPTIONS_H
 #define DPO_TRANSFORM_PASSOPTIONS_H
 
-#include <string>
 
 namespace dpo {
 
@@ -33,7 +32,6 @@ enum class KnobSpelling {
 struct ThresholdingOptions {
   unsigned Threshold = 128;
   KnobSpelling Spelling = KnobSpelling::Macro;
-  std::string MacroName = "_THRESHOLD";
   /// When the Fig. 4 analysis fails, fall back to comparing
   /// gridDim * blockDim against the threshold instead of skipping the
   /// launch. Off by default (the paper argues total threads is a poor
@@ -51,7 +49,6 @@ struct ThresholdingOptions {
 struct CoarseningOptions {
   unsigned Factor = 4;
   KnobSpelling Spelling = KnobSpelling::Macro;
-  std::string MacroName = "_CFACTOR";
   /// Pipeline spelling `coarsen[profile]`: per-launch-site factors from
   /// Profile (LaunchProfile::siteCoarsenFactor), capped at Factor.
   /// Null Profile falls back to the literal Factor everywhere.
@@ -68,7 +65,6 @@ struct SpeculationOptions {
   /// LaunchProfile::siteSpeculationBound (and unseen sites are skipped).
   unsigned MaxThreads = 64;
   KnobSpelling Spelling = KnobSpelling::Macro;
-  std::string MacroName = "_SPEC_BOUND";
   bool UseProfile = false;
   const LaunchProfile *Profile = nullptr;
 };
@@ -89,15 +85,10 @@ struct AggregationOptions {
   /// _AGG_GRANULARITY).
   unsigned GroupSize = 8;
   KnobSpelling Spelling = KnobSpelling::Macro;
-  std::string GroupSizeMacroName = "_AGG_SIZE";
   /// Section V-B: skip aggregation when too few parents participate
   /// (Block granularity only — requires a barrier to count participants).
   bool UseAggregationThreshold = false;
   unsigned AggregationThreshold = 4;
-  std::string AggThresholdMacroName = "_AGG_THRESHOLD";
-  /// Generate the host-side launch wrapper (allocates the aggregation
-  /// buffers; performs the aggregated launch for Grid granularity).
-  bool EmitHostWrapper = true;
 };
 
 } // namespace dpo

@@ -26,9 +26,8 @@ PassPipelineConfig dpo::literalKnobConfig(const LaunchProfile *Profile) {
 
 namespace {
 
-/// Parses \p Source into \p Ctx and runs \p PipelineText over it with one
-/// AnalysisManager. Returns the transformed unit, or null after reporting
-/// the failure to \p Diags.
+/// Parses \p Source into \p Ctx and runs \p PipelineText over it. Returns
+/// the transformed unit, or null after reporting the failure to \p Diags.
 TranslationUnit *parseAndTransform(std::string_view Source,
                                    std::string_view PipelineText,
                                    const PassPipelineConfig &Config,
@@ -46,7 +45,7 @@ TranslationUnit *parseAndTransform(std::string_view Source,
   AnalysisManager AM(Ctx, TU);
   bool Ok = PM.run(Ctx, TU, AM, Diags);
   if (StatsReport)
-    *StatsReport = PM.statsReport(AM);
+    *StatsReport = PM.statsReport();
   return Ok ? TU : nullptr;
 }
 
@@ -110,6 +109,9 @@ const char *spellingName(KnobSpelling S) {
 } // namespace
 
 std::string dpo::knobSignature(const PassPipelineConfig &Config) {
+  // Signatures name on-disk artifacts, so their bytes are frozen. The
+  // `*.macro` and `agg.wrapper` fields name constants (the knob macro
+  // names, the always-generated host wrapper) and are fixed text.
   std::string S;
   auto Field = [&](const char *Key, const std::string &Value) {
     S += Key;
@@ -120,29 +122,28 @@ std::string dpo::knobSignature(const PassPipelineConfig &Config) {
   const ThresholdingOptions &T = Config.Thresholding;
   Field("thr", std::to_string(T.Threshold));
   Field("thr.spell", spellingName(T.Spelling));
-  Field("thr.macro", T.MacroName);
+  S += "thr.macro=_THRESHOLD;";
   Field("thr.fallback", T.FallbackToTotalThreads ? "1" : "0");
   Field("thr.profile", T.UseProfile ? "1" : "0");
   const CoarseningOptions &C = Config.Coarsening;
   Field("cf", std::to_string(C.Factor));
   Field("cf.spell", spellingName(C.Spelling));
-  Field("cf.macro", C.MacroName);
+  S += "cf.macro=_CFACTOR;";
   Field("cf.profile", C.UseProfile ? "1" : "0");
   const SpeculationOptions &Sp = Config.Speculation;
   Field("spec", std::to_string(Sp.MaxThreads));
   Field("spec.spell", spellingName(Sp.Spelling));
-  Field("spec.macro", Sp.MacroName);
+  S += "spec.macro=_SPEC_BOUND;";
   Field("spec.profile", Sp.UseProfile ? "1" : "0");
   const AggregationOptions &A = Config.Aggregation;
   Field("agg", aggGranularityName(A.Granularity));
   Field("agg.group", std::to_string(A.GroupSize));
   Field("agg.spell", spellingName(A.Spelling));
-  Field("agg.macro", A.GroupSizeMacroName);
+  S += "agg.macro=_AGG_SIZE;";
   Field("agg.thr", A.UseAggregationThreshold
                        ? std::to_string(A.AggregationThreshold)
                        : std::string("off"));
-  Field("agg.thrmacro", A.AggThresholdMacroName);
-  Field("agg.wrapper", A.EmitHostWrapper ? "1" : "0");
+  S += "agg.thrmacro=_AGG_THRESHOLD;agg.wrapper=1;";
   // A profile changes what profile-mode passes emit; hash its canonical
   // textual serialization so distinct profiles never alias. (Passes copy
   // the per-option Profile pointers from this one in pipeline parsing.)

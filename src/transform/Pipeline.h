@@ -18,9 +18,9 @@
 /// written in the text taken from a PassPipelineConfig. The Fig. 8(a)
 /// pipeline is "threshold,coarsen,aggregate". Every caller that wants
 /// bytecode goes through compileWithPipeline, which parses the source
-/// once, runs the passes over the AST with one shared AnalysisManager, and
-/// lowers the transformed AST straight to bytecode; the transformed text
-/// is printed only when a caller asks for it (artifacts, output files).
+/// once, checks launch arity, runs the passes over the AST, and lowers
+/// the transformed AST straight to bytecode; the transformed text is
+/// printed only when a caller asks for it (artifacts, output files).
 ///
 //===----------------------------------------------------------------------===//
 

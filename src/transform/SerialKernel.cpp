@@ -95,13 +95,6 @@ SerialKernelBuilder::ensureSerialVersion(FunctionDecl *Child,
   if (Existing != SerialNames.end())
     return Existing->second;
 
-  // Cloning a body that launches duplicates its launch sites; the caller
-  // reports this so the launch-site analysis gets invalidated.
-  forEachExpr(Child->body(), [&](const Expr *E) {
-    if (isa<LaunchExpr>(E))
-      ++NestedLaunchSerials;
-  });
-
   bool AllDims = childNeedsAllDims(Child, AllSites);
   bool HasReturn = containsReturn(Child->body());
   // Barrier-bearing children take the segmented form: the body is split at

@@ -61,11 +61,6 @@ public:
   /// ensureSerialVersion must have run for \p Site.Child.
   Expr *buildSerialCall(const LaunchSite &Site);
 
-  /// Launch expressions cloned into serial bodies (each clone duplicates
-  /// a launch site; callers report this so the launch-site analysis gets
-  /// invalidated).
-  unsigned nestedLaunchSerials() const { return NestedLaunchSerials; }
-
   /// True when a serial version was already synthesized for \p Child.
   bool hasSerialVersion(const FunctionDecl *Child) const {
     return SerialNames.count(Child) != 0;
@@ -76,7 +71,6 @@ private:
   TranslationUnit *TU;
   DiagnosticEngine &Diags;
   std::map<const FunctionDecl *, std::string> SerialNames;
-  unsigned NestedLaunchSerials = 0;
 };
 
 } // namespace dpo

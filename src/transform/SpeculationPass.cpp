@@ -16,13 +16,15 @@
 #include "transform/BuiltinRewrite.h"
 #include "transform/SerialKernel.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
 using namespace dpo;
 
 namespace {
+
+/// The knob's name in macro spelling; an `#ifndef` default is emitted.
+constexpr const char *BoundMacro = "_SPEC_BOUND";
 
 class SpeculationTransformer {
 public:
@@ -34,7 +36,7 @@ public:
 
   SpeculationResult run() {
     SpeculationResult Result;
-    const std::vector<LaunchSite> &AllSites = AM.launchSites();
+    const std::vector<LaunchSite> AllSites = AM.launchSites();
     const LaunchProfile *Profile =
         Options.UseProfile ? Options.Profile : nullptr;
 
@@ -64,7 +66,7 @@ public:
         skip(Result, Where + ": child kernel definition not found");
         continue;
       }
-      const Transformability &T = AM.serializability(Site.Child);
+      Transformability T = AM.serializability(Site.Child);
       if (!T.Serializable) {
         skip(Result, Where + ": " + T.Reasons.front());
         continue;
@@ -76,8 +78,8 @@ public:
         skip(Result, Where + ": dim3 launch configuration");
         continue;
       }
-      if (!AM.isPure(Site.Launch->gridDim(), Site.Caller) ||
-          !AM.isPure(Site.Launch->blockDim(), Site.Caller)) {
+      if (!AM.isPure(Site.Launch->gridDim()) ||
+          !AM.isPure(Site.Launch->blockDim())) {
         skip(Result, Where + ": launch configuration is not pure");
         continue;
       }
@@ -98,7 +100,7 @@ public:
     // Per-site values can't share one macro: profile mode always spells
     // its bounds as literals.
     if (Options.Spelling == KnobSpelling::Macro && !Options.UseProfile)
-      emitMacroDefault(Options.MacroName, Options.MaxThreads);
+      emitMacroDefault(BoundMacro, Options.MaxThreads);
     // The guard itself: the VM compiles the call to a dedicated opcode;
     // host compilers get this macro so the printed source stays valid.
     TU->decls().insert(
@@ -125,14 +127,6 @@ public:
     }
 
     Result.SpeculatedLaunches = Planned.size();
-    Result.SerializedNestedLaunches = Serial.nestedLaunchSerials();
-    for (const PlannedSite &P : Planned) {
-      const FunctionDecl *Caller = P.Site.Caller;
-      if (std::find(Result.TouchedFunctions.begin(),
-                    Result.TouchedFunctions.end(),
-                    Caller) == Result.TouchedFunctions.end())
-        Result.TouchedFunctions.push_back(Caller);
-    }
     return Result;
   }
 
@@ -150,7 +144,7 @@ private:
 
   Expr *boundExpr(uint64_t Bound) {
     if (Options.Spelling == KnobSpelling::Macro && !Options.UseProfile)
-      return Ctx.ref(Options.MacroName);
+      return Ctx.ref(BoundMacro);
     return Ctx.intLit(Bound);
   }
 
@@ -203,13 +197,6 @@ SpeculationResult dpo::applySpeculation(ASTContext &Ctx, TranslationUnit *TU,
   return Transformer.run();
 }
 
-SpeculationResult dpo::applySpeculation(ASTContext &Ctx, TranslationUnit *TU,
-                                        const SpeculationOptions &Options,
-                                        DiagnosticEngine &Diags) {
-  AnalysisManager AM(Ctx, TU);
-  return applySpeculation(Ctx, TU, Options, Diags, AM);
-}
-
 std::string SpeculationPass::repr() const {
   if (Options.UseProfile)
     return "speculate[profile]";
@@ -219,20 +206,7 @@ std::string SpeculationPass::repr() const {
   return R + "]";
 }
 
-PreservedAnalyses SpeculationPass::run(ASTContext &Ctx, TranslationUnit *TU,
-                                       AnalysisManager &AM,
-                                       DiagnosticEngine &Diags) {
+void SpeculationPass::run(ASTContext &Ctx, TranslationUnit *TU,
+                          AnalysisManager &AM, DiagnosticEngine &Diags) {
   Result = applySpeculation(Ctx, TU, Options, Diags, AM);
-  if (Result.SpeculatedLaunches == 0)
-    return PreservedAnalyses::all();
-  PreservedAnalyses PA;
-  // Child kernel bodies are untouched, so serializability verdicts hold.
-  PA.preserve(AnalysisID::Transformability);
-  // The rewrite keeps the original LaunchExpr node in the else branch, so
-  // the cached site list stays exact — unless serialization cloned a body
-  // with nested launches.
-  if (Result.SerializedNestedLaunches == 0)
-    PA.preserve(AnalysisID::LaunchSites);
-  PA.limitToFunctions(Result.TouchedFunctions);
-  return PA;
 }

@@ -48,11 +48,6 @@ namespace dpo {
 struct SpeculationResult {
   unsigned SpeculatedLaunches = 0;
   unsigned SkippedLaunches = 0;
-  /// Serial versions generated from child bodies that themselves contain
-  /// launches; nonzero invalidates the launch-site analysis (see
-  /// ThresholdingResult::SerializedNestedLaunches).
-  unsigned SerializedNestedLaunches = 0;
-  std::vector<const FunctionDecl *> TouchedFunctions;
   std::vector<std::string> SkipReasons;
   bool ok() const { return true; } ///< Skips never make the output invalid.
 };
@@ -64,11 +59,6 @@ SpeculationResult applySpeculation(ASTContext &Ctx, TranslationUnit *TU,
                                    DiagnosticEngine &Diags,
                                    AnalysisManager &AM);
 
-/// Standalone form with a private AnalysisManager.
-SpeculationResult applySpeculation(ASTContext &Ctx, TranslationUnit *TU,
-                                   const SpeculationOptions &Options,
-                                   DiagnosticEngine &Diags);
-
 /// Speculative serialization as a pipeline pass ("speculate").
 class SpeculationPass : public TransformPass {
 public:
@@ -77,8 +67,8 @@ public:
 
   std::string name() const override { return "speculate"; }
   std::string repr() const override;
-  PreservedAnalyses run(ASTContext &Ctx, TranslationUnit *TU,
-                        AnalysisManager &AM, DiagnosticEngine &Diags) override;
+  void run(ASTContext &Ctx, TranslationUnit *TU, AnalysisManager &AM,
+           DiagnosticEngine &Diags) override;
 
   const SpeculationOptions &options() const { return Options; }
   const SpeculationResult &result() const { return Result; }

@@ -17,7 +17,6 @@
 #include "transform/BuiltinRewrite.h"
 #include "transform/SerialKernel.h"
 
-#include <algorithm>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -37,6 +36,9 @@ const char *dpo::aggGranularityName(AggGranularity G) {
 
 namespace {
 
+/// The knob's name in macro spelling; an `#ifndef` default is emitted.
+constexpr const char *ThresholdMacro = "_THRESHOLD";
+
 class ThresholdingTransformer {
 public:
   ThresholdingTransformer(ASTContext &Ctx, TranslationUnit *TU,
@@ -47,7 +49,7 @@ public:
 
   ThresholdingResult run() {
     ThresholdingResult Result;
-    const std::vector<LaunchSite> &AllSites = AM.launchSites();
+    const std::vector<LaunchSite> AllSites = AM.launchSites();
     const LaunchProfile *Profile =
         Options.UseProfile ? Options.Profile : nullptr;
 
@@ -80,7 +82,7 @@ public:
         skip(Result, Where + ": child kernel definition not found");
         continue;
       }
-      const Transformability &T = AM.serializability(Site.Child);
+      Transformability T = AM.serializability(Site.Child);
       if (!T.Serializable) {
         skip(Result, Where + ": " + T.Reasons.front());
         continue;
@@ -93,8 +95,8 @@ public:
       P.Info = AM.gridDim(Site.Caller, Site.Launch->gridDim());
       if (!P.Info.Found || (P.Info.NeedsReevaluation && !P.Info.Safe)) {
         if (Options.FallbackToTotalThreads &&
-            AM.isPure(Site.Launch->gridDim(), Site.Caller) &&
-            AM.isPure(Site.Launch->blockDim(), Site.Caller)) {
+            AM.isPure(Site.Launch->gridDim()) &&
+            AM.isPure(Site.Launch->blockDim())) {
           P.UseTotalThreadsFallback = true;
         } else {
           skip(Result, Where + ": " + P.Info.FailureReason);
@@ -110,7 +112,7 @@ public:
     // Per-site values can't share one macro: profile mode always spells
     // its thresholds as literals.
     if (Options.Spelling == KnobSpelling::Macro && !Options.UseProfile)
-      emitMacroDefault(Options.MacroName, Options.Threshold);
+      emitMacroDefault(ThresholdMacro, Options.Threshold);
 
     // Build serial versions (one per distinct child kernel).
     for (const PlannedSite &P : Planned)
@@ -133,14 +135,6 @@ public:
     }
 
     Result.TransformedLaunches = Planned.size();
-    Result.SerializedNestedLaunches = Serial.nestedLaunchSerials();
-    for (const PlannedSite &P : Planned) {
-      const FunctionDecl *Caller = P.Site.Caller;
-      if (std::find(Result.TouchedFunctions.begin(),
-                    Result.TouchedFunctions.end(),
-                    Caller) == Result.TouchedFunctions.end())
-        Result.TouchedFunctions.push_back(Caller);
-    }
     return Result;
   }
 
@@ -159,7 +153,7 @@ private:
 
   Expr *thresholdExpr(unsigned Threshold) {
     if (Options.Spelling == KnobSpelling::Macro && !Options.UseProfile)
-      return Ctx.ref(Options.MacroName);
+      return Ctx.ref(ThresholdMacro);
     return Ctx.intLit(Threshold);
   }
 
@@ -235,13 +229,6 @@ ThresholdingResult dpo::applyThresholding(ASTContext &Ctx, TranslationUnit *TU,
   return Transformer.run();
 }
 
-ThresholdingResult dpo::applyThresholding(ASTContext &Ctx, TranslationUnit *TU,
-                                          const ThresholdingOptions &Options,
-                                          DiagnosticEngine &Diags) {
-  AnalysisManager AM(Ctx, TU);
-  return applyThresholding(Ctx, TU, Options, Diags, AM);
-}
-
 std::string ThresholdingPass::repr() const {
   std::string R = "threshold[";
   if (Options.UseProfile) {
@@ -258,23 +245,7 @@ std::string ThresholdingPass::repr() const {
   return R + "]";
 }
 
-PreservedAnalyses ThresholdingPass::run(ASTContext &Ctx, TranslationUnit *TU,
-                                        AnalysisManager &AM,
-                                        DiagnosticEngine &Diags) {
+void ThresholdingPass::run(ASTContext &Ctx, TranslationUnit *TU,
+                           AnalysisManager &AM, DiagnosticEngine &Diags) {
   Result = applyThresholding(Ctx, TU, Options, Diags, AM);
-  if (Result.TransformedLaunches == 0)
-    return PreservedAnalyses::all();
-  PreservedAnalyses PA;
-  // Child kernel bodies are untouched, so serializability verdicts hold.
-  PA.preserve(AnalysisID::Transformability);
-  // The rewrite replaces each launch *statement* with a guard that still
-  // contains the original LaunchExpr node, so the cached site list stays
-  // exact — unless serialization cloned a body with nested launches.
-  if (Result.SerializedNestedLaunches == 0)
-    PA.preserve(AnalysisID::LaunchSites);
-  // GridDim results were spliced into the tree and purity keys may alias
-  // mutated expressions — but only inside the callers whose launches were
-  // rewritten; results cached for other functions stay valid.
-  PA.limitToFunctions(Result.TouchedFunctions);
-  return PA;
 }

@@ -39,36 +39,18 @@ namespace dpo {
 struct ThresholdingResult {
   unsigned TransformedLaunches = 0;
   unsigned SkippedLaunches = 0;
-  /// Serial versions generated from child bodies that themselves contain
-  /// launches (nested dynamic parallelism). Cloning such a body duplicates
-  /// launch sites, so a nonzero count invalidates the launch-site analysis.
-  unsigned SerializedNestedLaunches = 0;
-  /// The functions whose bodies the pass mutated (launch statements
-  /// rewritten) — the scope of the analysis invalidation. Generated
-  /// serial functions are new declarations and need no entry.
-  std::vector<const FunctionDecl *> TouchedFunctions;
   std::vector<std::string> SkipReasons;
   bool ok() const { return true; } ///< Skips never make the output invalid.
 };
 
 /// Applies thresholding to every dynamic launch site in \p TU, in place,
-/// consuming (and crediting cache hits to) \p AM's analyses.
+/// querying sema through \p AM.
 ThresholdingResult applyThresholding(ASTContext &Ctx, TranslationUnit *TU,
                                      const ThresholdingOptions &Options,
                                      DiagnosticEngine &Diags,
                                      AnalysisManager &AM);
 
-/// Standalone form: runs with a private AnalysisManager (every analysis
-/// computed fresh, the pre-pass-manager behavior).
-ThresholdingResult applyThresholding(ASTContext &Ctx, TranslationUnit *TU,
-                                     const ThresholdingOptions &Options,
-                                     DiagnosticEngine &Diags);
-
-/// The thresholding transformation as a pipeline pass. Preserves the
-/// launch-site analysis (the rewrite wraps the original launch nodes in
-/// place) unless a serialized child contained nested launches, and the
-/// transformability cache (child kernel bodies are untouched); grid-dim
-/// results are consumed by the rewrite, so they are never preserved.
+/// The thresholding transformation as a pipeline pass.
 class ThresholdingPass : public TransformPass {
 public:
   explicit ThresholdingPass(ThresholdingOptions Options = {})
@@ -76,8 +58,8 @@ public:
 
   std::string name() const override { return "threshold"; }
   std::string repr() const override;
-  PreservedAnalyses run(ASTContext &Ctx, TranslationUnit *TU,
-                        AnalysisManager &AM, DiagnosticEngine &Diags) override;
+  void run(ASTContext &Ctx, TranslationUnit *TU, AnalysisManager &AM,
+           DiagnosticEngine &Diags) override;
 
   const ThresholdingOptions &options() const { return Options; }
   const ThresholdingResult &result() const { return Result; }

@@ -16,7 +16,8 @@
 ///    limit fails alone;
 ///  - concurrency: same-key requests single-flight, batch drains return
 ///    deterministic results at every worker count;
-///  - tune caching and tuned-table warm starts.
+///  - tune caching (memory hits refresh the disk LRU) and tuned-table
+///    warm starts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -435,6 +436,37 @@ TEST_F(CompileServiceTest, TuneResultsAreCachedInMemoryAndOnDisk) {
   EXPECT_EQ(Cold.Pipeline, R.Result.Pipeline);
   EXPECT_EQ(Cold.TimeUs, R.Result.TimeUs);
   EXPECT_TRUE(Cold.Config == R.Result.Config);
+}
+
+TEST_F(CompileServiceTest, TuneMemoryHitsKeepResultsAliveOnDisk) {
+  // The tune result is stored first, then two compile artifacts; the
+  // tune result is then served from memory only.
+  TuneRequest T;
+  T.WorkloadSpec = "canonical";
+  T.Mode = TuneMode::Analytic;
+  CompileRequest Y = request("threshold[64]");
+  CompileRequest Z = request("threshold[96]");
+  CompileRequest W = request("threshold[16]");
+  uint64_t ThreeArtifacts = 0;
+  {
+    CompileService A(diskConfig());
+    ASSERT_FALSE(A.tune(T).CacheHit);
+    for (const CompileRequest *R : {&Y, &Z})
+      ASSERT_EQ(A.compile(*R).Outcome, CacheOutcome::Miss);
+    for (int I = 0; I < 3; ++I)
+      ASSERT_TRUE(A.tune(T).CacheHit);
+    ThreeArtifacts = A.stats().ResidentBytes;
+  }
+  // B's directory is full; storing W evicts the least recently used
+  // artifact, which is Y, not the hot tune result.
+  CompileService B(diskConfig(ThreeArtifacts));
+  ASSERT_EQ(B.compile(W).Outcome, CacheOutcome::Miss);
+  EXPECT_EQ(B.stats().Evictions, 1u);
+  TuneResponse Warm = B.tune(T);
+  ASSERT_TRUE(Warm.Ok) << Warm.Error;
+  EXPECT_TRUE(Warm.CacheHit) << "the tune result was evicted";
+  EXPECT_EQ(B.compile(Z).Outcome, CacheOutcome::DiskHit);
+  EXPECT_EQ(B.compile(Y).Outcome, CacheOutcome::Miss);
 }
 
 TEST_F(CompileServiceTest, WarmStartSeedsFromCommittedTunedTables) {

@@ -50,7 +50,8 @@ RunResult runAggregation(std::string_view Source,
   RunResult R;
   if (!TU)
     return R;
-  R.Report = applyAggregation(Ctx, TU, Options, Diags);
+  AnalysisManager AM(Ctx, TU);
+  R.Report = applyAggregation(Ctx, TU, Options, Diags, AM);
   R.DiagText = Diags.str();
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   R.Output = printTranslationUnit(TU);

@@ -88,9 +88,10 @@ TEST(CanonicalizePassTest, ShiftDivisionBecomesDivision) {
   DiagnosticEngine Diags;
   TranslationUnit *TU = parseOrDie(ShiftSource, Ctx, Diags);
 
-  CanonicalizeResult R = applyCanonicalize(Ctx, TU, Diags);
+  AnalysisManager AM(Ctx, TU);
+  CanonicalizeResult R = applyCanonicalize(Ctx, TU, Diags, AM);
   EXPECT_EQ(R.NormalizedShiftDivs, 1u);
-  EXPECT_EQ(R.TouchedFunctions.size(), 1u);
+  EXPECT_EQ(R.FoldedLiterals, 0u);
 
   std::string Output = printTranslationUnit(TU);
   EXPECT_NE(Output.find("child<<<(count + 31) / 32, 32>>>"), std::string::npos)
@@ -103,7 +104,8 @@ TEST(CanonicalizePassTest, MakesShiftSpelledLaunchThresholdable) {
     ASTContext Ctx;
     DiagnosticEngine Diags;
     TranslationUnit *TU = parseOrDie(ShiftSource, Ctx, Diags);
-    ThresholdingResult T = applyThresholding(Ctx, TU, {}, Diags);
+    AnalysisManager AM(Ctx, TU);
+    ThresholdingResult T = applyThresholding(Ctx, TU, {}, Diags, AM);
     EXPECT_EQ(T.TransformedLaunches, 0u);
     EXPECT_EQ(T.SkippedLaunches, 1u);
   }
@@ -158,30 +160,21 @@ TEST(CanonicalizePassTest, FoldsLiteralShiftsForStructuralMatching) {
       << printTranslationUnit(TU);
 }
 
-TEST(CanonicalizePassTest, IdempotentAndPreservationDeclared) {
+TEST(CanonicalizePassTest, Idempotent) {
   ASTContext Ctx;
   DiagnosticEngine Diags;
   TranslationUnit *TU = parseOrDie(ShiftSource, Ctx, Diags);
   AnalysisManager AM(Ctx, TU);
 
   CanonicalizePass Pass;
-  PreservedAnalyses PA = Pass.run(Ctx, TU, AM, Diags);
+  Pass.run(Ctx, TU, AM, Diags);
   EXPECT_EQ(Pass.result().total(), 1u);
-  // Launch nodes and child bodies are untouched; grid-dim/purity caches
-  // are dropped, scoped to the mutated caller.
-  EXPECT_TRUE(PA.isPreserved(AnalysisID::LaunchSites));
-  EXPECT_TRUE(PA.isPreserved(AnalysisID::Transformability));
-  EXPECT_FALSE(PA.isPreserved(AnalysisID::GridDim));
-  EXPECT_FALSE(PA.isPreserved(AnalysisID::Purity));
-  ASSERT_TRUE(PA.isScoped());
-  EXPECT_EQ(PA.touchedFunctions().size(), 1u);
 
-  // A second run finds nothing to do and preserves everything.
+  // A second run finds nothing to do and leaves the unit as it was.
   std::string After = printTranslationUnit(TU);
   CanonicalizePass Again;
-  PreservedAnalyses PA2 = Again.run(Ctx, TU, AM, Diags);
+  Again.run(Ctx, TU, AM, Diags);
   EXPECT_EQ(Again.result().total(), 0u);
-  EXPECT_TRUE(PA2.isPreserved(AnalysisID::GridDim));
   EXPECT_EQ(printTranslationUnit(TU), After);
 }
 
@@ -232,7 +225,8 @@ __global__ void parent(int *data, int numV) {
   ASTContext Ctx;
   DiagnosticEngine Diags;
   TranslationUnit *TU = parseOrDie(Source, Ctx, Diags);
-  CanonicalizeResult R = applyCanonicalize(Ctx, TU, Diags);
+  AnalysisManager AM(Ctx, TU);
+  CanonicalizeResult R = applyCanonicalize(Ctx, TU, Diags, AM);
   EXPECT_EQ(R.total(), 0u);
   EXPECT_NE(printTranslationUnit(TU).find("data[i] >> 2"), std::string::npos);
 }

@@ -45,7 +45,8 @@ RunResult runCoarsening(std::string_view Source,
   RunResult R;
   if (!TU)
     return R;
-  R.Report = applyCoarsening(Ctx, TU, Options, Diags);
+  AnalysisManager AM(Ctx, TU);
+  R.Report = applyCoarsening(Ctx, TU, Options, Diags, AM);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   R.Output = printTranslationUnit(TU);
   return R;
@@ -198,7 +199,8 @@ TEST(CoarseningPassTest, AlreadyCoarsenedIsSkipped) {
   TranslationUnit *TU = parseSource(Once, Ctx, Diags);
   ASSERT_NE(TU, nullptr) << Diags.str();
   CoarseningOptions Options;
-  CoarseningResult Second = applyCoarsening(Ctx, TU, Options, Diags);
+  AnalysisManager AM(Ctx, TU);
+  CoarseningResult Second = applyCoarsening(Ctx, TU, Options, Diags, AM);
   EXPECT_EQ(Second.CoarsenedKernels, 0u);
   EXPECT_GE(Second.SkippedLaunches, 1u);
 }

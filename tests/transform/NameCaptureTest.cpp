@@ -128,7 +128,8 @@ std::vector<std::string> aggregationSkips(const std::string &Source,
     return {};
   AggregationOptions Options;
   Options.Granularity = Granularity;
-  AggregationResult Result = applyAggregation(Ctx, TU, Options, Diags);
+  AnalysisManager AM(Ctx, TU);
+  AggregationResult Result = applyAggregation(Ctx, TU, Options, Diags, AM);
   EXPECT_EQ(Result.TransformedLaunches, 0u);
   return Result.SkipReasons;
 }

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Covers the pass-manager refactor: registry lookup and external
-/// registration, analysis-cache hit/invalidation accounting, the
+/// Covers the pass infrastructure: registry lookup and external
+/// registration, later passes seeing what earlier ones generated, the
 /// pipeline-string grammar (parse + canonical round-trip), and byte
-/// equivalence of the shared-AnalysisManager pipeline against the legacy
-/// run-every-analysis-per-pass behavior on a generated fuzz corpus.
+/// equivalence of a PassManager run against calling each pass's apply
+/// function in turn on a generated fuzz corpus.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +51,8 @@ __global__ void parent(int *data, int *counts, int numV) {
 )";
 
 /// parent -> child -> grandchild: serializing/coarsening `child` clones a
-/// body that contains a launch, which must invalidate cached launch sites.
+/// body that contains a launch, so a site list taken before the clone is
+/// stale for the next pass.
 const char *NestedSource = R"(
 __global__ void grandchild(int *data, int m) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -102,27 +103,27 @@ const auto &passAt(const PassManager &PM, size_t I) {
   return static_cast<const PassT &>(*PM.passes()[I]).result();
 }
 
-/// The pre-pass-manager pipeline over maskPipeline(\p Mask) with default
-/// knobs: every pass runs with a private AnalysisManager (all analyses
-/// recomputed), stopping at the first error.
+/// maskPipeline(\p Mask) with default knobs through the passes' apply
+/// functions, without a PassManager, stopping at the first error.
 std::string legacyTransform(std::string_view Source, unsigned Mask,
                             DiagnosticEngine &Diags) {
   ASTContext Ctx;
   TranslationUnit *TU = parseSource(Source, Ctx, Diags);
   if (!TU)
     return std::string();
+  AnalysisManager AM(Ctx, TU);
   if (Mask & 1) {
-    applyThresholding(Ctx, TU, ThresholdingOptions(), Diags);
+    applyThresholding(Ctx, TU, ThresholdingOptions(), Diags, AM);
     if (Diags.hasErrors())
       return std::string();
   }
   if (Mask & 2) {
-    applyCoarsening(Ctx, TU, CoarseningOptions(), Diags);
+    applyCoarsening(Ctx, TU, CoarseningOptions(), Diags, AM);
     if (Diags.hasErrors())
       return std::string();
   }
   if (Mask & 4) {
-    applyAggregation(Ctx, TU, AggregationOptions(), Diags);
+    applyAggregation(Ctx, TU, AggregationOptions(), Diags, AM);
     if (Diags.hasErrors())
       return std::string();
   }
@@ -169,10 +170,9 @@ namespace {
 class CountLaunchesPass : public TransformPass {
 public:
   std::string name() const override { return "count-launches"; }
-  PreservedAnalyses run(ASTContext &, TranslationUnit *, AnalysisManager &AM,
-                        DiagnosticEngine &) override {
+  void run(ASTContext &, TranslationUnit *, AnalysisManager &AM,
+           DiagnosticEngine &) override {
     LastCount = AM.launchSites().size();
-    return PreservedAnalyses::all();
   }
   static size_t LastCount;
 };
@@ -210,62 +210,10 @@ TEST(PassRegistryTest, ExternalRegistrationAndDuplicateRejection) {
 }
 
 //===----------------------------------------------------------------------===//
-// AnalysisManager caching
+// Passes in sequence
 //===----------------------------------------------------------------------===//
 
-TEST(AnalysisManagerTest, CachesAndCountsHits) {
-  ASTContext Ctx;
-  DiagnosticEngine Diags;
-  TranslationUnit *TU = parseOrDie(BasicSource, Ctx, Diags);
-  AnalysisManager AM(Ctx, TU);
-
-  const auto &First = AM.launchSites();
-  EXPECT_EQ(First.size(), 1u);
-  const auto &Second = AM.launchSites();
-  EXPECT_EQ(&First, &Second); // Same cached object, not a recompute.
-  EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Computed, 1u);
-  EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Hits, 1u);
-
-  const FunctionDecl *Child = TU->findFunction("child");
-  ASSERT_NE(Child, nullptr);
-  AM.serializability(Child);
-  AM.serializability(Child);
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Computed, 1u);
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Hits, 1u);
-}
-
-TEST(AnalysisManagerTest, InvalidationDropsOnlyUnpreserved) {
-  ASTContext Ctx;
-  DiagnosticEngine Diags;
-  TranslationUnit *TU = parseOrDie(BasicSource, Ctx, Diags);
-  AnalysisManager AM(Ctx, TU);
-
-  AM.launchSites();
-  const FunctionDecl *Child = TU->findFunction("child");
-  AM.serializability(Child);
-
-  PreservedAnalyses PA; // none...
-  PA.preserve(AnalysisID::Transformability);
-  AM.invalidate(PA);
-
-  EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Invalidations, 1u);
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Invalidations, 0u);
-
-  AM.launchSites();
-  EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Computed, 2u);
-  AM.serializability(Child);
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Computed, 1u);
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Hits, 1u);
-
-  // Invalidating empty caches is not counted as an event.
-  AM.invalidateAll();
-  AM.invalidateAll();
-  EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Invalidations, 2u);
-}
-
-TEST(AnalysisManagerTest, FullPipelineComputesLaunchSitesOnce) {
-  // The acceptance criterion: a threshold+coarsen+aggregate pipeline walks
-  // the TU for launch sites once; the other two passes hit the cache.
+TEST(PassPipelineTest, FullPipelineTransformsEachPass) {
   ASTContext Ctx;
   DiagnosticEngine Diags;
   TranslationUnit *TU = parseOrDie(BasicSource, Ctx, Diags);
@@ -280,14 +228,12 @@ TEST(AnalysisManagerTest, FullPipelineComputesLaunchSitesOnce) {
   EXPECT_EQ(passAt<ThresholdingPass>(PM, 0).TransformedLaunches, 1u);
   EXPECT_EQ(passAt<CoarseningPass>(PM, 1).CoarsenedKernels, 1u);
   EXPECT_EQ(passAt<AggregationPass>(PM, 2).TransformedLaunches, 1u);
-
-  EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Computed, 1u);
-  EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Hits, 2u);
 }
 
 TEST(AnalysisManagerTest, NestedLaunchesInvalidateLaunchSites) {
-  // Serializing a child that itself launches clones launch nodes, so the
-  // next pass must recompute the site list instead of using stale caches.
+  // Serializing `child` clones its grandchild launch into child_serial.
+  // Coarsening runs next and must patch that clone too: a launch left
+  // unpatched would miss the coarsened kernel's extra parameter.
   ASTContext Ctx;
   DiagnosticEngine Diags;
   TranslationUnit *TU = parseOrDie(NestedSource, Ctx, Diags);
@@ -299,180 +245,13 @@ TEST(AnalysisManagerTest, NestedLaunchesInvalidateLaunchSites) {
       parsePassPipeline(PM, "threshold,coarsen", PassPipelineConfig(), Error))
       << Error;
   ASSERT_TRUE(PM.run(Ctx, TU, AM, Diags)) << Diags.str();
-  EXPECT_GT(passAt<ThresholdingPass>(PM, 0).SerializedNestedLaunches, 0u);
-  EXPECT_GE(AM.stats(AnalysisID::LaunchSites).Computed, 2u);
-}
-
-/// Two independent parent/child pairs: the unit of per-function
-/// invalidation. parent2's grid expression contains no division, so
-/// grid-dim recovery fails there (threshold queries it, caches the
-/// failure, and skips the site without touching parent2).
-const char *TwoParentSource = R"(
-__global__ void child1(int *data, int n) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) {
-    data[i] = data[i] + 1;
-  }
-}
-__global__ void child2(int *data, int n) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) {
-    data[i] = data[i] + 2;
-  }
-}
-__global__ void parent1(int *data, int *counts, int numV) {
-  int v = blockIdx.x * blockDim.x + threadIdx.x;
-  if (v < numV) {
-    int count = counts[v];
-    if (count > 0) {
-      child1<<<(count + 31) / 32, 32>>>(data, count);
-    }
-  }
-}
-__global__ void parent2(int *data, int *counts, int numV) {
-  int v = blockIdx.x * blockDim.x + threadIdx.x;
-  if (v < numV) {
-    int count = counts[v];
-    if (count > 0) {
-      child2<<<count * 2, 32>>>(data, count);
-    }
-  }
-}
-)";
-
-TEST(AnalysisManagerTest, ScopedInvalidationKeepsUntouchedFunctions) {
-  ASTContext Ctx;
-  DiagnosticEngine Diags;
-  TranslationUnit *TU = parseOrDie(TwoParentSource, Ctx, Diags);
-  AnalysisManager AM(Ctx, TU);
-
-  const std::vector<LaunchSite> &Sites = AM.launchSites();
-  ASSERT_EQ(Sites.size(), 2u);
-  const FunctionDecl *P1 = TU->findFunction("parent1");
-  const FunctionDecl *P2 = TU->findFunction("parent2");
-  // By value: the cached vector is replaced when the list reassembles.
-  const LaunchSite S1 = Sites[0].Caller == P1 ? Sites[0] : Sites[1];
-  const LaunchSite S2 = Sites[0].Caller == P2 ? Sites[0] : Sites[1];
-  ASSERT_EQ(S1.Caller, P1);
-  ASSERT_EQ(S2.Caller, P2);
-
-  AM.serializability(S1.Child);
-  AM.serializability(S2.Child);
-  AM.gridDim(S1.Caller, S1.Launch->gridDim());
-  AM.gridDim(S2.Caller, S2.Launch->gridDim());
-  AM.isPure(S1.Launch->gridDim(), S1.Caller);
-  AM.isPure(S2.Launch->gridDim(), S2.Caller);
-  EXPECT_EQ(AM.stats(AnalysisID::GridDim).Computed, 2u);
-  EXPECT_EQ(AM.stats(AnalysisID::Purity).Computed, 2u);
-
-  // A pass that mutated only parent1.
-  PreservedAnalyses PA;
-  PA.limitToFunctions({P1});
-  AM.invalidate(PA);
-
-  // The whole-TU site list reassembles from the surviving per-function
-  // lists: one Computed (parent1 rescanned), one Hit (the reuse).
-  EXPECT_EQ(AM.launchSites().size(), 2u);
-  EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Computed, 2u);
-  EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Hits, 1u);
-
-  // Touched functions were kernels, so child verdicts survive; parent2's
-  // expression-level results survive; parent1's were dropped.
-  AM.serializability(S1.Child);
-  AM.serializability(S2.Child);
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Computed, 2u);
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Hits, 2u);
-  AM.gridDim(S2.Caller, S2.Launch->gridDim());
-  EXPECT_EQ(AM.stats(AnalysisID::GridDim).Hits, 1u);
-  AM.gridDim(S1.Caller, S1.Launch->gridDim());
-  EXPECT_EQ(AM.stats(AnalysisID::GridDim).Computed, 3u);
-  AM.isPure(S2.Launch->gridDim(), S2.Caller);
-  EXPECT_EQ(AM.stats(AnalysisID::Purity).Hits, 1u);
-  AM.isPure(S1.Launch->gridDim(), S1.Caller);
-  EXPECT_EQ(AM.stats(AnalysisID::Purity).Computed, 3u);
-}
-
-TEST(AnalysisManagerTest, TouchedDeviceFunctionDropsAllTransformability) {
-  // Serializability is transitive over __device__ callees and the cache
-  // has no reverse call edges: touching a device function must drop every
-  // verdict, while touching a kernel drops only its own.
-  const char *Source = R"(
-__device__ int bump(int x) {
-  return x + 1;
-}
-__global__ void child(int *data, int n) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) {
-    data[i] = bump(data[i]);
-  }
-}
-__global__ void parent(int *data, int numV) {
-  int v = blockIdx.x * blockDim.x + threadIdx.x;
-  if (v < numV) {
-    child<<<(numV + 31) / 32, 32>>>(data, numV);
-  }
-}
-)";
-  ASTContext Ctx;
-  DiagnosticEngine Diags;
-  TranslationUnit *TU = parseOrDie(Source, Ctx, Diags);
-  AnalysisManager AM(Ctx, TU);
-
-  const FunctionDecl *Child = TU->findFunction("child");
-  AM.serializability(Child);
-
-  PreservedAnalyses TouchKernel;
-  TouchKernel.limitToFunctions({TU->findFunction("parent")});
-  AM.invalidate(TouchKernel);
-  AM.serializability(Child);
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Hits, 1u);
-
-  PreservedAnalyses TouchDevice;
-  TouchDevice.limitToFunctions({TU->findFunction("bump")});
-  AM.invalidate(TouchDevice);
-  AM.serializability(Child);
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Computed, 2u);
-}
-
-TEST(PassPipelineTest, ScopedInvalidationHitsAcrossPasses) {
-  // Two threshold runs over TwoParentSource. The first transforms
-  // parent1's launch and abandons grid-dim/purity scoped to parent1; the
-  // second re-queries parent2's (cached, failed) grid-dim recovery — a
-  // hit only because the scoped invalidation kept untouched functions.
-  ASTContext Ctx;
-  DiagnosticEngine Diags;
-  TranslationUnit *TU = parseOrDie(TwoParentSource, Ctx, Diags);
-  AnalysisManager AM(Ctx, TU);
-
-  PassManager PM;
-  std::string Error;
-  ASSERT_TRUE(
-      parsePassPipeline(PM, "threshold[32],threshold[32]",
-                        PassPipelineConfig(), Error))
-      << Error;
-  ASSERT_TRUE(PM.run(Ctx, TU, AM, Diags)) << Diags.str();
-
-  // Run 1 computes both parents' grid-dims; run 2 recomputes parent1's
-  // (mutated) and hits parent2's.
-  EXPECT_EQ(AM.stats(AnalysisID::GridDim).Hits, 1u);
-  // Child verdicts survive both runs' invalidations (kernels only).
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Computed, 2u);
-  EXPECT_EQ(AM.stats(AnalysisID::Transformability).Hits, 2u);
-  // The site list is computed once and partially reassembled at most.
-  EXPECT_EQ(AM.stats(AnalysisID::LaunchSites).Computed, 1u);
-
-  // The same numbers flow into --print-pass-stats: the grid-dim row of
-  // the report shows the cross-pass hit.
-  std::string Report = PM.statsReport(AM);
-  unsigned Computed = 0, Hits = 0, Invalidated = 0;
-  size_t Pos = Report.find("grid-dim");
-  ASSERT_NE(Pos, std::string::npos) << Report;
-  ASSERT_EQ(std::sscanf(Report.c_str() + Pos, "grid-dim %u %u %u", &Computed,
-                        &Hits, &Invalidated),
-            3)
-      << Report;
-  EXPECT_EQ(Hits, 1u) << Report;
-  EXPECT_GE(Invalidated, 1u) << Report;
+  EXPECT_EQ(passAt<ThresholdingPass>(PM, 0).TransformedLaunches, 2u);
+  // parent -> child, child -> grandchild, child_serial -> grandchild.
+  EXPECT_EQ(passAt<CoarseningPass>(PM, 1).RewrittenLaunches, 3u);
+  std::string Output = printTranslationUnit(TU);
+  EXPECT_EQ(Output.find("grandchild<<<(m + 31) / 32, 32>>>(data, m);"),
+            std::string::npos)
+      << Output;
 }
 
 //===----------------------------------------------------------------------===//
@@ -562,13 +341,13 @@ TEST(PassPipelineTest, TimingsRecordedPerPass) {
   ASSERT_EQ(PM.timings().size(), 3u);
   EXPECT_EQ(PM.timings()[0].Name, "threshold");
   EXPECT_EQ(PM.timings()[2].Name, "aggregate");
-  std::string Report = PM.statsReport(AM);
+  std::string Report = PM.statsReport();
   EXPECT_NE(Report.find("pass timings"), std::string::npos);
-  EXPECT_NE(Report.find("launch-sites"), std::string::npos);
+  EXPECT_NE(Report.find("aggregate"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
-// Equivalence: shared-analysis pipeline vs. legacy per-pass recompute
+// Equivalence: PassManager pipeline vs. the apply functions in turn
 //===----------------------------------------------------------------------===//
 
 std::string randomIntExpr(std::mt19937 &Rng, int Depth = 0) {

@@ -57,7 +57,8 @@ RunResult runSpeculation(std::string_view Source,
   RunResult R;
   if (!TU)
     return R;
-  R.Report = applySpeculation(Ctx, TU, Options, Diags);
+  AnalysisManager AM(Ctx, TU);
+  R.Report = applySpeculation(Ctx, TU, Options, Diags, AM);
   R.DiagText = Diags.str();
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   R.Output = printTranslationUnit(TU);

@@ -47,7 +47,8 @@ RunResult runThresholding(std::string_view Source,
   RunResult R;
   if (!TU)
     return R;
-  R.Report = applyThresholding(Ctx, TU, Options, Diags);
+  AnalysisManager AM(Ctx, TU);
+  R.Report = applyThresholding(Ctx, TU, Options, Diags, AM);
   R.DiagText = Diags.str();
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   R.Output = printTranslationUnit(TU);
