@@ -15,6 +15,14 @@
 /// launch's configuration and argument expressions move into the
 /// generated code, each still evaluated exactly once.
 ///
+/// One deliberate deviation from the figure: its disaggregation prologue
+/// runs in every child thread, although the parent search
+/// depends only on blockIdx.x. The generated child runs it in thread 0
+/// of each block and shares the result through `__shared__` slots behind
+/// one `__syncthreads()` (see ensureAggKernel). A GPU runs the redundant
+/// searches in lockstep; an executor that pays for every thread's copy,
+/// like the bytecode VM, does not.
+///
 //===----------------------------------------------------------------------===//
 
 #include "transform/AggregationPass.h"
@@ -395,6 +403,14 @@ private:
 
   /// Generates `<child>_agg` (Fig. 7 lines 01-11) once per child kernel.
   /// Returns true if a kernel was generated by this call.
+  ///
+  /// Fig. 7 has every child thread binary-search the scan for its parent.
+  /// The search and the values derived from it depend only on blockIdx.x,
+  /// so here thread 0 runs them once per block and publishes the parent
+  /// index, `_aggBx` and (if the body reads it) `_aggGDimX` in top-level
+  /// `__shared__` slots. The barrier after it precedes the bound guard, so
+  /// every thread of the block reaches it. The parent's block size and
+  /// arguments stay per-thread loads indexed by the published parent.
   bool ensureAggKernel(FunctionDecl *Child) {
     if (AggKernelNames.count(Child))
       return false;
@@ -407,6 +423,11 @@ private:
     Map["gridDim"].X = "_aggGDimX";
     Map["blockDim"].X = "_aggBDimX";
     rewriteBuiltins(Ctx, Body, Map, Diags);
+    bool ReadsGridDim = false;
+    forEachExpr(Body, [&](Expr *E) {
+      if (const auto *Ref = dyn_cast<DeclRefExpr>(E))
+        ReadsGridDim |= Ref->name() == "_aggGDimX";
+    });
 
     const Type UIntPtr = Type(BuiltinKind::UInt).pointerTo();
     std::vector<VarDecl *> Params;
@@ -419,10 +440,23 @@ private:
     Params.push_back(
         Ctx.create<VarDecl>(Type(BuiltinKind::UInt), "_aggNumParents"));
 
+    // The block-uniform values thread 0 publishes: shared slot, local.
+    std::vector<std::pair<std::string, std::string>> Published = {
+        {"_aggShParentIdx", "_aggParentIdx"}, {"_aggShBx", "_aggBx"}};
+    if (ReadsGridDim)
+      Published.push_back({"_aggShGDimX", "_aggGDimX"});
+
     std::vector<Stmt *> Stmts;
+    for (const auto &[Slot, Local] : Published) {
+      DeclStmt *Decl = Ctx.declare(Type(BuiltinKind::UInt), Slot);
+      Decl->singleDecl()->setShared(true);
+      Stmts.push_back(Decl);
+    }
+
     // Binary search for the parent (first scan entry > blockIdx.x).
-    Stmts.push_back(declUInt("_aggLo", ulit(0)));
-    Stmts.push_back(declUInt("_aggHi", Ctx.ref("_aggNumParents")));
+    std::vector<Stmt *> Search;
+    Search.push_back(declUInt("_aggLo", ulit(0)));
+    Search.push_back(declUInt("_aggHi", Ctx.ref("_aggNumParents")));
     Expr *Mid = Ctx.binary(
         BinaryOpKind::Div,
         Ctx.paren(Ctx.binary(BinaryOpKind::Add, Ctx.ref("_aggLo"),
@@ -434,26 +468,34 @@ private:
         {assign(Ctx.ref("_aggLo"),
                 Ctx.binary(BinaryOpKind::Add, Ctx.ref("_aggMid"), ulit(1)))},
         Ctx.compound({assign(Ctx.ref("_aggHi"), Ctx.ref("_aggMid"))}));
-    Stmts.push_back(Ctx.create<WhileStmt>(
+    Search.push_back(Ctx.create<WhileStmt>(
         Ctx.binary(BinaryOpKind::LT, Ctx.ref("_aggLo"), Ctx.ref("_aggHi")),
         Ctx.compound({declUInt("_aggMid", Mid), Narrow})));
-    Stmts.push_back(declUInt("_aggParentIdx", Ctx.ref("_aggLo")));
-    Expr *PrevEntry = at("_aggScanArr",
-                         Ctx.binary(BinaryOpKind::Sub,
-                                    Ctx.ref("_aggParentIdx"), ulit(1)));
-    Stmts.push_back(declUInt(
+    Expr *PrevEntry = at(
+        "_aggScanArr",
+        Ctx.binary(BinaryOpKind::Sub, Ctx.ref("_aggLo"), ulit(1)));
+    Search.push_back(declUInt(
         "_aggPrevSum",
         Ctx.create<ConditionalOperator>(
-            Ctx.binary(BinaryOpKind::EQ, Ctx.ref("_aggParentIdx"), ulit(0)),
+            Ctx.binary(BinaryOpKind::EQ, Ctx.ref("_aggLo"), ulit(0)),
             ulit(0), PrevEntry)));
-    Stmts.push_back(declUInt("_aggBx",
-                             Ctx.binary(BinaryOpKind::Sub,
-                                        Ctx.member("blockIdx", "x"),
-                                        Ctx.ref("_aggPrevSum"))));
-    Stmts.push_back(declUInt("_aggGDimX",
-                             Ctx.binary(BinaryOpKind::Sub,
-                                        at("_aggScanArr", "_aggParentIdx"),
-                                        Ctx.ref("_aggPrevSum"))));
+    Search.push_back(assign(Ctx.ref("_aggShParentIdx"), Ctx.ref("_aggLo")));
+    Search.push_back(assign(Ctx.ref("_aggShBx"),
+                            Ctx.binary(BinaryOpKind::Sub,
+                                       Ctx.member("blockIdx", "x"),
+                                       Ctx.ref("_aggPrevSum"))));
+    if (ReadsGridDim)
+      Search.push_back(assign(Ctx.ref("_aggShGDimX"),
+                              Ctx.binary(BinaryOpKind::Sub,
+                                         at("_aggScanArr", "_aggLo"),
+                                         Ctx.ref("_aggPrevSum"))));
+    Stmts.push_back(ifThen(Ctx.binary(BinaryOpKind::EQ,
+                                      Ctx.member("threadIdx", "x"), ulit(0)),
+                           std::move(Search)));
+    Stmts.push_back(Ctx.call("__syncthreads"));
+
+    for (const auto &[Slot, Local] : Published)
+      Stmts.push_back(declUInt(Local, Ctx.ref(Slot)));
     Stmts.push_back(
         declUInt("_aggBDimX", at("_aggBDimArrP", "_aggParentIdx")));
     for (size_t I = 0; I < Child->params().size(); ++I) {

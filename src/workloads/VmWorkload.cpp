@@ -50,6 +50,26 @@ std::string dpo::nestedVmSource(uint32_t ChildBlockDim) {
          "}\n";
 }
 
+const char *dpo::quickstartVmSource() {
+  return R"(
+__global__ void child(int *data, int base, int count) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < count) {
+    data[base + i] = base + i * 2;
+  }
+}
+__global__ void parent(int *data, int *counts, int *offsets, int numV) {
+  int v = blockIdx.x * blockDim.x + threadIdx.x;
+  if (v < numV) {
+    int count = counts[v];
+    if (count > 0) {
+      child<<<(count + 31) / 32, 32>>>(data, offsets[v], count);
+    }
+  }
+}
+)";
+}
+
 VmWorkload dpo::makeNestedVmWorkload(std::string Name,
                                      std::vector<NestedBatch> Batches,
                                      uint32_t ChildBlockDim) {

@@ -100,6 +100,11 @@ bool launchWorkloadParent(Device &Dev, const std::string &ParentKernel,
 /// dimension spelled as \p ChildBlockDim.
 std::string nestedVmSource(uint32_t ChildBlockDim = 32);
 
+/// examples/quickstart.cpp's program, verbatim: the canonical parent
+/// signature, with child thread i of parent v writing
+/// `data[offsets[v] + i] = offsets[v] + i * 2`.
+const char *quickstartVmSource();
+
 /// Wraps a batch stream (e.g. runBfs(G).Batches) in the canonical source.
 VmWorkload makeNestedVmWorkload(std::string Name,
                                 std::vector<NestedBatch> Batches,

@@ -27,6 +27,7 @@
 #include "transform/Pipeline.h"
 #include "vm/VM.h"
 #include "workloads/Differential.h"
+#include "workloads/VmWorkload.h"
 
 #include <gtest/gtest.h>
 
@@ -39,25 +40,6 @@
 using namespace dpo;
 
 namespace {
-
-/// examples/quickstart.cpp's program, verbatim.
-const char *QuickstartSource = R"(
-__global__ void child(int *data, int base, int count) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < count) {
-    data[base + i] = base + i * 2;
-  }
-}
-__global__ void parent(int *data, int *counts, int *offsets, int numV) {
-  int v = blockIdx.x * blockDim.x + threadIdx.x;
-  if (v < numV) {
-    int count = counts[v];
-    if (count > 0) {
-      child<<<(count + 31) / 32, 32>>>(data, offsets[v], count);
-    }
-  }
-}
-)";
 
 /// examples/autotune.cpp's program, verbatim.
 const char *SsspSource = R"(
@@ -178,7 +160,7 @@ TEST(ExamplesDifferentialTest, QuickstartUntransformedMatchesNative) {
     for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode})
       for (unsigned Workers : {1u, 2u, 4u}) {
         std::vector<int32_t> Vm =
-            runQuickstart(QuickstartSource, In, Mode, /*Optimize=*/true,
+            runQuickstart(quickstartVmSource(), In, Mode, /*Optimize=*/true,
                           Workers);
         ASSERT_EQ(Vm, Native)
             << "engine=" << execModeName(Mode) << " workers=" << Workers;
@@ -191,7 +173,7 @@ TEST(ExamplesDifferentialTest, QuickstartFig8PipelineMatchesNative) {
   // A=multi-block/8).
   DiagnosticEngine Diags;
   std::string Transformed = transformSourceWithPipeline(
-      QuickstartSource, "threshold[64],coarsen[4],aggregate[multiblock:8]",
+      quickstartVmSource(), "threshold[64],coarsen[4],aggregate[multiblock:8]",
       literalKnobConfig(), Diags);
   ASSERT_FALSE(Transformed.empty()) << Diags.str();
 
@@ -213,10 +195,10 @@ TEST(ExamplesDifferentialTest, QuickstartAllPipelinesMatchNative) {
   QuickstartInput In = exampleInput();
   std::vector<int32_t> Native = quickstartNative(In);
   for (const std::string &Pipeline : differentialPipelines()) {
-    std::string Src = QuickstartSource;
+    std::string Src = quickstartVmSource();
     if (!Pipeline.empty()) {
       DiagnosticEngine Diags;
-      Src = transformSourceWithPipeline(QuickstartSource, Pipeline,
+      Src = transformSourceWithPipeline(quickstartVmSource(), Pipeline,
                                         literalKnobConfig(), Diags);
       ASSERT_FALSE(Src.empty())
           << "pipeline '" << Pipeline << "' failed: " << Diags.str();

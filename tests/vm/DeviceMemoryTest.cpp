@@ -15,6 +15,7 @@
 
 #include "transform/Pipeline.h"
 #include "vm/VM.h"
+#include "workloads/VmWorkload.h"
 
 #include <gtest/gtest.h>
 
@@ -25,24 +26,6 @@
 using namespace dpo;
 
 namespace {
-
-const char *QuickstartSource = R"(
-__global__ void child(int *data, int base, int count) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < count) {
-    data[base + i] = base + i * 2;
-  }
-}
-__global__ void parent(int *data, int *counts, int *offsets, int numV) {
-  int v = blockIdx.x * blockDim.x + threadIdx.x;
-  if (v < numV) {
-    int count = counts[v];
-    if (count > 0) {
-      child<<<(count + 31) / 32, 32>>>(data, offsets[v], count);
-    }
-  }
-}
-)";
 
 const char *StoreSource = R"(
 __global__ void store(int *p, int v) {
@@ -77,7 +60,8 @@ uint64_t residentBytes() {
 
 TEST(DeviceMemoryTest, HugeImageCostsWhatItTouches) {
   VmProgram Program =
-      compile(QuickstartSource, "threshold[64],coarsen[4],aggregate[multiblock:8]");
+      compile(quickstartVmSource(),
+              "threshold[64],coarsen[4],aggregate[multiblock:8]");
   uint64_t Before = residentBytes();
   Device Dev(std::move(Program), 4ull << 30);
   std::vector<int32_t> Counts = {3, 0, 100, 7, 45, 0, 260, 1};
