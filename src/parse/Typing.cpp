@@ -9,6 +9,7 @@
 #include "support/Casting.h"
 
 #include <cctype>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,9 +22,15 @@ namespace {
 
 using FunctionTypeMap = std::unordered_map<std::string, Type>;
 
-/// Character literals are char; u/l/ll suffixes pick the unsigned and long
-/// variants.
-Type integerLiteralType(std::string_view Spelling) {
+/// [lex.icon]: an integer literal has the first type of its list that
+/// can represent its value. Unsuffixed decimal: int, long; hexadecimal,
+/// octal or binary: int, unsigned int, long, unsigned long; `u`: unsigned
+/// int, unsigned long; `l` and `ll` likewise from long and long long. A
+/// literal no signed type of its list holds takes the unsigned one.
+/// Synthesized literals (no spelling) are decimal. Character literals are
+/// char.
+Type integerLiteralType(const IntegerLiteral *Lit) {
+  std::string_view Spelling = Lit->spelling();
   if (!Spelling.empty() && Spelling.front() == '\'')
     return Type(BuiltinKind::Char);
   std::string Lower(Spelling);
@@ -32,17 +39,21 @@ Type integerLiteralType(std::string_view Spelling) {
   bool IsU = Lower.find('u') != std::string::npos;
   bool IsLL = Lower.find("ll") != std::string::npos;
   bool IsL = !IsLL && Lower.find('l') != std::string::npos;
-  if (IsU && IsLL)
-    return Type(BuiltinKind::ULongLong);
-  if (IsU && IsL)
-    return Type(BuiltinKind::ULong);
+  bool Decimal = Lower.size() < 2 || Lower[0] != '0' ||
+                 !(std::isdigit((unsigned char)Lower[1]) || Lower[1] == 'x' ||
+                   Lower[1] == 'b');
+  uint64_t V = Lit->value();
   if (IsLL)
-    return Type(BuiltinKind::LongLong);
-  if (IsL)
-    return Type(BuiltinKind::Long);
+    return Type(IsU || (!Decimal && V > INT64_MAX) ? BuiltinKind::ULongLong
+                                                   : BuiltinKind::LongLong);
   if (IsU)
+    return Type(!IsL && V <= UINT32_MAX ? BuiltinKind::UInt
+                                        : BuiltinKind::ULong);
+  if (!IsL && V <= INT32_MAX)
+    return Type(BuiltinKind::Int);
+  if (!IsL && !Decimal && V <= UINT32_MAX)
     return Type(BuiltinKind::UInt);
-  return Type(BuiltinKind::Int);
+  return Type(V <= INT64_MAX ? BuiltinKind::Long : BuiltinKind::ULong);
 }
 
 Type unaryType(UnaryOpKind Op, const Type &Operand) {
@@ -191,7 +202,7 @@ public:
       return;
     switch (E->kind()) {
     case StmtKind::IntegerLit:
-      E->setType(integerLiteralType(cast<IntegerLiteral>(E)->spelling()));
+      E->setType(integerLiteralType(cast<IntegerLiteral>(E)));
       break;
     case StmtKind::FloatLit: {
       std::string_view S = cast<FloatLiteral>(E)->spelling();

@@ -343,6 +343,44 @@ TEST_F(ParserTest, TypeOfCeilCall) {
   EXPECT_EQ(E->type().kind(), BuiltinKind::Double);
 }
 
+// [lex.icon]: a literal takes the first type of its list that holds it.
+TEST_F(ParserTest, TypeOfIntegerLiteralFollowsItsValue) {
+  const std::pair<const char *, BuiltinKind> Cases[] = {
+      {"2147483647", BuiltinKind::Int},
+      {"2147483648", BuiltinKind::Long},
+      {"4294967295", BuiltinKind::Long},
+      {"0x7fffffff", BuiltinKind::Int},
+      {"0xffffffff", BuiltinKind::UInt},
+      {"037777777777", BuiltinKind::UInt},
+      {"0x100000000", BuiltinKind::Long},
+      {"0xffffffffffffffff", BuiltinKind::ULong},
+      {"0", BuiltinKind::Int},
+      {"0u", BuiltinKind::UInt},
+      {"4294967295u", BuiltinKind::UInt},
+      {"4294967296u", BuiltinKind::ULong},
+      {"5l", BuiltinKind::Long},
+      {"5ul", BuiltinKind::ULong},
+      {"5ll", BuiltinKind::LongLong},
+      {"0xffffffffffffffffll", BuiltinKind::ULongLong},
+      {"'a'", BuiltinKind::Char},
+  };
+  for (const auto &[Spelling, Kind] : Cases)
+    EXPECT_EQ(expr(Spelling)->type().kind(), Kind) << Spelling;
+}
+
+TEST_F(ParserTest, WideDecimalLiteralPromotesArithmetic) {
+  // `unsigned g` meets a long literal: the division is done in long, so
+  // the ceiling of 5 / 4294967295 is 1, not 5 / -1.
+  TranslationUnit *TU = parse(R"(
+__global__ void k(unsigned g, long *out) {
+  out[0] = (g + 4294967295 - 1) / 4294967295;
+}
+)");
+  auto *Assign = cast<BinaryOperator>(
+      TU->findFunction("k")->body()->body()[0]);
+  EXPECT_EQ(Assign->rhs()->type().kind(), BuiltinKind::Long);
+}
+
 TEST_F(ParserTest, ParamTypesVisibleInBody) {
   TranslationUnit *TU = parse(R"(
 __global__ void k(float *data, int n) {
