@@ -496,6 +496,11 @@ int main(int argc, char **argv) {
       if (!parseCountFlag("--group", Arg.substr(8),
                           Knobs.Aggregation.GroupSize))
         return 1;
+      if (std::string Why = checkAggGroupSize(Knobs.Aggregation.GroupSize);
+          !Why.empty()) {
+        std::fprintf(stderr, "error: --group: %s\n", Why.c_str());
+        return 1;
+      }
     } else if (Arg.rfind("--agg-threshold=", 0) == 0) {
       Knobs.Aggregation.UseAggregationThreshold = true;
       if (!parseCountFlag("--agg-threshold", Arg.substr(16),

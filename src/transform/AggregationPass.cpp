@@ -940,6 +940,15 @@ AggregationResult dpo::applyAggregation(ASTContext &Ctx, TranslationUnit *TU,
   return Transformer.run();
 }
 
+std::string dpo::checkAggGroupSize(unsigned GroupSize) {
+  if (GroupSize <= MaxAggGroupSize)
+    return "";
+  return "group size " + std::to_string(GroupSize) + " exceeds " +
+         std::to_string(MaxAggGroupSize) +
+         ": the group's slot capacity (group size * blockDim.x, up to 1024 "
+         "threads a block) would wrap 32 bits";
+}
+
 std::string AggregationPass::repr() const {
   std::string R =
       std::string("aggregate[") + aggGranularityName(Options.Granularity);

@@ -31,21 +31,29 @@ void PassManager::addPass(std::unique_ptr<TransformPass> Pass) {
 bool PassManager::run(ASTContext &Ctx, TranslationUnit *TU,
                       AnalysisManager &AM, DiagnosticEngine &Diags) {
   Timings.clear();
-  // The passes index a launch's arguments by the child's parameters, so a
-  // mismatched launch must stop here rather than inside a pass.
-  bool ArityOk = true;
+  // The passes index a launch's arguments by the child's parameters and
+  // rewrite the child as a kernel, so a mismatched launch or one of a
+  // function that is not a kernel must stop here rather than inside a
+  // pass.
+  bool LaunchesOk = true;
   for (const LaunchSite &Site : AM.launchSites()) {
     const LaunchExpr *L = Site.Launch;
-    if (!Site.Child || !Site.Child->isDefinition() ||
-        L->args().size() == Site.Child->params().size())
+    if (!Site.Child || !Site.Child->isDefinition())
       continue;
-    Diags.error(L->loc(), "kernel '" + L->kernel() + "' expects " +
-                              std::to_string(Site.Child->params().size()) +
-                              " arguments, got " +
-                              std::to_string(L->args().size()));
-    ArityOk = false;
+    if (!Site.Child->isKernel()) {
+      Diags.error(L->loc(), "'" + L->kernel() +
+                                "' is not a __global__ kernel and cannot be "
+                                "launched");
+      LaunchesOk = false;
+    } else if (L->args().size() != Site.Child->params().size()) {
+      Diags.error(L->loc(), "kernel '" + L->kernel() + "' expects " +
+                                std::to_string(Site.Child->params().size()) +
+                                " arguments, got " +
+                                std::to_string(L->args().size()));
+      LaunchesOk = false;
+    }
   }
-  if (!ArityOk)
+  if (!LaunchesOk)
     return false;
   for (const std::unique_ptr<TransformPass> &Pass : Passes) {
     auto Start = std::chrono::steady_clock::now();
@@ -215,6 +223,10 @@ std::unique_ptr<TransformPass> makeAggregatePass(std::string_view Params,
         return nullptr;
       }
     }
+  }
+  if (std::string Why = checkAggGroupSize(O.GroupSize); !Why.empty()) {
+    Error = "aggregate: " + Why;
+    return nullptr;
   }
   return std::make_unique<AggregationPass>(O);
 }

@@ -18,6 +18,8 @@
 #define DPO_TRANSFORM_PASSOPTIONS_H
 
 
+#include <string>
+
 namespace dpo {
 
 class LaunchProfile;
@@ -78,6 +80,15 @@ enum class AggGranularity {
 };
 
 const char *aggGranularityName(AggGranularity G);
+
+/// The largest multi-block group size. The generated code computes a
+/// group's slot capacity, `GroupSize * blockDim.x`, in 32 bits, and a
+/// block has at most 1024 threads.
+constexpr unsigned MaxAggGroupSize = 0xFFFFFFFFu / 1024u;
+
+/// Empty if \p GroupSize is a usable multi-block group size, else why it
+/// is refused. The pipeline parser and dpoptcc's --group= share it.
+std::string checkAggGroupSize(unsigned GroupSize);
 
 struct AggregationOptions {
   AggGranularity Granularity = AggGranularity::MultiBlock;

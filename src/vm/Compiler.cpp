@@ -1037,6 +1037,11 @@ void FunctionCompiler::compileLaunch(const LaunchExpr *L) {
     return;
   }
   const FuncDef &Callee = PC.Program.Functions[It->second];
+  if (!Callee.IsKernel) {
+    error(L->loc(), "'" + L->kernel() +
+                        "' is not a __global__ kernel and cannot be launched");
+    return;
+  }
   if (L->args().size() != Callee.ParamTypes.size()) {
     error(L->loc(), "kernel '" + L->kernel() + "' expects " +
                         std::to_string(Callee.ParamTypes.size()) +

@@ -6,12 +6,14 @@
 ///
 /// \file
 /// A launch whose argument count differs from its child kernel's
-/// parameter count ends in a diagnostic before any pass runs: through the
-/// text pipelines, through compileWithPipeline, and inside a
-/// CompileService batch whose other requests still succeed. The passes
-/// index launch arguments by the child's parameters, so without the check
-/// aggregation crashed on too many arguments and every text pipeline
-/// accepted too few.
+/// parameter count, or a launch of a function that is not a __global__
+/// kernel, ends in a diagnostic before any pass runs: through the text
+/// pipelines, through compileWithPipeline, and inside a CompileService
+/// batch whose other requests still succeed. The passes index launch
+/// arguments by the child's parameters, so without the check aggregation
+/// crashed on too many arguments and every text pipeline accepted too
+/// few; a launched __device__ function was coarsened in place and given a
+/// __global__ aggregated twin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,10 +30,13 @@ using namespace dpo;
 
 namespace {
 
-/// The nested parent/child shape of tests/cli/launch_arity.cu, launching
-/// `child(int *data, int count)` with \p Args.
-std::string aritySource(const std::string &Args) {
-  return "__global__ void child(int *data, int count) {\n"
+/// The nested parent/child shape of tests/cli/launch_arity.cu: a child
+/// `child(int *data, int count)` with qualifier \p ChildQualifier,
+/// launched with \p Args.
+std::string launchSource(const std::string &ChildQualifier,
+                         const std::string &Args) {
+  return ChildQualifier +
+         " void child(int *data, int count) {\n"
          "  int i = blockIdx.x * blockDim.x + threadIdx.x;\n"
          "  if (i < count) {\n"
          "    data[i] = data[i] + 1;\n"
@@ -48,15 +53,19 @@ std::string aritySource(const std::string &Args) {
          "}\n";
 }
 
-struct ArityCase {
-  std::string Args;
+struct LaunchCase {
+  std::string Source;
   std::string Message;
 };
 
-const std::vector<ArityCase> &arityCases() {
-  static const std::vector<ArityCase> Cases = {
-      {"data, c, v", "kernel 'child' expects 2 arguments, got 3"},
-      {"data", "kernel 'child' expects 2 arguments, got 1"},
+const std::vector<LaunchCase> &badLaunches() {
+  static const std::vector<LaunchCase> Cases = {
+      {launchSource("__global__", "data, c, v"),
+       "kernel 'child' expects 2 arguments, got 3"},
+      {launchSource("__global__", "data"),
+       "kernel 'child' expects 2 arguments, got 1"},
+      {launchSource("__device__", "data, c"),
+       "'child' is not a __global__ kernel and cannot be launched"},
   };
   return Cases;
 }
@@ -74,12 +83,12 @@ std::vector<std::string> arityPipelines() {
 }
 
 TEST(LaunchArityTest, TextPipelinesDiagnose) {
-  for (const ArityCase &C : arityCases()) {
+  for (const LaunchCase &C : badLaunches()) {
     for (const std::string &Pipeline : arityPipelines()) {
       DiagnosticEngine Diags;
       std::string Out = transformSourceWithPipeline(
-          aritySource(C.Args), Pipeline, PassPipelineConfig(), Diags);
-      EXPECT_TRUE(Out.empty()) << Pipeline << " with (" << C.Args << ")";
+          C.Source, Pipeline, PassPipelineConfig(), Diags);
+      EXPECT_TRUE(Out.empty()) << Pipeline << ": " << C.Message;
       EXPECT_NE(Diags.str().find(C.Message), std::string::npos)
           << Pipeline << ": " << Diags.str();
     }
@@ -87,13 +96,16 @@ TEST(LaunchArityTest, TextPipelinesDiagnose) {
 }
 
 TEST(LaunchArityTest, CompileWithPipelineDiagnoses) {
-  for (const ArityCase &C : arityCases()) {
-    for (const std::string &Pipeline : arityPipelines()) {
+  // The empty pipeline runs no pass: the bytecode compiler diagnoses.
+  std::vector<std::string> Pipelines = arityPipelines();
+  Pipelines.push_back("");
+  for (const LaunchCase &C : badLaunches()) {
+    for (const std::string &Pipeline : Pipelines) {
       DiagnosticEngine Diags;
       std::optional<VmProgram> Program =
-          compileWithPipeline(aritySource(C.Args), Pipeline,
-                              literalKnobConfig(), VmCompileOptions(), Diags);
-      EXPECT_FALSE(Program) << Pipeline << " with (" << C.Args << ")";
+          compileWithPipeline(C.Source, Pipeline, literalKnobConfig(),
+                              VmCompileOptions(), Diags);
+      EXPECT_FALSE(Program) << Pipeline << ": " << C.Message;
       EXPECT_NE(Diags.str().find(C.Message), std::string::npos)
           << Pipeline << ": " << Diags.str();
     }
@@ -105,10 +117,10 @@ TEST(LaunchArityTest, BatchFailsOnlyTheBadRequest) {
   Config.CacheDir.clear();
   Config.Workers = 2;
   CompileService Service(Config);
-  auto Request = [](const std::string &Args, bool WantBytecode) {
+  auto Request = [](const std::string &Source, bool WantBytecode) {
     CompileRequest R;
     R.Name = "arity.cu";
-    R.Source = aritySource(Args);
+    R.Source = Source;
     R.Pipeline = "threshold,coarsen,aggregate";
     R.WantBytecode = WantBytecode;
     R.Knobs = literalKnobConfig();
@@ -116,18 +128,19 @@ TEST(LaunchArityTest, BatchFailsOnlyTheBadRequest) {
   };
   std::vector<CompileRequest> Reqs;
   for (bool WantBytecode : {false, true}) {
-    Reqs.push_back(Request("data, c", WantBytecode));
-    for (const ArityCase &C : arityCases())
-      Reqs.push_back(Request(C.Args, WantBytecode));
+    Reqs.push_back(Request(launchSource("__global__", "data, c"),
+                           WantBytecode));
+    for (const LaunchCase &C : badLaunches())
+      Reqs.push_back(Request(C.Source, WantBytecode));
   }
   std::vector<CompileResponse> Out = Service.compileBatch(Reqs);
   ASSERT_EQ(Out.size(), Reqs.size());
-  for (size_t I = 0; I < Out.size(); I += 1 + arityCases().size()) {
+  for (size_t I = 0; I < Out.size(); I += 1 + badLaunches().size()) {
     EXPECT_TRUE(Out[I].Ok) << Out[I].Error;
-    for (size_t J = 0; J < arityCases().size(); ++J) {
+    for (size_t J = 0; J < badLaunches().size(); ++J) {
       const CompileResponse &Bad = Out[I + 1 + J];
       EXPECT_FALSE(Bad.Ok);
-      EXPECT_NE(Bad.Error.find(arityCases()[J].Message), std::string::npos)
+      EXPECT_NE(Bad.Error.find(badLaunches()[J].Message), std::string::npos)
           << Bad.Error;
     }
   }
