@@ -16,12 +16,13 @@
 /// generated code, each still evaluated exactly once.
 ///
 /// One deliberate deviation from the figure: its disaggregation prologue
-/// runs in every child thread, although the parent search
-/// depends only on blockIdx.x. The generated child runs it in thread 0
-/// of each block and shares the result through `__shared__` slots behind
-/// one `__syncthreads()` (see ensureAggKernel). A GPU runs the redundant
-/// searches in lockstep; an executor that pays for every thread's copy,
-/// like the bytecode VM, does not.
+/// runs in every child thread, although the parent search depends only
+/// on blockIdx.x. The generated child runs it in thread 0 of each block
+/// and shares the result through `__shared__` slots behind one
+/// `__syncthreads()` (see ensureAggKernel). A GPU runs the redundant
+/// searches in lockstep, but an executor that pays for every thread's
+/// copy, like the bytecode VM, ran aggregated programs at about 10x the
+/// steps of the untransformed ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -404,13 +405,12 @@ private:
   /// Generates `<child>_agg` (Fig. 7 lines 01-11) once per child kernel.
   /// Returns true if a kernel was generated by this call.
   ///
-  /// Fig. 7 has every child thread binary-search the scan for its parent.
-  /// The search and the values derived from it depend only on blockIdx.x,
-  /// so here thread 0 runs them once per block and publishes the parent
-  /// index, `_aggBx` and (if the body reads it) `_aggGDimX` in top-level
-  /// `__shared__` slots. The barrier after it precedes the bound guard, so
-  /// every thread of the block reaches it. The parent's block size and
-  /// arguments stay per-thread loads indexed by the published parent.
+  /// Thread 0 publishes the parent index, `_aggBx` and (if the body reads
+  /// it) `_aggGDimX` in top-level `__shared__` slots. The barrier after it
+  /// precedes the bound guard, so every thread of the block reaches it.
+  /// The parent's block size and arguments stay per-thread loads indexed
+  /// by the published parent: one indexed load each, where sharing them
+  /// too would grow the code more than it saves.
   bool ensureAggKernel(FunctionDecl *Child) {
     if (AggKernelNames.count(Child))
       return false;

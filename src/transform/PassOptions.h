@@ -17,7 +17,6 @@
 #ifndef DPO_TRANSFORM_PASSOPTIONS_H
 #define DPO_TRANSFORM_PASSOPTIONS_H
 
-
 #include <string>
 
 namespace dpo {
