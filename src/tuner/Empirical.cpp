@@ -175,73 +175,79 @@ const VmProgram *EmpiricalEvaluator::programFor(const std::string &Pipeline) {
   return &Programs.emplace(Pipeline, std::move(*Program)).first->second;
 }
 
-bool EmpiricalEvaluator::runMeasurement(const VmProgram &Program,
-                                        const std::string &Pipeline,
-                                        unsigned Resource, VmMeasurement &Out,
-                                        std::string &Err,
-                                        LaunchProfile *ProfileOut) const {
+bool EmpiricalEvaluator::openDevice(const VmProgram &Program, Session &S,
+                                    std::string &Err) const {
+  S = Session();
   // Measurements run the decoded engine every caller runs. The scores are
   // engine-independent anyway: the bytecode reference retires identical
   // Steps, GridRecords, and launch counts (decode fusions and traces
   // carry the step cost of what they replace), so measuredMakespanCycles
   // prices the same work either way.
-  Device Dev(Program, std::max(Opts.VmMemoryBytes, Workload.MinMemoryBytes));
+  auto Dev = std::make_unique<Device>(
+      Program, std::max(Opts.VmMemoryBytes, Workload.MinMemoryBytes));
   // Measurement devices stay single-worker regardless of DPO_VM_WORKERS:
   // racy kernels (BFS/SSSP frontier CAS) retire worker-count-dependent
   // step totals, and tuned tables are committed against the sequential
   // counts. The tuner's parallelism is across candidates (prefetch), not
-  // inside one measurement.
-  Dev.setWorkers(1);
-  Dev.setStepLimit(Opts.VmStepLimit);
-  Dev.setGridLogEnabled(true);
+  // inside one measurement. One worker is also what makes a resumed
+  // session equal a fresh run.
+  Dev->setWorkers(1);
+  Dev->setStepLimit(Opts.VmStepLimit);
+  Dev->setGridLogEnabled(true);
 
   if (Workload.Binding) {
     std::string SetupError;
-    if (!Workload.Binding->setup(Dev, SetupError)) {
+    S.Binding = Workload.Binding->setup(*Dev, SetupError);
+    if (!S.Binding) {
       Err = "workload binding setup failed: " + SetupError;
       return false;
     }
     // The staging runs outside the measurement: only the rounds below
     // count.
-    Dev.resetStats();
-    Dev.clearGridLog();
+    Dev->resetStats();
+    Dev->clearGridLog();
   }
-
-  for (unsigned I = 0; I < Resource; ++I) {
-    std::string RoundErr;
-    if (!runSampleRound(Dev, I, RoundErr)) {
-      Err = "VM run of pipeline '" + Pipeline + "' failed: " + RoundErr;
-      return false;
-    }
-  }
-
-  const VmStats &S = Dev.stats();
-  Out.Steps = S.Steps;
-  Out.DeviceLaunches = S.DeviceLaunches;
-  Out.HostLaunches = S.HostLaunches;
-  Out.BlocksExecuted = S.BlocksExecuted;
-  Out.ThreadsExecuted = S.ThreadsExecuted;
-  Out.GridsLaunched = S.GridsLaunched;
-  Out.BatchesRun = Resource;
-  Out.Cycles = measuredMakespanCycles(Dev.gridLog(), S, Gpu);
-  Out.TracesFormed = Dev.decodeStats().TracesFormed;
-  Out.TraceEntries = S.TraceEntries;
-  Out.TraceIters = S.TraceIters;
-  Out.TraceSideExits = S.TraceSideExits;
-  Out.SpecGuardPass = S.SpecGuardPass;
-  Out.SpecGuardFail = S.SpecGuardFail;
-  if (ProfileOut)
-    *ProfileOut = harvestProfile(Dev.gridLog(), Dev.program());
+  S.Dev = std::move(Dev);
   return true;
 }
 
-bool EmpiricalEvaluator::runSampleRound(Device &Dev, unsigned I,
+bool EmpiricalEvaluator::advance(const VmProgram &Program,
+                                 const std::string &Pipeline, Session &S,
+                                 unsigned Rounds, std::string &Err) const {
+  if (S.resumeFrom(Rounds) == 0 && !openDevice(Program, S, Err))
+    return false;
+  for (; S.Rounds < Rounds; ++S.Rounds) {
+    std::string RoundErr;
+    if (!runSampleRound(S, S.Rounds, RoundErr)) {
+      Err = "VM run of pipeline '" + Pipeline + "' failed in round " +
+            std::to_string(S.Rounds) + ": " + RoundErr;
+      S = Session();
+      return false;
+    }
+  }
+  return true;
+}
+
+EmpiricalEvaluator::Run
+EmpiricalEvaluator::run(const VmProgram &Program, const std::string &Pipeline,
+                        Session S, unsigned Resource) const {
+  Run R;
+  R.FromRound = S.resumeFrom(Resource);
+  R.Ok = advance(Program, Pipeline, S, Resource, R.Error);
+  if (R.Ok)
+    R.M = fillMeasurement(*S.Dev, Resource);
+  R.S = std::move(S);
+  return R;
+}
+
+bool EmpiricalEvaluator::runSampleRound(Session &S, unsigned I,
                                         std::string &Err) const {
+  Device &Dev = *S.Dev;
   const NestedBatch &B = Sample[I];
   std::vector<int64_t> Args;
   int64_t NumV = (int64_t)B.ChildUnits.size();
   if (Workload.Binding) {
-    Args = Workload.Binding->argsFor(Dev, B, SampleIndex[I]);
+    Args = Workload.Binding->argsFor(Dev, *S.Binding, B, SampleIndex[I]);
   } else {
     std::vector<int32_t> Counts(B.ChildUnits.size());
     std::vector<int32_t> Offsets(B.ChildUnits.size());
@@ -265,6 +271,27 @@ bool EmpiricalEvaluator::runSampleRound(Device &Dev, unsigned I,
   return true;
 }
 
+VmMeasurement EmpiricalEvaluator::fillMeasurement(const Device &Dev,
+                                                  unsigned Rounds) const {
+  const VmStats &S = Dev.stats();
+  VmMeasurement Out;
+  Out.Steps = S.Steps;
+  Out.DeviceLaunches = S.DeviceLaunches;
+  Out.HostLaunches = S.HostLaunches;
+  Out.BlocksExecuted = S.BlocksExecuted;
+  Out.ThreadsExecuted = S.ThreadsExecuted;
+  Out.GridsLaunched = S.GridsLaunched;
+  Out.BatchesRun = Rounds;
+  Out.Cycles = measuredMakespanCycles(Dev.gridLog(), S, Gpu);
+  Out.TracesFormed = Dev.decodeStats().TracesFormed;
+  Out.TraceEntries = S.TraceEntries;
+  Out.TraceIters = S.TraceIters;
+  Out.TraceSideExits = S.TraceSideExits;
+  Out.SpecGuardPass = S.SpecGuardPass;
+  Out.SpecGuardFail = S.SpecGuardFail;
+  return Out;
+}
+
 bool EmpiricalEvaluator::replayRoundExact(const std::string &PipelineText,
                                           unsigned Rounds, VmMeasurement &Out,
                                           std::string &Err) {
@@ -276,35 +303,18 @@ bool EmpiricalEvaluator::replayRoundExact(const std::string &PipelineText,
   unsigned Resource =
       std::max(1u, std::min(Rounds, (unsigned)Sample.size()));
 
-  // Same device shape as runMeasurement: decoded engine, one worker,
-  // grid log on — the replay must reproduce the measured path exactly.
-  Device Dev(*Program, std::max(Opts.VmMemoryBytes, Workload.MinMemoryBytes));
-  Dev.setWorkers(1);
-  Dev.setStepLimit(Opts.VmStepLimit);
-  Dev.setGridLogEnabled(true);
-
-  if (Workload.Binding) {
-    std::string SetupError;
-    if (!Workload.Binding->setup(Dev, SetupError)) {
-      Err = "workload binding setup failed: " + SetupError;
-      return false;
-    }
-    Dev.resetStats();
-    Dev.clearGridLog();
-  }
-
-  for (unsigned I = 0; I + 1 < Resource; ++I)
-    if (!runSampleRound(Dev, I, Err)) {
-      Err = "warm-up round " + std::to_string(I) + " failed: " + Err;
-      return false;
-    }
+  // Same device and rounds as a measurement, up to the final round.
+  Session S;
+  if (!advance(*Program, PipelineText, S, Resource - 1, Err))
+    return false;
+  Device &Dev = *S.Dev;
 
   // Checkpoint, run the final round, snapshot; restore and run it again.
   // Identical end states prove the round is a pure function of the
   // checkpointed device state (allocations land at the same addresses
   // because BumpPtr is part of the snapshot).
   DeviceCheckpoint Before = Dev.checkpoint();
-  if (!runSampleRound(Dev, Resource - 1, Err)) {
+  if (!runSampleRound(S, Resource - 1, Err)) {
     Err = "final round failed: " + Err;
     return false;
   }
@@ -313,7 +323,7 @@ bool EmpiricalEvaluator::replayRoundExact(const std::string &PipelineText,
     Err = "checkpoint restore failed (memory size mismatch)";
     return false;
   }
-  if (!runSampleRound(Dev, Resource - 1, Err)) {
+  if (!runSampleRound(S, Resource - 1, Err)) {
     Err = "replayed round failed: " + Err;
     return false;
   }
@@ -324,23 +334,7 @@ bool EmpiricalEvaluator::replayRoundExact(const std::string &PipelineText,
           std::to_string(Second.Stats.Steps) + ")";
     return false;
   }
-
-  const VmStats &S = Dev.stats();
-  Out = VmMeasurement();
-  Out.Steps = S.Steps;
-  Out.DeviceLaunches = S.DeviceLaunches;
-  Out.HostLaunches = S.HostLaunches;
-  Out.BlocksExecuted = S.BlocksExecuted;
-  Out.ThreadsExecuted = S.ThreadsExecuted;
-  Out.GridsLaunched = S.GridsLaunched;
-  Out.BatchesRun = Resource;
-  Out.Cycles = measuredMakespanCycles(Dev.gridLog(), S, Gpu);
-  Out.TracesFormed = Dev.decodeStats().TracesFormed;
-  Out.TraceEntries = S.TraceEntries;
-  Out.TraceIters = S.TraceIters;
-  Out.TraceSideExits = S.TraceSideExits;
-  Out.SpecGuardPass = S.SpecGuardPass;
-  Out.SpecGuardFail = S.SpecGuardFail;
+  Out = fillMeasurement(Dev, Resource);
   return true;
 }
 
@@ -350,14 +344,12 @@ EmpiricalEvaluator::measurePipeline(const std::string &PipelineText,
   const VmProgram *Program = programFor(PipelineText);
   if (!Program)
     return std::nullopt;
-  VmMeasurement M;
-  std::string Err;
-  if (!runMeasurement(*Program, PipelineText, maxResource(), M, Err,
-                      ProfileOut)) {
-    LastError = std::move(Err);
+  Session S;
+  if (!advance(*Program, PipelineText, S, maxResource(), LastError))
     return std::nullopt;
-  }
-  return M;
+  if (ProfileOut)
+    *ProfileOut = harvestProfile(S.Dev->gridLog(), S.Dev->program());
+  return fillMeasurement(*S.Dev, maxResource());
 }
 
 unsigned EmpiricalEvaluator::evalWorkers() const {
@@ -369,6 +361,15 @@ unsigned EmpiricalEvaluator::evalWorkers() const {
     return std::min(V, 64u);
   unsigned HW = std::thread::hardware_concurrency();
   return std::clamp(HW, 1u, 8u);
+}
+
+void EmpiricalEvaluator::retainSessions(
+    const std::vector<ExecConfig> &Survivors) {
+  std::set<std::string> Keep;
+  for (const ExecConfig &C : Survivors)
+    Keep.insert(passPipelineTextFor(C));
+  std::erase_if(Sessions,
+                [&](const auto &Entry) { return !Keep.count(Entry.first); });
 }
 
 void EmpiricalEvaluator::prefetch(const std::vector<ExecConfig> &Configs,
@@ -387,6 +388,7 @@ void EmpiricalEvaluator::prefetch(const std::vector<ExecConfig> &Configs,
     std::string Key;
     const VmProgram *Program;
     std::string Pipeline;
+    Session S; ///< The keys are distinct, so no two jobs share a session.
   };
   std::vector<Job> Jobs;
   unsigned SimEvals = Evaluations;
@@ -401,34 +403,30 @@ void EmpiricalEvaluator::prefetch(const std::vector<ExecConfig> &Configs,
       SimEvals += It->second.Ok ? 1 : 0; // already prefetched
       continue;
     }
-    bool Dup = false;
-    for (const Job &J : Jobs)
-      if (J.Key == Key) {
-        Dup = true;
-        break;
-      }
-    if (Dup)
+    if (std::any_of(Jobs.begin(), Jobs.end(),
+                    [&](const Job &J) { return J.Key == Key; }))
       continue; // second occurrence hits the cache the first one fills
     // Compiles stay serial: programFor mutates the shared program cache,
     // and its counter order must match the sequential execution.
     const VmProgram *P = programFor(Pipeline);
     if (!P)
       continue; // compile failure costs no budget sequentially either
-    Jobs.push_back({std::move(Key), P, std::move(Pipeline)});
+    Jobs.push_back({std::move(Key), P, std::move(Pipeline), Session()});
     ++SimEvals;
   }
   if (Jobs.size() <= 1)
     return; // nothing to overlap
+  for (Job &J : Jobs)
+    if (auto Node = Sessions.extract(J.Pipeline))
+      J.S = std::move(Node.mapped());
 
-  std::vector<StagedMeasurement> Results(Jobs.size());
+  std::vector<Run> Results(Jobs.size());
   std::atomic<size_t> NextJob{0};
   auto Work = [&]() {
     for (size_t I = NextJob.fetch_add(1); I < Jobs.size();
-         I = NextJob.fetch_add(1)) {
-      StagedMeasurement &R = Results[I];
-      R.Ok = runMeasurement(*Jobs[I].Program, Jobs[I].Pipeline, Resource,
-                            R.M, R.Error);
-    }
+         I = NextJob.fetch_add(1))
+      Results[I] = run(*Jobs[I].Program, Jobs[I].Pipeline,
+                       std::move(Jobs[I].S), Resource);
   };
   std::vector<std::thread> Pool;
   size_t Spawn = std::min<size_t>(Threads, Jobs.size()) - 1;
@@ -461,31 +459,30 @@ EmpiricalEvaluator::measure(const ExecConfig &Config, unsigned Resource) {
   // sequential execution would have done here. Failed runs are consumed
   // too (not negatively cached — the sequential path re-runs on retry,
   // deterministically failing again).
+  Run R;
   if (auto It = Staged.find(Key); It != Staged.end()) {
-    StagedMeasurement E = std::move(It->second);
+    R = std::move(It->second);
     Staged.erase(It);
-    if (!E.Ok) {
-      LastError = std::move(E.Error);
+  } else {
+    const VmProgram *Program = programFor(Pipeline);
+    if (!Program)
       return std::nullopt;
-    }
-    ++Evaluations;
-    Cache.emplace(std::move(Key), E.M);
-    return E.M;
+    auto Node = Sessions.extract(Pipeline);
+    R = run(*Program, Pipeline, Node ? std::move(Node.mapped()) : Session(),
+            Resource);
   }
-
-  const VmProgram *Program = programFor(Pipeline);
-  if (!Program)
-    return std::nullopt;
-
-  VmMeasurement M;
-  std::string Err;
-  if (!runMeasurement(*Program, Pipeline, Resource, M, Err)) {
-    LastError = std::move(Err);
+  if (!R.Ok) {
+    LastError = std::move(R.Error);
     return std::nullopt;
   }
   ++Evaluations;
-  Cache.emplace(std::move(Key), M);
-  return M;
+  DevicesOpened += R.FromRound == 0;
+  RoundsRun += Resource - R.FromRound;
+  Cache.emplace(std::move(Key), R.M);
+  // A full-sample device has nothing left to resume.
+  if (Resource < maxResource())
+    Sessions[Pipeline] = std::move(R.S);
+  return R.M;
 }
 
 //===----------------------------------------------------------------------===//
@@ -611,6 +608,19 @@ void finalizeMeasured(EmpiricalEvaluator &Eval, EmpiricalTuneResult &Result) {
   Result.Pipeline = passPipelineTextFor(Result.Config);
 }
 
+/// Warm start (opt-in; the service layer's cached/tabled seed): moves the
+/// known-good config to the front of \p Configs, so the search measures it
+/// first and never does worse than it. Default searches leave WarmStart
+/// unset and keep the recorded trajectory bit-for-bit (the bench/tuned/
+/// drift gate's contract).
+void warmStartFirst(const EmpiricalEvaluator &Eval,
+                    std::vector<ExecConfig> &Configs) {
+  if (const std::optional<ExecConfig> &W = Eval.options().WarmStart) {
+    std::erase(Configs, *W);
+    Configs.insert(Configs.begin(), *W);
+  }
+}
+
 /// When the VM could not measure anything (empty workload, pipeline
 /// failure), fall back to the analytic sweep so callers still get a valid
 /// config.
@@ -650,15 +660,7 @@ EmpiricalTuneResult dpo::empiricalTune(EmpiricalEvaluator &Eval,
   size_t Opening = std::max<size_t>(2, Budget / 2);
   if (Pool.size() > Opening)
     Pool.resize(Opening);
-  // Warm start (opt-in; the service layer's cached/tabled seed): measure
-  // the known-good config first so the search never does worse than it.
-  // Default searches leave WarmStart unset and keep the recorded
-  // trajectory bit-for-bit (the bench/tuned/ drift gate's contract).
-  if (Eval.options().WarmStart) {
-    const ExecConfig &W = *Eval.options().WarmStart;
-    Pool.erase(std::remove(Pool.begin(), Pool.end(), W), Pool.end());
-    Pool.insert(Pool.begin(), W);
-  }
+  warmStartFirst(Eval, Pool);
 
   EmpiricalTuneResult Result;
   Result.Mode = TuneMode::Empirical;
@@ -704,6 +706,9 @@ EmpiricalTuneResult dpo::empiricalTune(EmpiricalEvaluator &Eval,
     Pool.clear();
     for (size_t I = 0; I < Keep; ++I)
       Pool.push_back(Ranked[I].second);
+    // The survivors resume their devices on the next rung; the losers'
+    // devices go now.
+    Eval.retainSessions(Pool);
     Resource = std::min(Resource * 2, MaxRes);
     if (Eval.evaluations() >= Budget) {
       // Budget exhausted before the top rung: promote the last completed
@@ -718,6 +723,8 @@ EmpiricalTuneResult dpo::empiricalTune(EmpiricalEvaluator &Eval,
     }
   }
 
+  // Hill climbing measures at full resource only: nothing left to resume.
+  Eval.retainSessions({});
   if (!HaveBest)
     return analyticFallback(Eval, Mask, TuneMode::Empirical);
 
@@ -747,15 +754,7 @@ EmpiricalTuneResult dpo::hybridTune(EmpiricalEvaluator &Eval,
   std::vector<ExecConfig> ShortlistConfigs;
   for (size_t I = 0; I < Order.size() && I < Shortlist; ++I)
     ShortlistConfigs.push_back(Candidates[Order[I]]);
-  // Warm start (opt-in): the seeded config jumps the analytic ranking and
-  // is measured first. Off by default — see empiricalTune.
-  if (Eval.options().WarmStart) {
-    const ExecConfig &W = *Eval.options().WarmStart;
-    ShortlistConfigs.erase(
-        std::remove(ShortlistConfigs.begin(), ShortlistConfigs.end(), W),
-        ShortlistConfigs.end());
-    ShortlistConfigs.insert(ShortlistConfigs.begin(), W);
-  }
+  warmStartFirst(Eval, ShortlistConfigs);
   Eval.prefetch(ShortlistConfigs, MaxRes);
   for (const ExecConfig &C : ShortlistConfigs) {
     if (Eval.evaluations() >= Budget)

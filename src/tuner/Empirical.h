@@ -44,6 +44,7 @@
 #include "workloads/VmWorkload.h"
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -141,15 +142,20 @@ double measuredMakespanCycles(const std::vector<GridRecord> &Grids,
 /// compile cache (pipeline text -> bytecode program) and the measurement
 /// cache ((pipeline text, resource) -> measurement); every distinct
 /// program is parsed and lowered once no matter how many times the search
-/// revisits it.
+/// revisits it. It also keeps one measurement *session* per pipeline
+/// measured below the full sample: the device that ran its first r rounds.
 class EmpiricalEvaluator {
 public:
   EmpiricalEvaluator(const GpuModel &Gpu, VmWorkload Workload,
                      EmpiricalOptions Opts = {});
 
   /// Measures \p Config against the first \p Resource sample batches
-  /// (clamped to [1, maxResource()]). Returns nullopt on pipeline/VM
-  /// failure (lastError() explains).
+  /// (clamped to [1, maxResource()]). Resumes the pipeline's session if it
+  /// has run at most \p Resource rounds, running only the rounds it lacks;
+  /// a single-worker device is deterministic, so the result equals a
+  /// fresh device's field for field, and it counts as one evaluation.
+  /// Below the full sample the device is kept as the session. Returns
+  /// nullopt on pipeline/VM failure (lastError() explains).
   std::optional<VmMeasurement> measure(const ExecConfig &Config,
                                        unsigned Resource);
   /// Full-resource measurement.
@@ -170,17 +176,16 @@ public:
   measurePipeline(const std::string &PipelineText,
                   LaunchProfile *ProfileOut = nullptr);
 
-  /// Exact-state replay (the ROADMAP's "checkpoint device state per
-  /// round" lever): runs \p Rounds measurement rounds of \p PipelineText
-  /// (clamped to [1, maxResource()]) exactly as a measure() would, but
-  /// checkpoints the device before the final round, runs that round,
-  /// restores, and runs it again — then demands the two end states be
-  /// bit-identical (full memory image, stats, grid log). This is the
-  /// proof obligation behind serving cached / warm-started tune results:
-  /// a measurement round is a pure function of the checkpointed device
-  /// state, so a cached result is exactly what a cold re-run would
-  /// produce. On success \p Out holds the measurement over all rounds
-  /// (identical to the measure() path's); on divergence or any VM
+  /// Exact-state replay, a test-time proof: runs \p Rounds measurement
+  /// rounds of \p PipelineText (clamped to [1, maxResource()]) on a fresh
+  /// device exactly as a measure() would, but checkpoints the device
+  /// before the final round, runs that round, restores, and runs it again
+  /// — then demands the two end states be bit-identical (full memory
+  /// image, stats, grid log). A measurement round is thus a pure function
+  /// of the device state before it, which is what lets cached and
+  /// warm-started tune results stand for a cold re-run and what lets a
+  /// session resume. On success \p Out holds the measurement over all
+  /// rounds (identical to the measure() path's); on divergence or any VM
   /// failure, returns false with \p Err. Spends no search budget.
   bool replayRoundExact(const std::string &PipelineText, unsigned Rounds,
                         VmMeasurement &Out, std::string &Err);
@@ -201,8 +206,13 @@ public:
   /// measure() advances Evaluations/Compiles/CacheHits precisely as the
   /// sequential execution would have — the search trajectory (rung
   /// rankings, budget cut-offs, chosen config) is bit-identical at every
-  /// worker count. No-op at one worker.
+  /// worker count. Each run takes its pipeline's session along, so
+  /// sessions save the same work at every worker count. No-op at one
+  /// worker.
   void prefetch(const std::vector<ExecConfig> &Configs, unsigned Resource);
+
+  /// Drops every session but those of \p Survivors' pipelines.
+  void retainSessions(const std::vector<ExecConfig> &Survivors);
 
   /// Batches in the measurement sample (successive halving's top rung).
   unsigned maxResource() const { return (unsigned)Sample.size(); }
@@ -220,6 +230,9 @@ public:
   unsigned programCompiles() const { return Compiles; }
   /// Measurements served from cache (no VM execution, no budget).
   unsigned cacheHits() const { return CacheHits; }
+  /// Devices measure() built and staged, and sample rounds it ran.
+  unsigned devicesOpened() const { return DevicesOpened; }
+  unsigned roundsRun() const { return RoundsRun; }
 
   const std::string &lastError() const { return LastError; }
   const EmpiricalOptions &options() const { return Opts; }
@@ -227,27 +240,48 @@ public:
   const VmWorkload &workload() const { return Workload; }
 
 private:
-  const VmProgram *programFor(const std::string &PipelineText);
-  /// One VM execution, counter-free and thread-safe (touches only the
-  /// out-parameters and immutable evaluator state): the body shared by
-  /// the sequential measure() path and prefetch()'s worker threads.
-  bool runMeasurement(const VmProgram &Program, const std::string &Pipeline,
-                      unsigned Resource, VmMeasurement &Out, std::string &Err,
-                      LaunchProfile *ProfileOut = nullptr) const;
-  /// One measurement round: stage sample batch \p I's arguments and
-  /// launch the parent. Shared by runMeasurement and replayRoundExact so
-  /// the replay executes exactly the round the measurement ran.
-  bool runSampleRound(Device &Dev, unsigned I, std::string &Err) const;
-  unsigned evalWorkers() const;
+  /// A measurement device that has run sample rounds [0, Rounds) of one
+  /// program, and what the binding staged into it. Empty until opened.
+  struct Session {
+    std::unique_ptr<Device> Dev;
+    std::unique_ptr<VmWorkloadBinding::DeviceState> Binding;
+    unsigned Rounds = 0;
+    /// The round a run to \p Target starts from (0: it opens a device).
+    unsigned resumeFrom(unsigned Target) const {
+      return Dev && Rounds <= Target ? Rounds : 0;
+    }
+  };
 
-  /// A prefetched measurement waiting for its measure() call (which
-  /// performs the counter accounting). Failed runs are staged too so the
-  /// consuming call reports the same error the sequential run would.
-  struct StagedMeasurement {
+  /// One measurement of a pipeline. Prefetched runs wait in Staged for
+  /// their measure() call, which does the counter accounting; failed runs
+  /// are staged too so that call reports the sequential run's error.
+  struct Run {
     bool Ok = false;
     VmMeasurement M;
     std::string Error;
+    Session S;
+    unsigned FromRound = 0;
   };
+
+  const VmProgram *programFor(const std::string &PipelineText);
+  /// Builds \p S's device for \p Program (decoded engine, one worker,
+  /// grid log on) and stages the workload's dataset into it.
+  bool openDevice(const VmProgram &Program, Session &S,
+                  std::string &Err) const;
+  /// Brings \p S to \p Rounds completed rounds, reopening it unless it
+  /// can be resumed. Counter-free and thread-safe (touches only \p S,
+  /// \p Err and immutable evaluator state). A failure empties \p S.
+  bool advance(const VmProgram &Program, const std::string &Pipeline,
+               Session &S, unsigned Rounds, std::string &Err) const;
+  /// advance() to \p Resource rounds and measure: the body shared by
+  /// measure() and prefetch()'s worker threads.
+  Run run(const VmProgram &Program, const std::string &Pipeline, Session S,
+          unsigned Resource) const;
+  /// One measurement round: stage sample batch \p I's arguments and
+  /// launch the parent.
+  bool runSampleRound(Session &S, unsigned I, std::string &Err) const;
+  VmMeasurement fillMeasurement(const Device &Dev, unsigned Rounds) const;
+  unsigned evalWorkers() const;
 
   GpuModel Gpu;
   VmWorkload Workload;
@@ -260,10 +294,13 @@ private:
   std::map<std::string, VmProgram> Programs;
   std::set<std::string> FailedPipelines; ///< Negative compile cache.
   std::map<std::string, VmMeasurement> Cache;
-  std::map<std::string, StagedMeasurement> Staged;
+  std::map<std::string, Run> Staged;
+  std::map<std::string, Session> Sessions; ///< By pipeline text.
   unsigned Evaluations = 0;
   unsigned Compiles = 0;
   unsigned CacheHits = 0;
+  unsigned DevicesOpened = 0;
+  unsigned RoundsRun = 0;
   std::string LastError;
 };
 

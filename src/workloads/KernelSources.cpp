@@ -14,8 +14,6 @@
 #include <cassert>
 #include <cctype>
 #include <limits>
-#include <map>
-#include <mutex>
 
 using namespace dpo;
 
@@ -731,29 +729,23 @@ public:
   ReplayBinding(KernelCase Case, std::vector<std::vector<uint32_t>> Items)
       : Case(std::move(Case)), ParentItems(std::move(Items)) {}
 
-  bool setup(Device &Dev, std::string &Error) override {
+  std::unique_ptr<DeviceState> setup(Device &Dev,
+                                     std::string &Error) const override {
+    auto Staged = std::make_unique<StagedImage>();
     std::string StageError;
-    KernelImage Staged = stageKernelCase(Dev, Case, &StageError);
+    Staged->Img = stageKernelCase(Dev, Case, &StageError);
     if (!StageError.empty() || !Dev.error().empty()) {
       Error = "dataset staging failed: " +
               (StageError.empty() ? Dev.error() : StageError);
-      return false;
+      return nullptr;
     }
-    // One binding serves concurrent measurement devices (the tuner's
-    // parallel candidate prefetch), so the staged image is kept per
-    // device under a lock instead of in a shared member.
-    std::lock_guard<std::mutex> Lock(ImagesMutex);
-    Images[&Dev] = Staged;
-    return true;
+    return Staged;
   }
 
-  std::vector<int64_t> argsFor(Device &Dev, const NestedBatch &Batch,
-                               unsigned OriginalIndex) override {
-    KernelImage Img;
-    {
-      std::lock_guard<std::mutex> Lock(ImagesMutex);
-      Img = Images.at(&Dev);
-    }
+  std::vector<int64_t> argsFor(Device &Dev, const DeviceState &State,
+                               const NestedBatch &Batch,
+                               unsigned OriginalIndex) const override {
+    const KernelImage &Img = static_cast<const StagedImage &>(State).Img;
     uint32_t NumParents = Batch.NumParentThreads;
     uint64_t Frontier = Img.Frontier;
     switch (Case.Bench) {
@@ -777,8 +769,12 @@ public:
   }
 
 private:
+  struct StagedImage : DeviceState {
+    KernelImage Img;
+  };
+
   void writeFrontier(Device &Dev, uint64_t Addr, unsigned Round,
-                     uint32_t Count) {
+                     uint32_t Count) const {
     std::vector<int32_t> Items(Count);
     const std::vector<uint32_t> *Rec =
         Round < ParentItems.size() ? &ParentItems[Round] : nullptr;
@@ -789,8 +785,6 @@ private:
 
   KernelCase Case;
   std::vector<std::vector<uint32_t>> ParentItems;
-  std::mutex ImagesMutex;
-  std::map<const Device *, KernelImage> Images;
 };
 
 uint64_t datasetBytes(const KernelCase &Case) {

@@ -42,22 +42,34 @@ class Device;
 /// device and builds each batch's launch arguments (the real kernel
 /// corpus binds CSR graphs, SAT formulas, and Bezier line sets this way —
 /// see workloads/KernelSources.h).
+///
+/// A binding keeps no per-device state of its own: setup() returns what it
+/// staged, the device's owner keeps that beside the device and hands it
+/// back to argsFor(). One binding therefore serves any number of devices
+/// at once, and a device can never see another device's staging.
 class VmWorkloadBinding {
 public:
+  /// What setup() staged into one device (the dataset's addresses).
+  struct DeviceState {
+    virtual ~DeviceState() = default;
+  };
+
   virtual ~VmWorkloadBinding() = default;
 
   /// Loads the dataset and initial algorithm state into \p Dev. Called
-  /// once per measurement device, before any batch runs. Returns false
-  /// (with \p Error set) on failure.
-  virtual bool setup(Device &Dev, std::string &Error) = 0;
+  /// once per measurement device, before any batch runs. Returns the
+  /// staged state, or null (with \p Error set) on failure.
+  virtual std::unique_ptr<DeviceState> setup(Device &Dev,
+                                             std::string &Error) const = 0;
 
-  /// Launch arguments for one batch. \p Batch may be a truncated copy of
-  /// the stream's batch (the evaluator caps sample units by dropping
-  /// parents from the tail); \p OriginalIndex is its index in the
-  /// workload's full batch stream. May also reset per-round device state
-  /// (e.g. frontier-size counters).
-  virtual std::vector<int64_t> argsFor(Device &Dev, const NestedBatch &Batch,
-                                       unsigned OriginalIndex) = 0;
+  /// Launch arguments for one batch on \p Dev, whose setup() returned
+  /// \p State. \p Batch may be a truncated copy of the stream's batch (the
+  /// evaluator caps sample units by dropping parents from the tail);
+  /// \p OriginalIndex is its index in the workload's full batch stream.
+  /// May also reset per-round device state (e.g. frontier-size counters).
+  virtual std::vector<int64_t> argsFor(Device &Dev, const DeviceState &State,
+                                       const NestedBatch &Batch,
+                                       unsigned OriginalIndex) const = 0;
 };
 
 /// A workload the bytecode VM can execute: a translation unit whose parent

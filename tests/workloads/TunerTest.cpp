@@ -6,11 +6,13 @@
 
 #include "tuner/Empirical.h"
 #include "tuner/Tuner.h"
+#include "workloads/KernelSources.h"
 #include "workloads/VmWorkload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <random>
 
 using namespace dpo;
@@ -271,6 +273,148 @@ TEST(EmpiricalTunerTest, ReplayRoundExactMatchesTheMeasurement) {
     EXPECT_EQ(Measured->TraceEntries, Replayed.TraceEntries) << Pipeline;
     EXPECT_EQ(Measured->TraceIters, Replayed.TraceIters) << Pipeline;
     EXPECT_DOUBLE_EQ(Measured->Cycles, Replayed.Cycles) << Pipeline;
+  }
+}
+
+/// Every VmMeasurement field equal; Cycles bit for bit.
+void expectSameMeasurement(const VmMeasurement &A, const VmMeasurement &B,
+                           const std::string &What) {
+  EXPECT_EQ(A.Steps, B.Steps) << What;
+  EXPECT_EQ(A.DeviceLaunches, B.DeviceLaunches) << What;
+  EXPECT_EQ(A.HostLaunches, B.HostLaunches) << What;
+  EXPECT_EQ(A.BlocksExecuted, B.BlocksExecuted) << What;
+  EXPECT_EQ(A.ThreadsExecuted, B.ThreadsExecuted) << What;
+  EXPECT_EQ(A.GridsLaunched, B.GridsLaunched) << What;
+  EXPECT_EQ(A.BatchesRun, B.BatchesRun) << What;
+  EXPECT_EQ(std::bit_cast<uint64_t>(A.Cycles),
+            std::bit_cast<uint64_t>(B.Cycles))
+      << What << ": " << A.Cycles << " vs " << B.Cycles;
+  EXPECT_EQ(A.TracesFormed, B.TracesFormed) << What;
+  EXPECT_EQ(A.TraceEntries, B.TraceEntries) << What;
+  EXPECT_EQ(A.TraceIters, B.TraceIters) << What;
+  EXPECT_EQ(A.TraceSideExits, B.TraceSideExits) << What;
+  EXPECT_EQ(A.SpecGuardPass, B.SpecGuardPass) << What;
+  EXPECT_EQ(A.SpecGuardFail, B.SpecGuardFail) << What;
+}
+
+/// The canonical workload over four skewed batches, sampled whole, so
+/// successive halving has the rungs 1, 2 and 4.
+VmWorkload fourBatchVmWorkload() {
+  return makeNestedVmWorkload("test4", makeSkewedBatches(4, 2500, 11));
+}
+
+EmpiricalOptions fourBatchOptions(unsigned Budget = 16) {
+  EmpiricalOptions Opts = smallOptions(Budget);
+  Opts.SampleBatches = 4;
+  Opts.MaxSampleUnits = 8000;
+  return Opts;
+}
+
+TEST(EmpiricalTunerTest, ResumedMeasurementEqualsFreshAtEveryRung) {
+  // A measurement below the full sample keeps its device as the
+  // pipeline's session, and a later measure() at a higher rung resumes it
+  // and runs only the missing rounds. Whatever the history of the device,
+  // the result must be what a fresh device running rounds [0, R) reports.
+  BenchCase Road;
+  std::string Error;
+  ASSERT_TRUE(parseWorkloadSpec("bfs:road_ny", Road, Error)) << Error;
+  struct Case {
+    VmWorkload Workload;
+    EmpiricalOptions Opts;
+  };
+  Case Cases[] = {{fourBatchVmWorkload(), fourBatchOptions()},
+                  {kernelVmWorkload(Road), EmpiricalOptions()}};
+
+  ExecConfig Thresh;
+  Thresh.Threshold = 256u;
+  ExecConfig Coarse = Thresh;
+  Coarse.CoarsenFactor = 8;
+  ExecConfig MultiBlock = Coarse;
+  MultiBlock.Threshold = 128u;
+  MultiBlock.Agg = AggGranularity::MultiBlock;
+  MultiBlock.AggGroupBlocks = 8;
+  ExecConfig Grid; // bfs:road_ny's committed winner
+  Grid.Threshold = 512u;
+  Grid.CoarsenFactor = 32;
+  Grid.Agg = AggGranularity::Grid;
+
+  GpuModel Gpu;
+  for (const Case &K : Cases) {
+    ASSERT_EQ(K.Opts.SampleBatches, 4u);
+    for (const ExecConfig &C :
+         {ExecConfig::cdp(), Thresh, Coarse, MultiBlock, Grid}) {
+      std::string Pipeline = passPipelineTextFor(C);
+      EmpiricalEvaluator Resumed(Gpu, K.Workload, K.Opts);
+      ASSERT_EQ(Resumed.maxResource(), 4u) << K.Workload.Name;
+      for (unsigned R : {1u, 2u, 4u}) {
+        std::string What =
+            K.Workload.Name + " '" + Pipeline + "' at " + std::to_string(R);
+        std::optional<VmMeasurement> M = Resumed.measure(C, R);
+        ASSERT_TRUE(M.has_value()) << What << ": " << Resumed.lastError();
+        EmpiricalEvaluator Fresh(Gpu, K.Workload, K.Opts);
+        std::optional<VmMeasurement> F = Fresh.measure(C, R);
+        ASSERT_TRUE(F.has_value()) << What << ": " << Fresh.lastError();
+        EXPECT_EQ(Fresh.roundsRun(), R) << What;
+        expectSameMeasurement(*M, *F, What);
+      }
+      // One device, staged once, ran each round once; every rung still
+      // counted as an evaluation.
+      EXPECT_EQ(Resumed.devicesOpened(), 1u) << Pipeline;
+      EXPECT_EQ(Resumed.roundsRun(), 4u) << Pipeline;
+      EXPECT_EQ(Resumed.evaluations(), 3u) << Pipeline;
+
+      // A full-sample measurement keeps no session: asking again for a
+      // lower rung opens a new device.
+      ASSERT_TRUE(Resumed.measure(C, 3).has_value()) << Resumed.lastError();
+      EXPECT_EQ(Resumed.devicesOpened(), 2u) << Pipeline;
+      EXPECT_EQ(Resumed.roundsRun(), 7u) << Pipeline;
+    }
+  }
+}
+
+TEST(EmpiricalTunerTest, SearchIsIdenticalAtEveryWorkerCount) {
+  // prefetch() measures a rung's candidates on worker threads, each
+  // taking its pipeline's session along; the consuming measure() calls
+  // replay the sequential accounting. The search, its counters and the
+  // work sessions save must not depend on the worker count.
+  GpuModel Gpu;
+  VmWorkload W = fourBatchVmWorkload();
+  for (TuneMode Mode : {TuneMode::Empirical, TuneMode::Hybrid}) {
+    std::optional<EmpiricalTuneResult> Base;
+    unsigned BaseEvals = 0, BaseCompiles = 0, BaseHits = 0;
+    unsigned BaseDevices = 0, BaseRounds = 0;
+    for (unsigned Workers : {1u, 2u, 4u}) {
+      EmpiricalOptions Opts = fourBatchOptions(20);
+      Opts.EvalWorkers = Workers;
+      EmpiricalEvaluator Eval(Gpu, W, Opts);
+      EmpiricalTuneResult R = Mode == TuneMode::Empirical
+                                  ? empiricalTune(Eval, fullMask())
+                                  : hybridTune(Eval, fullMask());
+      std::string What = std::string(tuneModeName(Mode)) + " at " +
+                         std::to_string(Workers) + " workers";
+      if (!Base) {
+        Base = R;
+        BaseEvals = Eval.evaluations();
+        BaseCompiles = Eval.programCompiles();
+        BaseHits = Eval.cacheHits();
+        BaseDevices = Eval.devicesOpened();
+        BaseRounds = Eval.roundsRun();
+        EXPECT_GT(BaseEvals, 0u) << What;
+        continue;
+      }
+      EXPECT_TRUE(R.Config == Base->Config) << What;
+      EXPECT_EQ(R.Pipeline, Base->Pipeline) << What;
+      expectSameMeasurement(R.Measured, Base->Measured, What);
+      EXPECT_EQ(std::bit_cast<uint64_t>(R.TimeUs),
+                std::bit_cast<uint64_t>(Base->TimeUs))
+          << What;
+      EXPECT_EQ(R.VmEvaluations, Base->VmEvaluations) << What;
+      EXPECT_EQ(Eval.evaluations(), BaseEvals) << What;
+      EXPECT_EQ(Eval.programCompiles(), BaseCompiles) << What;
+      EXPECT_EQ(Eval.cacheHits(), BaseHits) << What;
+      EXPECT_EQ(Eval.devicesOpened(), BaseDevices) << What;
+      EXPECT_EQ(Eval.roundsRun(), BaseRounds) << What;
+    }
   }
 }
 
