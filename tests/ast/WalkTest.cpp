@@ -11,12 +11,54 @@
 #include "ast/Equivalence.h"
 #include "parse/Parser.h"
 #include "support/Casting.h"
+#include "workloads/KernelSources.h"
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 using namespace dpo;
 
 namespace {
+
+/// One token per node: its kind, with a DeclRef's name or a member's field.
+std::string token(const Stmt *S) {
+  switch (S->kind()) {
+  case StmtKind::Compound: return "{}";
+  case StmtKind::DeclS: return "decl";
+  case StmtKind::If: return "if";
+  case StmtKind::For: return "for";
+  case StmtKind::While: return "while";
+  case StmtKind::Do: return "do";
+  case StmtKind::Return: return "return";
+  case StmtKind::Break: return "break";
+  case StmtKind::Continue: return "continue";
+  case StmtKind::Null: return ";";
+  case StmtKind::IntegerLit: return "int";
+  case StmtKind::FloatLit: return "float";
+  case StmtKind::BoolLit: return "bool";
+  case StmtKind::StringLit: return "str";
+  case StmtKind::DeclRef: return cast<DeclRefExpr>(S)->name();
+  case StmtKind::Member: return "." + cast<MemberExpr>(S)->member();
+  case StmtKind::ArraySubscript: return "[]";
+  case StmtKind::Call: return "call";
+  case StmtKind::Unary: return "unary";
+  case StmtKind::Binary: return "bin";
+  case StmtKind::Conditional: return "?:";
+  case StmtKind::Cast: return "cast";
+  case StmtKind::Paren: return "()";
+  case StmtKind::SizeofE: return "sizeof";
+  case StmtKind::Launch: return "<<<>>>";
+  }
+  return "?";
+}
+
+/// Appends \p S's token to \p Out, space-separated.
+void append(std::string &Out, const Stmt *S) {
+  if (!Out.empty())
+    Out += ' ';
+  Out += token(S);
+}
 
 class WalkTest : public ::testing::Test {
 protected:
@@ -227,6 +269,106 @@ __global__ void p(int *d) {
     return nullptr;
   });
   EXPECT_EQ(Visited, 1);
+}
+
+// The pre-order visit sequence over a corpus parent: parents before
+// children, children in source order, DeclStmt initializers and every
+// launch operand included.
+TEST_F(WalkTest, PreOrderSequenceOnCorpusParent) {
+  FunctionDecl *F =
+      parseFunction(kernelSourceFor(BenchmarkId::BFS), "parent");
+  ASSERT_NE(F, nullptr);
+  std::string Stmts, Exprs, ExprsOfStmts;
+  forEachStmt(F->body(), [&](Stmt *S) {
+    append(Stmts, S);
+    if (isa<Expr>(S))
+      append(ExprsOfStmts, S);
+  });
+  forEachExpr(F->body(), [&](Expr *E) { append(Exprs, E); });
+  EXPECT_EQ(Stmts,
+            "{} decl bin bin .x blockIdx .x blockDim .x threadIdx "
+            "if bin v numF {} "
+            "decl [] frontier v "
+            "decl bin [] rowptr bin u int [] rowptr u "
+            "if bin count int {} "
+            "<<<>>> bin () bin count int int int "
+            "col levels next nextSize [] rowptr u count depth");
+  EXPECT_EQ(Exprs, ExprsOfStmts);
+}
+
+// Array dimensions of a declaration are walked after its initializer, and
+// a launch's operands in order: grid, block, shared memory, stream, then
+// the arguments.
+TEST_F(WalkTest, WalksCoverArrayDimsAndEveryLaunchOperand) {
+  FunctionDecl *Child = parseFunction(sharedChildProbeSource(), "child");
+  ASSERT_NE(Child, nullptr);
+  std::string Decl;
+  forEachStmt(Child->body(), [&](Stmt *S) {
+    if (isa<DeclStmt>(S) && Decl.empty())
+      forEachStmt(S, [&](Stmt *Node) { append(Decl, Node); });
+  });
+  EXPECT_EQ(Decl, "decl int");
+
+  FunctionDecl *F = parseFunction(R"(
+__global__ void c(int *d, int n) { d[0] = n; }
+__global__ void p(int *d, int g, int b, int smem, int strm, int n) {
+  c<<<g, b, smem, strm>>>(d, n);
+}
+)",
+                                  "p");
+  ASSERT_NE(F, nullptr);
+  std::string Launch;
+  forEachExpr(F->body(), [&](Expr *E) {
+    if (isa<LaunchExpr>(E))
+      forEachExpr(E, [&](Expr *Node) { append(Launch, Node); });
+  });
+  EXPECT_EQ(Launch, "<<<>>> g b smem strm d n");
+}
+
+// rewriteStmts visits statement slots only, children first: an expression
+// statement is a slot, but nothing inside an expression is.
+TEST_F(WalkTest, RewriteStmtsNeverDescendsIntoExpressions) {
+  FunctionDecl *F = parseFunction(kernelSourceFor(BenchmarkId::BFS), "child");
+  ASSERT_NE(F, nullptr);
+  std::string Visited;
+  rewriteStmts(F->body(), [&](Stmt *S) -> Stmt * {
+    append(Visited, S);
+    return nullptr;
+  });
+  // decl i; if (i < count) { decl n; if (...) { next[...] = n; } }: the
+  // assignment is the one expression visited; the atomics inside it and
+  // inside the condition are not.
+  EXPECT_EQ(Visited, "decl decl bin {} if {} if");
+}
+
+// A const root selects the const overloads, so callbacks see const nodes;
+// a mutable root selects the mutable ones.
+TEST_F(WalkTest, ConstRootsChooseConstOverloads) {
+  FunctionDecl *F =
+      parseFunction(kernelSourceFor(BenchmarkId::BFS), "parent");
+  ASSERT_NE(F, nullptr);
+  Stmt *Mutable = F->body();
+  const Stmt *Const = F->body();
+  auto ConstNodes = [](auto *Root, bool Exprs) {
+    unsigned Const = 0, Total = 0;
+    auto Note = [&](auto *Node) {
+      Const += std::is_const_v<std::remove_pointer_t<decltype(Node)>>;
+      ++Total;
+    };
+    if (Exprs)
+      forEachExpr(Root, Note);
+    else
+      forEachStmt(Root, Note);
+    return std::make_pair(Const, Total);
+  };
+  for (bool Exprs : {false, true}) {
+    auto [MutConst, MutTotal] = ConstNodes(Mutable, Exprs);
+    auto [ConstConst, ConstTotal] = ConstNodes(Const, Exprs);
+    EXPECT_EQ(MutConst, 0u);
+    EXPECT_EQ(ConstConst, ConstTotal);
+    EXPECT_EQ(MutTotal, ConstTotal);
+    EXPECT_GT(ConstTotal, 0u);
+  }
 }
 
 } // namespace
