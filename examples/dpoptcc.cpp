@@ -319,6 +319,7 @@ static int runServe(const std::string &ServePath, ServiceConfig SC,
     C.Source = SrcBuf.str();
     C.Pipeline = R.Pipeline;
     C.WantBytecode = R.WantBytecode;
+    C.WantText = !R.OutputPath.empty();
     // Bytecode-bound requests need literal knob spellings (the VM has no
     // preprocessor); plain source-to-source requests keep the driver's
     // macro-spelling default.

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include <dirent.h>
@@ -36,6 +35,28 @@ std::string nameFor(const std::string &Key) {
 
 int64_t mtimeNs(const struct stat &St) {
   return (int64_t)St.st_mtim.tv_sec * 1000000000 + St.st_mtim.tv_nsec;
+}
+
+/// Access and modification time both at a stamp, in the form
+/// futimens/utimensat take.
+struct StampTimes {
+  struct timespec Times[2];
+  explicit StampTimes(int64_t Ns)
+      : Times{{Ns / 1000000000, Ns % 1000000000},
+              {Ns / 1000000000, Ns % 1000000000}} {}
+};
+
+/// Writes all of \p Bytes to \p Fd.
+bool writeAll(int Fd, std::string_view Bytes) {
+  while (!Bytes.empty()) {
+    ssize_t N = ::write(Fd, Bytes.data(), Bytes.size());
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false;
+    Bytes.remove_prefix((size_t)N);
+  }
+  return true;
 }
 
 } // namespace
@@ -106,10 +127,9 @@ bool ArtifactCache::load(const std::string &Key, std::string &Bytes) {
   Bytes = std::move(Blob);
   // Touch for LRU; best-effort (a read-only cache dir still serves hits).
   int64_t Stamp = nextStamp();
-  struct timespec Times[2] = {{Stamp / 1000000000, Stamp % 1000000000}};
-  Times[1] = Times[0];
   Index.put(nameFor(Key), Got,
-            ::futimens(Fd, Times) == 0 ? Stamp : mtimeNs(St));
+            ::futimens(Fd, StampTimes(Stamp).Times) == 0 ? Stamp
+                                                         : mtimeNs(St));
   ::close(Fd);
   ++Stats.Hits;
   return true;
@@ -124,12 +144,6 @@ int64_t ArtifactCache::nextStamp() {
   return Stamp;
 }
 
-bool ArtifactCache::stamp(const std::string &Path, int64_t StampNs) {
-  struct timespec Times[2] = {{StampNs / 1000000000, StampNs % 1000000000}};
-  Times[1] = Times[0];
-  return ::utimensat(AT_FDCWD, Path.c_str(), Times, 0) == 0;
-}
-
 void ArtifactCache::touch(const std::vector<std::string> &Keys) {
   if (Keys.empty())
     return;
@@ -138,7 +152,8 @@ void ArtifactCache::touch(const std::vector<std::string> &Keys) {
     return;
   for (const std::string &Key : Keys) {
     int64_t Stamp = nextStamp();
-    if (!stamp(fileFor(Key), Stamp))
+    if (::utimensat(AT_FDCWD, fileFor(Key).c_str(), StampTimes(Stamp).Times,
+                    0) != 0)
       continue; // evicted or removed since; nothing to refresh
     auto It = Index.Files.find(nameFor(Key));
     if (It != Index.Files.end())
@@ -196,41 +211,42 @@ bool ArtifactCache::store(const std::string &Key, std::string_view Bytes) {
     return false;
   if (Bytes.size() > MaxBytes)
     return false; // larger than the whole budget; caching it is pointless
-  std::error_code EC;
-  fs::create_directories(Dir, EC);
-  if (EC)
-    return false;
 
   evictToFit(Bytes.size());
 
   // Unique tmp name per process and instance, so concurrent writers of
-  // the same key race only at the atomic rename.
+  // the same key race only at the atomic rename. Stores of one instance
+  // hold Lock, so a tmp file already there is a dead process's leftover.
   std::string Final = fileFor(Key);
   std::string Tmp = Final + ".tmp" + std::to_string((long long)::getpid()) +
                     "." + std::to_string((uintptr_t)this);
-  {
-    std::ofstream OutF(Tmp, std::ios::binary | std::ios::trunc);
-    if (!OutF) {
-      return false;
-    }
-    OutF.write(Bytes.data(), (std::streamsize)Bytes.size());
-    if (!OutF.good()) {
-      OutF.close();
-      fs::remove(Tmp, EC);
-      return false;
-    }
+  auto Open = [&]() {
+    return ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  };
+  int Fd = Open();
+  if (Fd < 0 && errno == ENOENT) {
+    std::error_code EC;
+    fs::create_directories(Dir, EC);
+    Fd = Open();
+  } else if (Fd < 0 && errno == EEXIST && ::unlink(Tmp.c_str()) == 0) {
+    Fd = Open();
   }
-  fs::rename(Tmp, Final, EC);
-  if (EC) {
-    fs::remove(Tmp, EC);
+  if (Fd < 0)
+    return false;
+  // Stamp the store in use order before the rename, which keeps the
+  // mtime; the file clock alone could date it before a touch made in the
+  // same tick.
+  bool Written = writeAll(Fd, Bytes);
+  int64_t Stamp = nextStamp();
+  bool Stamped = Written && ::futimens(Fd, StampTimes(Stamp).Times) == 0;
+  if (::close(Fd) != 0 || !Written ||
+      ::rename(Tmp.c_str(), Final.c_str()) != 0) {
+    ::unlink(Tmp.c_str());
     return false;
   }
   ++Stats.Stores;
-  // Stamp the store in use order; the file clock alone could date it
-  // before a touch made in the same tick.
-  int64_t Stamp = nextStamp();
   struct stat St {};
-  if (stamp(Final, Stamp))
+  if (Stamped)
     Index.put(nameFor(Key), Bytes.size(), Stamp);
   else if (::stat(Final.c_str(), &St) == 0)
     Index.put(nameFor(Key), (uint64_t)St.st_size, mtimeNs(St));

@@ -13,8 +13,9 @@
 /// that fails validation as a miss (recompile, remove, re-store).
 ///
 /// Durability model: stores write to a temporary file (named by process
-/// id and instance) and rename into place, so readers never observe a
-/// half-written artifact even with concurrent writers. Recency for LRU is
+/// id and instance) through one descriptor, stamp it, and rename it into
+/// place, so readers never observe a half-written artifact even with
+/// concurrent writers. Recency for LRU is
 /// the file mtime: stores and loads stamp it, and touch() stamps the uses
 /// a caller served from a memory tier above this cache. Stamps strictly
 /// increase in the order of those operations (a clock reading, raised
@@ -128,8 +129,6 @@ private:
   /// Under Lock: the next recency stamp, in ns since the epoch: now, or
   /// just past the newest mtime the index has seen if that is later.
   int64_t nextStamp();
-  /// Sets \p Path's mtime (and atime) to \p StampNs.
-  static bool stamp(const std::string &Path, int64_t StampNs);
 
   std::string Dir;
   uint64_t MaxBytes;

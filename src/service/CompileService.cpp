@@ -137,13 +137,16 @@ std::string CompileService::tuneKeyFor(const TuneRequest &Req) {
 }
 
 //===----------------------------------------------------------------------===//
-// Artifact container: "DPOA" + versions + transformed source + optional
-// bytecode image (BytecodeIO's own framed format) + trailing checksum.
+// Artifact container: "DPOA" + versions + optional transformed source +
+// optional bytecode image (BytecodeIO's own framed format) + trailing
+// checksum.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 const char ArtifactMagic[4] = {'D', 'P', 'O', 'A'};
+/// Artifact flags.
+constexpr uint32_t HasImage = 1u, HasText = 2u;
 
 /// Appends the \p N low bytes of \p V, little-endian, in one append.
 template <int N> void putLE(std::string &S, uint64_t V) {
@@ -180,21 +183,29 @@ bool getU64(std::string_view S, size_t &Pos, uint64_t &V) {
 
 std::string CompileService::encodeArtifact(const MemEntry &E) {
   std::string Image = E.Program ? serializeVmProgram(*E.Program) : "";
+  const std::string *Text =
+      E.TransformedSource ? &*E.TransformedSource : nullptr;
   std::string Blob;
-  Blob.reserve(sizeof(ArtifactMagic) + 4 + 4 + 8 +
-               E.TransformedSource.size() + 8 + Image.size() + 8);
+  Blob.reserve(sizeof(ArtifactMagic) + 4 + 4 + 8 + (Text ? Text->size() : 0) +
+               8 + Image.size() + 8);
   Blob.append(ArtifactMagic, sizeof(ArtifactMagic));
   putU32(Blob, ArtifactFormatVersion);
-  putU32(Blob, E.Program ? 1u : 0u); // flags: bit0 = has bytecode image
-  putU64(Blob, E.TransformedSource.size());
-  Blob += E.TransformedSource;
-  if (E.Program) {
+  putU32(Blob, (E.Program ? HasImage : 0u) | (Text ? HasText : 0u));
+  if (Text) {
+    putU64(Blob, Text->size());
+    Blob += *Text;
+  }
+  if (E.Program)
     putU64(Blob, Image.size());
+  // One checksum pass per byte: the trailer covers everything but the
+  // image payload, which the image header's own checksum covers.
+  uint64_t Checksum = fnv1a64(Blob);
+  if (E.Program) {
+    Checksum = fnv1a64(std::string_view(Image).substr(0, VmImageHeaderBytes),
+                       Checksum);
     Blob += Image;
   }
-  // Whole-blob checksum (covers everything before it): cheap end-to-end
-  // integrity for the source half; the program image adds its own.
-  putU64(Blob, fnv1a64(Blob));
+  putU64(Blob, Checksum);
   return Blob;
 }
 
@@ -206,18 +217,10 @@ bool CompileService::decodeArtifact(std::string_view Blob, MemEntry &Out,
     return false;
   }
   size_t Body = Blob.size() - 8;
-  size_t Pos = Body;
-  uint64_t Checksum = 0;
-  getU64(Blob, Pos, Checksum);
-  if (fnv1a64(Blob.substr(0, Body)) != Checksum) {
-    Error = "artifact checksum mismatch (corrupt or truncated)";
-    return false;
-  }
-  Pos = sizeof(ArtifactMagic);
+  std::string_view Head = Blob.substr(0, Body);
+  size_t Pos = sizeof(ArtifactMagic);
   uint32_t Version = 0, Flags = 0;
-  uint64_t SrcLen = 0;
-  if (!getU32(Blob, Pos, Version) || !getU32(Blob, Pos, Flags) ||
-      !getU64(Blob, Pos, SrcLen)) {
+  if (!getU32(Head, Pos, Version) || !getU32(Head, Pos, Flags)) {
     Error = "truncated artifact header";
     return false;
   }
@@ -226,32 +229,51 @@ bool CompileService::decodeArtifact(std::string_view Blob, MemEntry &Out,
             " (expected " + std::to_string(ArtifactFormatVersion) + ")";
     return false;
   }
-  if (Flags & ~1u) {
+  if (Flags & ~(HasImage | HasText)) {
     Error = "unknown artifact flags";
     return false;
   }
-  if (Pos + SrcLen > Body) {
-    Error = "truncated artifact source";
-    return false;
+  std::string_view Text, Image;
+  uint64_t Len = 0;
+  if (Flags & HasText) {
+    if (!getU64(Head, Pos, Len) || Len > Body - Pos) {
+      Error = "truncated artifact source";
+      return false;
+    }
+    Text = Head.substr(Pos, Len);
+    Pos += Len;
   }
-  MemEntry E;
-  E.TransformedSource = std::string(Blob.substr(Pos, SrcLen));
-  Pos += SrcLen;
-  if (Flags & 1) {
-    uint64_t ImageLen = 0;
-    if (!getU64(Blob, Pos, ImageLen) || Pos + ImageLen > Body) {
+  if (Flags & HasImage) {
+    if (!getU64(Head, Pos, Len) || Len > Body - Pos) {
       Error = "truncated artifact image";
       return false;
     }
-    VmProgram Program;
-    if (!deserializeVmProgram(Blob.substr(Pos, ImageLen), Program, Error))
-      return false;
-    Pos += ImageLen;
-    E.Program = std::make_shared<const VmProgram>(std::move(Program));
+    Image = Head.substr(Pos, Len);
+    Pos += Len;
   }
   if (Pos != Body) {
     Error = "trailing bytes in artifact";
     return false;
+  }
+  // The trailer covers every byte before it except the image payload,
+  // which deserializeVmProgram checks against the image's own checksum.
+  size_t Covered = Body - Image.size() +
+                   std::min<size_t>(Image.size(), VmImageHeaderBytes);
+  uint64_t Checksum = 0;
+  Pos = Body;
+  getU64(Blob, Pos, Checksum);
+  if (fnv1a64(Blob.substr(0, Covered)) != Checksum) {
+    Error = "artifact checksum mismatch (corrupt or truncated)";
+    return false;
+  }
+  MemEntry E;
+  if (Flags & HasText)
+    E.TransformedSource = std::string(Text);
+  if (Flags & HasImage) {
+    VmProgram Program;
+    if (!deserializeVmProgram(Image, Program, Error))
+      return false;
+    E.Program = std::make_shared<const VmProgram>(std::move(Program));
   }
   Out = std::move(E);
   return true;
@@ -261,33 +283,56 @@ bool CompileService::decodeArtifact(std::string_view Blob, MemEntry &Out,
 // Compile path
 //===----------------------------------------------------------------------===//
 
-bool CompileService::compileUncached(const CompileRequest &Req, MemEntry &Out,
-                                     std::string &Error) const {
+namespace {
+
+/// Whether \p Req gets text: when it asks, or when it wants no bytecode.
+bool wantsText(const CompileRequest &Req) {
+  return Req.WantText || !Req.WantBytecode;
+}
+
+} // namespace
+
+bool CompileService::completeEntry(const CompileRequest &Req, MemEntry &E,
+                                   bool &Changed, std::string &Error) const {
+  bool NeedText = wantsText(Req) && !E.TransformedSource;
+  bool NeedProgram = Req.WantBytecode && !E.Program;
+  Changed = NeedText || NeedProgram;
   DiagnosticEngine Diags;
-  if (Req.WantBytecode) {
+  if (NeedProgram) {
     VmCompileOptions Opts;
     Opts.OptimizeBytecode = Req.OptimizeBytecode;
+    std::string Printed;
+    // An entry with text skips the transform: its text lowers with no
+    // passes left to run.
     std::optional<VmProgram> Program =
-        compileWithPipeline(Req.Source, Req.Pipeline, Req.Knobs, Opts, Diags,
-                            &Out.TransformedSource);
+        E.TransformedSource
+            ? compileWithPipeline(*E.TransformedSource, "", Req.Knobs, Opts,
+                                  Diags)
+            : compileWithPipeline(Req.Source, Req.Pipeline, Req.Knobs, Opts,
+                                  Diags, NeedText ? &Printed : nullptr);
     if (!Program) {
       Error = "compile of pipeline '" + Req.Pipeline + "' failed: " +
               Diags.str();
       return false;
     }
-    Out.Program = std::make_shared<const VmProgram>(std::move(*Program));
+    E.Program = std::make_shared<const VmProgram>(std::move(*Program));
+    if (NeedText)
+      E.TransformedSource = std::move(Printed);
     return true;
   }
+  if (!NeedText)
+    return true;
   if (Req.Pipeline.empty()) {
-    Out.TransformedSource = Req.Source;
+    E.TransformedSource = Req.Source;
     return true;
   }
-  Out.TransformedSource =
+  std::string Text =
       transformSourceWithPipeline(Req.Source, Req.Pipeline, Req.Knobs, Diags);
-  if (Out.TransformedSource.empty()) {
+  if (Text.empty()) {
     Error = "pipeline '" + Req.Pipeline + "' failed: " + Diags.str();
     return false;
   }
+  E.TransformedSource = std::move(Text);
   return true;
 }
 
@@ -302,6 +347,19 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
     return Resp;
   }
 
+  bool WantText = wantsText(Req);
+  auto Serves = [&](const MemEntry &E) {
+    return (!WantText || E.TransformedSource) &&
+           (!Req.WantBytecode || E.Program);
+  };
+  auto Respond = [&](const MemEntry &E, CacheOutcome Outcome) {
+    Resp.Ok = true;
+    Resp.Outcome = Outcome;
+    if (WantText)
+      Resp.TransformedSource = *E.TransformedSource;
+    Resp.Program = E.Program;
+  };
+
   // Fast path + single flight: under the lock, either serve the memory
   // entry, or wait for the in-flight compile of this key, or claim it.
   std::vector<std::string> MemoryUses;
@@ -310,22 +368,15 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
     ++Stats.Requests;
     while (true) {
       auto It = Memory.find(Resp.Key);
-      if (It != Memory.end()) {
-        const MemEntry &Hit = It->second.Entry;
-        bool NeedsProgram = Req.WantBytecode && !Hit.Program;
-        if (!NeedsProgram) {
-          ++Stats.MemoryHits;
-          if (Disk.enabled())
-            noteMemoryUse(It->first, It->second);
-          Resp.Ok = true;
-          Resp.Outcome = CacheOutcome::MemoryHit;
-          Resp.TransformedSource = Hit.TransformedSource;
-          Resp.Program = Hit.Program;
-          return Resp;
-        }
-        // The cached entry lacks the program image this request wants;
-        // fall through and upgrade it (still skipping the transform).
+      if (It != Memory.end() && Serves(It->second.Entry)) {
+        ++Stats.MemoryHits;
+        if (Disk.enabled())
+          noteMemoryUse(It->first, It->second);
+        Respond(It->second.Entry, CacheOutcome::MemoryHit);
+        return Resp;
       }
+      // An entry lacking the text or program this request wants falls
+      // through and is completed below, reusing what it has.
       if (!InFlight.count(Resp.Key))
         break;
       KeyDone.wait(G);
@@ -335,18 +386,16 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
   }
 
   // Slow path, no locks: hand the memory hits so far to the disk tier
-  // (before its next eviction decision), disk probe, then compile (or
-  // upgrade).
+  // (before its next eviction decision), disk probe, then compile what
+  // the request wants and no layer has.
   Disk.touch(MemoryUses);
   MemEntry Entry;
-  bool HaveEntry = false;
   bool FromDisk = false;
   bool Corrupt = false;
   std::string DiskBlob;
   if (Disk.load(Resp.Key, DiskBlob)) {
     std::string DecodeError;
     if (decodeArtifact(DiskBlob, Entry, DecodeError)) {
-      HaveEntry = true;
       FromDisk = true;
     } else {
       // Corruption-safe load: diagnose, drop the poisoned blob, and
@@ -359,57 +408,50 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
     }
   }
 
-  // Memory had a source-only entry and the request wants bytecode too:
-  // reuse the transformed source, compile only the program half.
-  std::string UpgradeSource;
-  if (!HaveEntry) {
+  // A memory entry may hold the half the disk artifact lacks (or the disk
+  // none at all): the text of a text request, or the program of a
+  // bytecode request. Reuse it.
+  bool FromMemory = false;
+  if (!Serves(Entry)) {
     std::lock_guard<std::mutex> G(Lock);
     auto It = Memory.find(Resp.Key);
-    if (It != Memory.end())
-      UpgradeSource = It->second.Entry.TransformedSource;
+    if (It != Memory.end()) {
+      const MemEntry &Held = It->second.Entry;
+      if (!Entry.TransformedSource && Held.TransformedSource) {
+        Entry.TransformedSource = Held.TransformedSource;
+        FromMemory = true;
+      }
+      if (!Entry.Program && Held.Program) {
+        Entry.Program = Held.Program;
+        FromMemory = true;
+      }
+    }
   }
 
-  bool NeedsProgram = Req.WantBytecode && !Entry.Program;
+  bool Changed = false;
   std::string CompileError;
-  bool Ok = true;
-  if (!HaveEntry && !UpgradeSource.empty()) {
-    CompileRequest Precompiled = Req;
-    Precompiled.Source = UpgradeSource;
-    Precompiled.Pipeline.clear(); // transform already applied
-    Ok = compileUncached(Precompiled, Entry, CompileError);
-    HaveEntry = Ok;
-  } else if (!HaveEntry) {
-    Ok = compileUncached(Req, Entry, CompileError);
-    HaveEntry = Ok;
-  } else if (NeedsProgram) {
-    CompileRequest Precompiled = Req;
-    Precompiled.Source = Entry.TransformedSource;
-    Precompiled.Pipeline.clear();
-    MemEntry Upgraded;
-    Ok = compileUncached(Precompiled, Upgraded, CompileError);
-    if (Ok)
-      Entry = std::move(Upgraded);
-  }
+  bool Ok = completeEntry(Req, Entry, Changed, CompileError);
 
-  // Persist: anything freshly compiled (or upgraded) goes to disk so the
-  // next process starts warm.
-  if (Ok && (!FromDisk || NeedsProgram))
+  // Persist anything the disk artifact lacks, so the next process starts
+  // warm.
+  if (Ok && (!FromDisk || FromMemory || Changed))
     Disk.store(Resp.Key, encodeArtifact(Entry));
 
+  CacheOutcome Outcome = FromDisk     ? CacheOutcome::DiskHit
+                         : FromMemory ? CacheOutcome::MemoryHit
+                                      : CacheOutcome::Miss;
   {
     std::lock_guard<std::mutex> G(Lock);
     if (Ok) {
       Memory[Resp.Key].Entry = Entry;
       reservePendingUses();
-      if (FromDisk)
-        ++Stats.DiskHits;
-      else if (!UpgradeSource.empty())
-        ++Stats.MemoryHits; // transform reused; only the lowering ran
-      else
-        ++Stats.Misses;
-    } else {
-      ++Stats.Misses;
     }
+    if (!Ok || Outcome == CacheOutcome::Miss)
+      ++Stats.Misses;
+    else if (Outcome == CacheOutcome::DiskHit)
+      ++Stats.DiskHits;
+    else
+      ++Stats.MemoryHits; // half the entry reused; only the rest ran
     if (Corrupt)
       ++Stats.CorruptArtifacts;
     InFlight.erase(Resp.Key);
@@ -420,10 +462,7 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
     Resp.Error = CompileError;
     return Resp;
   }
-  Resp.Ok = true;
-  Resp.Outcome = FromDisk ? CacheOutcome::DiskHit : CacheOutcome::Miss;
-  Resp.TransformedSource = Entry.TransformedSource;
-  Resp.Program = Entry.Program;
+  Respond(Entry, Outcome);
   return Resp;
 }
 

@@ -46,16 +46,20 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 namespace dpo {
 
-/// Version of the *artifact container* (the blob wrapping transformed
-/// source + optional program image). Independent of BytecodeFormatVersion,
-/// which versions the embedded program image; both fold into cache keys.
-constexpr uint32_t ArtifactFormatVersion = 1;
+/// Version of the *artifact container* (the blob wrapping optional
+/// transformed source + optional program image). Independent of
+/// BytecodeFormatVersion, which versions the embedded program image; both
+/// fold into cache keys. Version 2: text is optional, and the container
+/// checksum skips the image payload, which the image's own checksum
+/// covers.
+constexpr uint32_t ArtifactFormatVersion = 2;
 
 struct ServiceConfig {
   /// Artifact-cache directory; empty disables the disk layer (the
@@ -90,6 +94,10 @@ struct CompileRequest {
   /// Requires knobs the VM can execute (literal spellings — the VM has
   /// no preprocessor for knob macros).
   bool WantBytecode = false;
+  /// Also return the transformed source text. Text is printed, stored and
+  /// returned when this is set or when no bytecode is wanted; a bytecode
+  /// request without it never prints.
+  bool WantText = false;
   /// Peephole-optimize the bytecode (part of the cache key).
   bool OptimizeBytecode = true;
 };
@@ -105,6 +113,7 @@ struct CompileResponse {
   std::string Error;
   std::string Key; ///< Content-address of the artifact.
   CacheOutcome Outcome = CacheOutcome::Miss;
+  /// The transformed source; empty unless the request wanted text.
   std::string TransformedSource;
   /// Compiled program when the request asked for bytecode. Shared:
   /// concurrent requests for one key get the same immutable image.
@@ -190,8 +199,9 @@ public:
   std::string statsReport() const;
 
 private:
+  /// What a compile of one key produced so far: text, program or both.
   struct MemEntry {
-    std::string TransformedSource;
+    std::optional<std::string> TransformedSource;
     std::shared_ptr<const VmProgram> Program;
   };
   /// A memory-tier entry's use since the disk tier last heard of it: the
@@ -210,9 +220,11 @@ private:
   /// A queued memory hit: the entry's key and its mark.
   using PendingUse = std::pair<const std::string *, UseMark *>;
 
-  /// The compile-and-encode slow path (no locks held).
-  bool compileUncached(const CompileRequest &Req, MemEntry &Out,
-                       std::string &Error) const;
+  /// The compile slow path (no locks held): adds to \p E what \p Req
+  /// wants and \p E lacks, reusing what it has. Sets \p Changed when it
+  /// added anything.
+  bool completeEntry(const CompileRequest &Req, MemEntry &E, bool &Changed,
+                     std::string &Error) const;
   /// Artifact container encode/decode (wraps BytecodeIO for the image).
   static std::string encodeArtifact(const MemEntry &E);
   static bool decodeArtifact(std::string_view Blob, MemEntry &Out,

@@ -419,18 +419,18 @@ bool deserializePayload(std::string_view Payload, VmProgram &P,
 } // namespace
 
 std::string dpo::serializeVmProgram(const VmProgram &Program) {
-  constexpr size_t HeaderBytes = sizeof(Magic) + 4 + 8 + 8;
+  static_assert(VmImageHeaderBytes == sizeof(Magic) + 4 + 8 + 8);
   std::string Image;
   {
-    Writer W(Image, HeaderBytes + payloadSize(Program));
+    Writer W(Image, VmImageHeaderBytes + payloadSize(Program));
     W.raw(Magic, sizeof(Magic));
     W.u32(BytecodeFormatVersion);
     W.u64(0); // payload length and checksum, patched below
     W.u64(0);
     serializePayload(Program, W);
-    std::string_view Payload = W.writtenSince(HeaderBytes);
-    W.patchU64(HeaderBytes - 16, Payload.size());
-    W.patchU64(HeaderBytes - 8, fnv1a64(Payload));
+    std::string_view Payload = W.writtenSince(VmImageHeaderBytes);
+    W.patchU64(VmImageHeaderBytes - 16, Payload.size());
+    W.patchU64(VmImageHeaderBytes - 8, fnv1a64(Payload));
   }
   return Image;
 }

@@ -30,6 +30,7 @@
 
 #include "vm/Bytecode.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -40,6 +41,10 @@ namespace dpo {
 /// opcode set's meaning) changes incompatibly. Old images then fail the
 /// version check and callers fall back to a clean recompile.
 constexpr uint32_t BytecodeFormatVersion = 1;
+
+/// Bytes before an image's payload: magic, version, payload length and
+/// the payload's FNV-1a checksum. The checksum covers the payload only.
+constexpr size_t VmImageHeaderBytes = 4 + 4 + 8 + 8;
 
 /// FNV-1a 64-bit over \p Bytes, continuing from \p Seed. Used for the
 /// image checksum and (by the service layer) for content-addressed cache

@@ -224,7 +224,7 @@ TEST(ContentKeyTest, GoldenCompileAndTuneKeys) {
   Req.WantBytecode = true;
   std::string Error;
   EXPECT_EQ(CompileService::cacheKeyFor(Req, Error),
-            "8010c5a260a6c7fbf3227ff86df9f632")
+            "8eee549c446270e15f62e29ed03b7925")
       << Error;
 
   TuneRequest Tune;

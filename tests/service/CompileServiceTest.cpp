@@ -30,7 +30,10 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <thread>
 
 namespace fs = std::filesystem;
@@ -188,6 +191,14 @@ TEST_F(CompileServiceTest, DiskArtifactsWarmANewServiceInstance) {
 
 class CorruptionTest : public CompileServiceTest {
 protected:
+  /// A bytecode request that also wants the text, so its artifact holds
+  /// every section.
+  CompileRequest fullRequest() const {
+    CompileRequest Req = request("threshold[128:literal]", true);
+    Req.WantText = true;
+    return Req;
+  }
+
   /// Seeds the disk cache with one artifact and returns its path.
   fs::path seedArtifact(const CompileRequest &Req) {
     CompileService Service(diskConfig());
@@ -219,7 +230,7 @@ protected:
 };
 
 TEST_F(CorruptionTest, TruncatedArtifactRecompiles) {
-  CompileRequest Req = request("threshold[128:literal]", true);
+  CompileRequest Req = fullRequest();
   fs::path File = seedArtifact(Req);
   auto Size = fs::file_size(File);
   ASSERT_GT(Size, 16u);
@@ -228,7 +239,7 @@ TEST_F(CorruptionTest, TruncatedArtifactRecompiles) {
 }
 
 TEST_F(CorruptionTest, BitFlippedArtifactRecompiles) {
-  CompileRequest Req = request("threshold[128:literal]", true);
+  CompileRequest Req = fullRequest();
   fs::path File = seedArtifact(Req);
   std::fstream F(File, std::ios::in | std::ios::out | std::ios::binary);
   F.seekg(0, std::ios::end);
@@ -245,7 +256,7 @@ TEST_F(CorruptionTest, BitFlippedArtifactRecompiles) {
 }
 
 TEST_F(CorruptionTest, WrongContainerVersionRecompiles) {
-  CompileRequest Req = request("threshold[128:literal]", true);
+  CompileRequest Req = fullRequest();
   fs::path File = seedArtifact(Req);
   // Rewrite the artifact as a (checksum-valid) blob of a future container
   // version: the version gate itself must reject it.
@@ -257,6 +268,182 @@ TEST_F(CorruptionTest, WrongContainerVersionRecompiles) {
   Blob.append((const char *)&Sum, 8);
   std::ofstream(File, std::ios::binary | std::ios::trunc) << Blob;
   expectCleanRecovery(Req);
+}
+
+/// The artifact file's bytes.
+std::string readFile(const fs::path &File) {
+  std::ifstream In(File, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+void writeFile(const fs::path &File, const std::string &Bytes) {
+  std::ofstream(File, std::ios::binary | std::ios::trunc) << Bytes;
+}
+
+// One checksum still covers every byte: a flipped byte anywhere in the
+// header, the text, the image (its header or payload) or the trailer is a
+// corrupt artifact and a clean recompile.
+TEST_F(CorruptionTest, FlippedByteAnywhereRecompiles) {
+  CompileRequest Req = fullRequest();
+  fs::path File = seedArtifact(Req);
+  const std::string Blob = readFile(File);
+  // "DPOA" | u32 version | u32 flags | u64 text len | text |
+  // u64 image len | image | u64 checksum.
+  uint64_t TextLen = 0, ImageLen = 0;
+  std::memcpy(&TextLen, Blob.data() + 12, 8);
+  const size_t TextAt = 20, ImageAt = TextAt + TextLen + 8;
+  std::memcpy(&ImageLen, Blob.data() + TextAt + TextLen, 8);
+  ASSERT_EQ(ImageAt + ImageLen + 8, Blob.size());
+  ASSERT_GT(TextLen, 0u);
+  ASSERT_GT(ImageLen, VmImageHeaderBytes);
+
+  std::set<size_t> Positions;
+  for (size_t P = 0; P < TextAt; ++P) // the container header
+    Positions.insert(P);
+  for (size_t P = ImageAt - 8; P < ImageAt + VmImageHeaderBytes; ++P)
+    Positions.insert(P); // the image length and the image header
+  for (size_t P = Blob.size() - 8; P < Blob.size(); ++P)
+    Positions.insert(P); // the trailer
+  for (size_t P = TextAt; P < Blob.size(); P += 61) // text and payload
+    Positions.insert(P);
+  Positions.insert(TextAt + TextLen - 1);
+  Positions.insert(ImageAt + ImageLen - 1);
+
+  std::string Image;
+  {
+    CompileService Reference; // memory only
+    CompileResponse R = Reference.compile(Req);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    Image = serializeVmProgram(*R.Program);
+  }
+  for (size_t P : Positions) {
+    std::string Flipped = Blob;
+    Flipped[P] ^= 0x10;
+    writeFile(File, Flipped);
+    CompileService Service(diskConfig());
+    CompileResponse R = Service.compile(Req);
+    ASSERT_TRUE(R.Ok) << "byte " << P << ": " << R.Error;
+    EXPECT_EQ(R.Outcome, CacheOutcome::Miss) << "byte " << P;
+    EXPECT_EQ(Service.stats().CorruptArtifacts, 1u) << "byte " << P;
+    ASSERT_NE(R.Program, nullptr);
+    EXPECT_EQ(serializeVmProgram(*R.Program), Image) << "byte " << P;
+    EXPECT_EQ(R.TransformedSource, Blob.substr(TextAt, TextLen))
+        << "byte " << P;
+  }
+}
+
+// An artifact of the previous container version (text always present, one
+// checksum over every byte before the trailer) is a clean recompile.
+TEST_F(CorruptionTest, PreviousContainerVersionRecompiles) {
+  CompileRequest Req = fullRequest();
+  fs::path File = seedArtifact(Req);
+  CompileService Reference;
+  CompileResponse Fresh = Reference.compile(Req);
+  ASSERT_TRUE(Fresh.Ok) << Fresh.Error;
+  std::string Image = serializeVmProgram(*Fresh.Program);
+
+  auto PutLE = [](std::string &S, uint64_t V, int Bytes) {
+    for (int I = 0; I < Bytes; ++I)
+      S += (char)((V >> (8 * I)) & 0xff);
+  };
+  std::string Blob = "DPOA";
+  PutLE(Blob, ArtifactFormatVersion - 1, 4);
+  PutLE(Blob, 1, 4); // has an image
+  PutLE(Blob, Fresh.TransformedSource.size(), 8);
+  Blob += Fresh.TransformedSource;
+  PutLE(Blob, Image.size(), 8);
+  Blob += Image;
+  PutLE(Blob, fnv1a64(Blob), 8);
+  writeFile(File, Blob);
+  expectCleanRecovery(Req);
+}
+
+//===----------------------------------------------------------------------===//
+// Text only when asked
+//===----------------------------------------------------------------------===//
+
+class TextUpgradeTest : public CompileServiceTest {
+protected:
+  /// A bytecode request; \p WithText also asks for the text.
+  CompileRequest codeRequest(bool WithText) const {
+    CompileRequest Req = request("threshold[64:literal],coarsen[4:literal]",
+                                 /*WantBytecode=*/true);
+    Req.WantText = WithText;
+    return Req;
+  }
+
+  std::string expectedText() const {
+    CompileRequest Req = codeRequest(true);
+    DiagnosticEngine Diags;
+    std::string Text = transformSourceWithPipeline(Req.Source, Req.Pipeline,
+                                                   Req.Knobs, Diags);
+    EXPECT_FALSE(Text.empty()) << Diags.str();
+    return Text;
+  }
+};
+
+TEST_F(TextUpgradeTest, BytecodeRequestsStoreNoText) {
+  CompileService Service(diskConfig());
+  CompileResponse R = Service.compile(codeRequest(false));
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_TRUE(R.TransformedSource.empty());
+  ASSERT_NE(R.Program, nullptr);
+  std::string Blob = readFile(fs::path(cacheDir()) / (R.Key + ".dpoart"));
+  // Header, image length, image, trailer: no text section.
+  EXPECT_EQ(Blob.size(),
+            4 + 4 + 4 + 8 + serializeVmProgram(*R.Program).size() + 8);
+  EXPECT_EQ(Blob.find("__global__"), std::string::npos);
+}
+
+TEST_F(TextUpgradeTest, TextRequestUpgradesATextlessMemoryEntry) {
+  CompileService Service; // memory only
+  CompileResponse Code = Service.compile(codeRequest(false));
+  ASSERT_TRUE(Code.Ok) << Code.Error;
+  CompileResponse Both = Service.compile(codeRequest(true));
+  ASSERT_TRUE(Both.Ok) << Both.Error;
+  EXPECT_EQ(Both.Outcome, CacheOutcome::MemoryHit);
+  EXPECT_EQ(Both.TransformedSource, expectedText());
+  ASSERT_NE(Both.Program, nullptr);
+  EXPECT_EQ(serializeVmProgram(*Both.Program),
+            serializeVmProgram(*Code.Program));
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.MemoryHits, 1u);
+
+  // The upgraded entry serves text from memory.
+  CompileResponse Again = Service.compile(codeRequest(true));
+  EXPECT_EQ(Again.Outcome, CacheOutcome::MemoryHit);
+  EXPECT_EQ(Again.TransformedSource, expectedText());
+  EXPECT_EQ(Service.stats().Misses, 1u);
+}
+
+TEST_F(TextUpgradeTest, TextRequestUpgradesATextlessDiskArtifact) {
+  std::string Image;
+  {
+    CompileService Cold(diskConfig());
+    CompileResponse Code = Cold.compile(codeRequest(false));
+    ASSERT_TRUE(Code.Ok) << Code.Error;
+    Image = serializeVmProgram(*Code.Program);
+  }
+  CompileService Warm(diskConfig());
+  CompileResponse Both = Warm.compile(codeRequest(true));
+  ASSERT_TRUE(Both.Ok) << Both.Error;
+  EXPECT_EQ(Both.Outcome, CacheOutcome::DiskHit);
+  EXPECT_EQ(Both.TransformedSource, expectedText());
+  ASSERT_NE(Both.Program, nullptr);
+  EXPECT_EQ(serializeVmProgram(*Both.Program), Image);
+  ServiceStats S = Warm.stats();
+  EXPECT_EQ(S.Misses, 0u);
+  EXPECT_EQ(S.DiskHits, 1u);
+  EXPECT_EQ(S.DiskStores, 1u); // the upgraded artifact
+
+  CompileService After(diskConfig());
+  CompileResponse Again = After.compile(codeRequest(true));
+  ASSERT_TRUE(Again.Ok) << Again.Error;
+  EXPECT_EQ(Again.Outcome, CacheOutcome::DiskHit);
+  EXPECT_EQ(Again.TransformedSource, expectedText());
+  EXPECT_EQ(serializeVmProgram(*Again.Program), Image);
+  EXPECT_EQ(After.stats().DiskStores, 0u);
 }
 
 TEST_F(CompileServiceTest, EvictionRespectsTheSizeBound) {
