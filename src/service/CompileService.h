@@ -12,7 +12,8 @@
 /// requests from them:
 ///
 ///  - compile(): source + textual pipeline + knob config -> transformed
-///    source and (when requested) a compiled VmProgram, keyed by a stable
+///    source and/or a compiled VmProgram, each only when requested
+///    (CompileRequest::WantText, WantBytecode), keyed by a stable
 ///    content hash of (source, canonical pipeline text, knob signature,
 ///    bytecode format version, peephole flag). Repeat requests cost one
 ///    cache probe; on-disk artifacts survive the process and warm the

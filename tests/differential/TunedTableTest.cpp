@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -103,6 +104,15 @@ TEST(TunedTableTest, RecordedSearchesReproduce) {
         << "committed pipeline — if the change is intentional, refresh "
         << "with scripts/tune_table.sh and commit the diff";
     EXPECT_LE(R.VmEvaluations, Entry.Budget) << Path << ": budget overrun";
+    // The winner's cost too, to the table's printed precision: measured
+    // steps are deterministic, so a drift means the recorded search no
+    // longer measures what it did.
+    char Measured[32], Recorded[32];
+    std::snprintf(Measured, sizeof(Measured), "%.3f", R.TimeUs);
+    std::snprintf(Recorded, sizeof(Recorded), "%.3f", Entry.TimeUs);
+    EXPECT_STREQ(Measured, Recorded)
+        << Path << ": the recorded search no longer reproduces the "
+        << "committed time_us — refresh with scripts/tune_table.sh";
   }
 }
 
