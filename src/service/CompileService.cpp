@@ -16,10 +16,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -101,6 +104,17 @@ std::vector<std::string> CompileService::takeMemoryUses() {
 
 namespace {
 
+/// Artifact sections, as the container's flags word spells them. A
+/// request's shape is the set it gets.
+constexpr uint32_t HasImage = 1u, HasText = 2u;
+
+/// The sections \p Req gets: text when it asks or wants no bytecode, the
+/// image when it wants bytecode.
+uint32_t shapeOf(const CompileRequest &Req) {
+  return (Req.WantBytecode ? HasImage : 0u) |
+         (Req.WantText || !Req.WantBytecode ? HasText : 0u);
+}
+
 std::string workloadSpecOf(const TuneRequest &Req) {
   return Req.WorkloadSpec.empty() ? std::string("canonical")
                                   : Req.WorkloadSpec;
@@ -116,11 +130,16 @@ std::string CompileService::cacheKeyFor(const CompileRequest &Req,
 
   // Keyed material: everything that can change the artifact's bytes.
   // Versions are included so a format bump is a clean cache miss, not a
-  // poisoned load.
+  // poisoned load. The flag field names the artifact's shape and, when
+  // it holds an image, the peephole flag; text alone does not depend on
+  // the peephole.
   static const std::string Versions =
       "artifact-v" + std::to_string(ArtifactFormatVersion) + "|bytecode-v" +
       std::to_string(BytecodeFormatVersion);
-  return contentKey({Versions, Req.OptimizeBytecode ? "opt=1" : "opt=0",
+  static constexpr std::string_view Flags[2][4] = {
+      {"", "opt=0|image", "text", "opt=0|image+text"},
+      {"", "opt=1|image", "text", "opt=1|image+text"}};
+  return contentKey({Versions, Flags[Req.OptimizeBytecode][shapeOf(Req)],
                      Canonical, knobSignature(Req.Knobs), Req.Source});
 }
 
@@ -137,16 +156,14 @@ std::string CompileService::tuneKeyFor(const TuneRequest &Req) {
 }
 
 //===----------------------------------------------------------------------===//
-// Artifact container: "DPOA" + versions + optional transformed source +
-// optional bytecode image (BytecodeIO's own framed format) + trailing
+// Artifact container: "DPOA" + versions + the key's sections (transformed
+// source, bytecode image in BytecodeIO's own framed format) + trailing
 // checksum.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 const char ArtifactMagic[4] = {'D', 'P', 'O', 'A'};
-/// Artifact flags.
-constexpr uint32_t HasImage = 1u, HasText = 2u;
 
 /// Appends the \p N low bytes of \p V, little-endian, in one append.
 template <int N> void putLE(std::string &S, uint64_t V) {
@@ -181,26 +198,25 @@ bool getU64(std::string_view S, size_t &Pos, uint64_t &V) {
 
 } // namespace
 
-std::string CompileService::encodeArtifact(const MemEntry &E) {
-  std::string Image = E.Program ? serializeVmProgram(*E.Program) : "";
-  const std::string *Text =
-      E.TransformedSource ? &*E.TransformedSource : nullptr;
+std::string CompileService::encodeArtifact(const MemEntry &E, uint32_t Shape) {
+  std::string Image = Shape & HasImage ? serializeVmProgram(*E.Program) : "";
+  size_t TextBytes = Shape & HasText ? E.TransformedSource.size() : 0;
   std::string Blob;
-  Blob.reserve(sizeof(ArtifactMagic) + 4 + 4 + 8 + (Text ? Text->size() : 0) +
-               8 + Image.size() + 8);
+  Blob.reserve(sizeof(ArtifactMagic) + 4 + 4 + 8 + TextBytes + 8 +
+               Image.size() + 8);
   Blob.append(ArtifactMagic, sizeof(ArtifactMagic));
   putU32(Blob, ArtifactFormatVersion);
-  putU32(Blob, (E.Program ? HasImage : 0u) | (Text ? HasText : 0u));
-  if (Text) {
-    putU64(Blob, Text->size());
-    Blob += *Text;
+  putU32(Blob, Shape);
+  if (Shape & HasText) {
+    putU64(Blob, TextBytes);
+    Blob += E.TransformedSource;
   }
-  if (E.Program)
+  if (Shape & HasImage)
     putU64(Blob, Image.size());
   // One checksum pass per byte: the trailer covers everything but the
   // image payload, which the image header's own checksum covers.
   uint64_t Checksum = fnv1a64(Blob);
-  if (E.Program) {
+  if (Shape & HasImage) {
     Checksum = fnv1a64(std::string_view(Image).substr(0, VmImageHeaderBytes),
                        Checksum);
     Blob += Image;
@@ -209,8 +225,8 @@ std::string CompileService::encodeArtifact(const MemEntry &E) {
   return Blob;
 }
 
-bool CompileService::decodeArtifact(std::string_view Blob, MemEntry &Out,
-                                    std::string &Error) {
+bool CompileService::decodeArtifact(std::string_view Blob, uint32_t Shape,
+                                    MemEntry &Out, std::string &Error) {
   if (Blob.size() < sizeof(ArtifactMagic) + 8 ||
       std::memcmp(Blob.data(), ArtifactMagic, sizeof(ArtifactMagic)) != 0) {
     Error = "not a dpopt artifact (bad magic)";
@@ -229,8 +245,8 @@ bool CompileService::decodeArtifact(std::string_view Blob, MemEntry &Out,
             " (expected " + std::to_string(ArtifactFormatVersion) + ")";
     return false;
   }
-  if (Flags & ~(HasImage | HasText)) {
-    Error = "unknown artifact flags";
+  if (Flags != Shape) {
+    Error = "artifact sections do not match its key";
     return false;
   }
   std::string_view Text, Image;
@@ -267,8 +283,7 @@ bool CompileService::decodeArtifact(std::string_view Blob, MemEntry &Out,
     return false;
   }
   MemEntry E;
-  if (Flags & HasText)
-    E.TransformedSource = std::string(Text);
+  E.TransformedSource = Text;
   if (Flags & HasImage) {
     VmProgram Program;
     if (!deserializeVmProgram(Image, Program, Error))
@@ -280,61 +295,84 @@ bool CompileService::decodeArtifact(std::string_view Blob, MemEntry &Out,
 }
 
 //===----------------------------------------------------------------------===//
-// Compile path
+// The memoize body
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Whether \p Req gets text: when it asks, or when it wants no bytecode.
-bool wantsText(const CompileRequest &Req) {
-  return Req.WantText || !Req.WantBytecode;
-}
-
-} // namespace
-
-bool CompileService::completeEntry(const CompileRequest &Req, MemEntry &E,
-                                   bool &Changed, std::string &Error) const {
-  bool NeedText = wantsText(Req) && !E.TransformedSource;
-  bool NeedProgram = Req.WantBytecode && !E.Program;
-  Changed = NeedText || NeedProgram;
-  DiagnosticEngine Diags;
-  if (NeedProgram) {
-    VmCompileOptions Opts;
-    Opts.OptimizeBytecode = Req.OptimizeBytecode;
-    std::string Printed;
-    // An entry with text skips the transform: its text lowers with no
-    // passes left to run.
-    std::optional<VmProgram> Program =
-        E.TransformedSource
-            ? compileWithPipeline(*E.TransformedSource, "", Req.Knobs, Opts,
-                                  Diags)
-            : compileWithPipeline(Req.Source, Req.Pipeline, Req.Knobs, Opts,
-                                  Diags, NeedText ? &Printed : nullptr);
-    if (!Program) {
-      Error = "compile of pipeline '" + Req.Pipeline + "' failed: " +
-              Diags.str();
-      return false;
+template <class T, class DecodeFn, class ComputeFn, class EncodeFn>
+std::optional<CacheOutcome>
+CompileService::memoize(const std::string &Key, MemoryTier<T> &Tier,
+                        const Counters &C, T &Out, std::string &Error,
+                        DecodeFn Decode, ComputeFn Compute, EncodeFn Encode) {
+  // Fast path + single flight: under the lock, either serve the memory
+  // entry, or wait for the in-flight computation of this key, or claim it.
+  std::vector<std::string> MemoryUses;
+  {
+    std::unique_lock<std::mutex> G(Lock);
+    ++(Stats.*C.Requests);
+    while (true) {
+      auto It = Tier.find(Key);
+      if (It != Tier.end()) {
+        ++(Stats.*C.MemoryHits);
+        if (Disk.enabled())
+          noteMemoryUse(It->first, It->second);
+        Out = It->second.Value;
+        return CacheOutcome::MemoryHit;
+      }
+      if (InFlight.insert(Key).second)
+        break;
+      KeyDone.wait(G);
     }
-    E.Program = std::make_shared<const VmProgram>(std::move(*Program));
-    if (NeedText)
-      E.TransformedSource = std::move(Printed);
-    return true;
+    MemoryUses = takeMemoryUses();
   }
-  if (!NeedText)
-    return true;
-  if (Req.Pipeline.empty()) {
-    E.TransformedSource = Req.Source;
-    return true;
+
+  // Slow path, no locks: hand the memory hits so far to the disk tier
+  // (before its next eviction decision), disk probe, then compute.
+  Disk.touch(MemoryUses);
+  CacheOutcome Outcome = CacheOutcome::Miss;
+  bool Corrupt = false;
+  std::string Blob;
+  if (Disk.load(Key, Blob)) {
+    std::string DecodeError;
+    if (Decode(std::string_view(Blob), Out, DecodeError)) {
+      Outcome = CacheOutcome::DiskHit;
+    } else {
+      // Corruption-safe load: diagnose, drop the poisoned blob, and
+      // compute afresh. Never abort, never serve bad bytes.
+      std::fprintf(stderr,
+                   "dpopt-service: discarding cached artifact %s: %s\n",
+                   Key.c_str(), DecodeError.c_str());
+      Disk.remove(Key);
+      Corrupt = true;
+    }
   }
-  std::string Text =
-      transformSourceWithPipeline(Req.Source, Req.Pipeline, Req.Knobs, Diags);
-  if (Text.empty()) {
-    Error = "pipeline '" + Req.Pipeline + "' failed: " + Diags.str();
-    return false;
+  bool Ok = Outcome == CacheOutcome::DiskHit || Compute(Out, Error);
+  // Persist a fresh result, so the next process starts warm.
+  if (Ok && Outcome == CacheOutcome::Miss)
+    Disk.store(Key, Encode(Out));
+
+  {
+    std::lock_guard<std::mutex> G(Lock);
+    if (Ok) {
+      Tier[Key].Value = Out;
+      reservePendingUses();
+    }
+    if (Outcome == CacheOutcome::DiskHit)
+      ++(Stats.*C.DiskHits);
+    else if (C.Misses)
+      ++(Stats.*C.Misses);
+    if (Corrupt)
+      ++Stats.CorruptArtifacts;
+    InFlight.erase(Key);
+    KeyDone.notify_all();
   }
-  E.TransformedSource = std::move(Text);
-  return true;
+  if (!Ok)
+    return std::nullopt;
+  return Outcome;
 }
+
+//===----------------------------------------------------------------------===//
+// Compile path
+//===----------------------------------------------------------------------===//
 
 CompileResponse CompileService::compile(const CompileRequest &Req) {
   CompileResponse Resp;
@@ -347,122 +385,54 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
     return Resp;
   }
 
-  bool WantText = wantsText(Req);
-  auto Serves = [&](const MemEntry &E) {
-    return (!WantText || E.TransformedSource) &&
-           (!Req.WantBytecode || E.Program);
+  const uint32_t Shape = shapeOf(Req);
+  auto Decode = [&](std::string_view Blob, MemEntry &E, std::string &Why) {
+    return decodeArtifact(Blob, Shape, E, Why);
   };
-  auto Respond = [&](const MemEntry &E, CacheOutcome Outcome) {
-    Resp.Ok = true;
-    Resp.Outcome = Outcome;
-    if (WantText)
-      Resp.TransformedSource = *E.TransformedSource;
-    Resp.Program = E.Program;
-  };
-
-  // Fast path + single flight: under the lock, either serve the memory
-  // entry, or wait for the in-flight compile of this key, or claim it.
-  std::vector<std::string> MemoryUses;
-  {
-    std::unique_lock<std::mutex> G(Lock);
-    ++Stats.Requests;
-    while (true) {
-      auto It = Memory.find(Resp.Key);
-      if (It != Memory.end() && Serves(It->second.Entry)) {
-        ++Stats.MemoryHits;
-        if (Disk.enabled())
-          noteMemoryUse(It->first, It->second);
-        Respond(It->second.Entry, CacheOutcome::MemoryHit);
-        return Resp;
+  // A miss builds the key's sections in one pass: a text-only request
+  // transforms and prints, any other compiles, printing only when it
+  // wants the text.
+  auto Compute = [&](MemEntry &E, std::string &Error) {
+    DiagnosticEngine Diags;
+    if (!(Shape & HasImage)) {
+      if (Req.Pipeline.empty()) {
+        E.TransformedSource = Req.Source;
+        return true;
       }
-      // An entry lacking the text or program this request wants falls
-      // through and is completed below, reusing what it has.
-      if (!InFlight.count(Resp.Key))
-        break;
-      KeyDone.wait(G);
+      E.TransformedSource = transformSourceWithPipeline(
+          Req.Source, Req.Pipeline, Req.Knobs, Diags);
+      if (E.TransformedSource.empty())
+        Error = "pipeline '" + Req.Pipeline + "' failed: " + Diags.str();
+      return !E.TransformedSource.empty();
     }
-    InFlight.insert(Resp.Key);
-    MemoryUses = takeMemoryUses();
-  }
+    VmCompileOptions Opts;
+    Opts.OptimizeBytecode = Req.OptimizeBytecode;
+    std::optional<VmProgram> Program = compileWithPipeline(
+        Req.Source, Req.Pipeline, Req.Knobs, Opts, Diags,
+        Shape & HasText ? &E.TransformedSource : nullptr);
+    if (!Program) {
+      Error = "compile of pipeline '" + Req.Pipeline + "' failed: " +
+              Diags.str();
+      return false;
+    }
+    E.Program = std::make_shared<const VmProgram>(std::move(*Program));
+    return true;
+  };
+  auto Encode = [&](const MemEntry &E) { return encodeArtifact(E, Shape); };
 
-  // Slow path, no locks: hand the memory hits so far to the disk tier
-  // (before its next eviction decision), disk probe, then compile what
-  // the request wants and no layer has.
-  Disk.touch(MemoryUses);
+  static constexpr Counters CompileCounters = {
+      &ServiceStats::Requests, &ServiceStats::MemoryHits,
+      &ServiceStats::DiskHits, &ServiceStats::Misses};
   MemEntry Entry;
-  bool FromDisk = false;
-  bool Corrupt = false;
-  std::string DiskBlob;
-  if (Disk.load(Resp.Key, DiskBlob)) {
-    std::string DecodeError;
-    if (decodeArtifact(DiskBlob, Entry, DecodeError)) {
-      FromDisk = true;
-    } else {
-      // Corruption-safe load: diagnose, drop the poisoned blob, and
-      // recompile from source. Never abort, never serve bad bytes.
-      std::fprintf(stderr,
-                   "dpopt-service: discarding cached artifact %s: %s\n",
-                   Resp.Key.c_str(), DecodeError.c_str());
-      Disk.remove(Resp.Key);
-      Corrupt = true;
-    }
-  }
-
-  // A memory entry may hold the half the disk artifact lacks (or the disk
-  // none at all): the text of a text request, or the program of a
-  // bytecode request. Reuse it.
-  bool FromMemory = false;
-  if (!Serves(Entry)) {
-    std::lock_guard<std::mutex> G(Lock);
-    auto It = Memory.find(Resp.Key);
-    if (It != Memory.end()) {
-      const MemEntry &Held = It->second.Entry;
-      if (!Entry.TransformedSource && Held.TransformedSource) {
-        Entry.TransformedSource = Held.TransformedSource;
-        FromMemory = true;
-      }
-      if (!Entry.Program && Held.Program) {
-        Entry.Program = Held.Program;
-        FromMemory = true;
-      }
-    }
-  }
-
-  bool Changed = false;
-  std::string CompileError;
-  bool Ok = completeEntry(Req, Entry, Changed, CompileError);
-
-  // Persist anything the disk artifact lacks, so the next process starts
-  // warm.
-  if (Ok && (!FromDisk || FromMemory || Changed))
-    Disk.store(Resp.Key, encodeArtifact(Entry));
-
-  CacheOutcome Outcome = FromDisk     ? CacheOutcome::DiskHit
-                         : FromMemory ? CacheOutcome::MemoryHit
-                                      : CacheOutcome::Miss;
-  {
-    std::lock_guard<std::mutex> G(Lock);
-    if (Ok) {
-      Memory[Resp.Key].Entry = Entry;
-      reservePendingUses();
-    }
-    if (!Ok || Outcome == CacheOutcome::Miss)
-      ++Stats.Misses;
-    else if (Outcome == CacheOutcome::DiskHit)
-      ++Stats.DiskHits;
-    else
-      ++Stats.MemoryHits; // half the entry reused; only the rest ran
-    if (Corrupt)
-      ++Stats.CorruptArtifacts;
-    InFlight.erase(Resp.Key);
-    KeyDone.notify_all();
-  }
-
-  if (!Ok) {
-    Resp.Error = CompileError;
+  std::optional<CacheOutcome> Outcome = memoize(
+      Resp.Key, Memory, CompileCounters, Entry, Resp.Error, Decode, Compute,
+      Encode);
+  if (!Outcome)
     return Resp;
-  }
-  Respond(Entry, Outcome);
+  Resp.Ok = true;
+  Resp.Outcome = *Outcome;
+  Resp.TransformedSource = std::move(Entry.TransformedSource);
+  Resp.Program = std::move(Entry.Program);
   return Resp;
 }
 
@@ -517,6 +487,26 @@ std::string encodeTuneResult(const EmpiricalTuneResult &R) {
   return S.str();
 }
 
+/// A count field: a decimal that fits an unsigned.
+bool parseCount(const std::string &Value, unsigned &Out) {
+  uint64_t V = 0;
+  if (!parseU64(Value, V) || V > std::numeric_limits<unsigned>::max())
+    return false;
+  Out = (unsigned)V;
+  return true;
+}
+
+/// A time field: all of \p Value is one finite, non-negative decimal.
+bool parseTime(const std::string &Value, double &Out) {
+  char *End = nullptr;
+  double V = std::strtod(Value.c_str(), &End);
+  if (Value.empty() || !std::isdigit((unsigned char)Value[0]) || *End ||
+      !std::isfinite(V))
+    return false;
+  Out = V;
+  return true;
+}
+
 bool decodeTuneResult(std::string_view Text, EmpiricalTuneResult &R,
                       std::string &Error) {
   std::istringstream S{std::string(Text)};
@@ -526,7 +516,7 @@ bool decodeTuneResult(std::string_view Text, EmpiricalTuneResult &R,
     return false;
   }
   EmpiricalTuneResult Out;
-  bool SawMode = false, SawPipeline = false;
+  std::set<std::string> Seen;
   while (std::getline(S, Line)) {
     if (Line.empty())
       continue;
@@ -534,25 +524,26 @@ bool decodeTuneResult(std::string_view Text, EmpiricalTuneResult &R,
     std::string Key = Line.substr(0, Space);
     std::string Value =
         Space == std::string::npos ? std::string() : Line.substr(Space + 1);
-    if (Key == "mode") {
-      if (!parseTuneMode(Value, Out.Mode)) {
-        Error = "bad tune mode '" + Value + "'";
-        return false;
-      }
-      SawMode = true;
-    } else if (Key == "pipeline") {
+    bool Ok = true;
+    if (Key == "mode")
+      Ok = parseTuneMode(Value, Out.Mode);
+    else if (Key == "pipeline")
       Out.Pipeline = Value;
-      SawPipeline = true;
-    } else if (Key == "timeus") {
-      Out.TimeUs = std::strtod(Value.c_str(), nullptr);
-    } else if (Key == "evals") {
-      Out.VmEvaluations = (unsigned)std::strtoul(Value.c_str(), nullptr, 10);
-    } else if (Key == "simprobes") {
-      Out.SimProbes = (unsigned)std::strtoul(Value.c_str(), nullptr, 10);
-    } // unknown keys: forward compatibility
+    else if (Key == "timeus")
+      Ok = parseTime(Value, Out.TimeUs);
+    else if (Key == "evals")
+      Ok = parseCount(Value, Out.VmEvaluations);
+    else if (Key == "simprobes")
+      Ok = parseCount(Value, Out.SimProbes);
+    else
+      continue; // unknown keys: forward compatibility
+    if (!Ok || !Seen.insert(Key).second) {
+      Error = "bad or repeated tune-result field '" + Line + "'";
+      return false;
+    }
   }
-  if (!SawMode || !SawPipeline) {
-    Error = "tune result missing mode/pipeline";
+  if (Seen.size() != 5) { // each of the fields above
+    Error = "tune result lacks a field";
     return false;
   }
   if (!execConfigFromPipelineText(Out.Pipeline, Out.Config)) {
@@ -567,116 +558,58 @@ bool decodeTuneResult(std::string_view Text, EmpiricalTuneResult &R,
 
 TuneResponse CompileService::tune(const TuneRequest &Req) {
   TuneResponse Resp;
-  std::string Spec = workloadSpecOf(Req);
   Resp.Key = tuneKeyFor(Req);
-
-  std::vector<std::string> MemoryUses;
-  {
-    // Single-flight, sharing the compile path's machinery (the "tune-"
-    // key prefix keeps the namespaces disjoint): concurrent identical
-    // tune requests run the search once; the rest wait and reuse it.
-    std::unique_lock<std::mutex> G(Lock);
-    ++Stats.TuneRequests;
-    while (true) {
-      auto It = TuneMemory.find(Resp.Key);
-      if (It != TuneMemory.end()) {
-        ++Stats.TuneCacheHits;
-        if (Disk.enabled())
-          noteMemoryUse(It->first, It->second);
-        TuneResponse Cached = It->second.Response;
-        Cached.Key = Resp.Key;
-        Cached.CacheHit = true;
-        return Cached;
+  auto Compute = [&](EmpiricalTuneResult &Result, std::string &Error) {
+    std::string Spec = workloadSpecOf(Req);
+    VmWorkload Workload;
+    if (Spec == "canonical") {
+      Workload = canonicalTuneWorkload(Req.Opts.Seed);
+    } else {
+      BenchCase Case;
+      std::string SpecError;
+      if (!parseWorkloadSpec(Spec, Case, SpecError)) {
+        Error = "bad workload spec '" + Spec + "': " + SpecError;
+        return false;
       }
-      if (!InFlight.count(Resp.Key)) {
-        InFlight.insert(Resp.Key);
-        MemoryUses = takeMemoryUses();
-        break;
-      }
-      KeyDone.wait(G);
+      Workload = kernelVmWorkload(Case);
     }
-  }
-  Disk.touch(MemoryUses);
-  // From here on every exit must release the in-flight claim.
-  auto Release = [&]() {
-    std::lock_guard<std::mutex> G(Lock);
-    InFlight.erase(Resp.Key);
-    KeyDone.notify_all();
+
+    EmpiricalOptions Opts = Req.Opts;
+    if (Req.WarmStart && !Config.TunedTableDir.empty() &&
+        Req.Mode != TuneMode::Analytic) {
+      // Seed the search from the committed tuned table for this workload,
+      // when one exists and its pipeline is ExecConfig-representable.
+      std::string TablePath = (std::filesystem::path(Config.TunedTableDir) /
+                               tunedTableFileName(Spec))
+                                  .string();
+      TunedEntry Entry;
+      std::string LoadError;
+      ExecConfig Seed;
+      if (loadTunedEntryFile(TablePath, Entry, LoadError) &&
+          execConfigFromPipelineText(Entry.Pipeline, Seed)) {
+        Opts.WarmStart = Seed;
+        std::lock_guard<std::mutex> G(Lock);
+        ++Stats.TuneWarmStarts;
+      }
+    }
+
+    GpuModel Gpu;
+    VariantMask Full;
+    Full.Thresholding = Full.Coarsening = Full.Aggregation = true;
+    Result = tuneWorkload(Req.Mode, Gpu, Workload, Full, Opts);
+    return true;
   };
-  std::string DiskBlob;
-  if (Disk.load(Resp.Key, DiskBlob)) {
-    std::string DecodeError;
-    EmpiricalTuneResult Cached;
-    if (decodeTuneResult(DiskBlob, Cached, DecodeError)) {
-      Resp.Ok = true;
-      Resp.CacheHit = true;
-      Resp.Result = std::move(Cached);
-      std::lock_guard<std::mutex> G(Lock);
-      ++Stats.TuneCacheHits;
-      TuneResponse Memo = Resp;
-      Memo.CacheHit = false; // memory hits re-mark on the way out
-      TuneMemory[Resp.Key].Response = Memo;
-      reservePendingUses();
-      InFlight.erase(Resp.Key);
-      KeyDone.notify_all();
-      return Resp;
-    }
-    std::fprintf(stderr,
-                 "dpopt-service: discarding cached tune result %s: %s\n",
-                 Resp.Key.c_str(), DecodeError.c_str());
-    Disk.remove(Resp.Key);
-    std::lock_guard<std::mutex> G(Lock);
-    ++Stats.CorruptArtifacts;
-  }
 
-  // Cold search. Resolve the workload.
-  VmWorkload Workload;
-  if (Spec == "canonical") {
-    Workload = canonicalTuneWorkload(Req.Opts.Seed);
-  } else {
-    BenchCase Case;
-    std::string SpecError;
-    if (!parseWorkloadSpec(Spec, Case, SpecError)) {
-      Resp.Error = "bad workload spec '" + Spec + "': " + SpecError;
-      Release(); // errors are not memoized: a retry gets a fresh attempt
-      return Resp;
-    }
-    Workload = kernelVmWorkload(Case);
-  }
-
-  EmpiricalOptions Opts = Req.Opts;
-  if (Req.WarmStart && !Config.TunedTableDir.empty() &&
-      Req.Mode != TuneMode::Analytic) {
-    // Seed the search from the committed tuned table for this workload,
-    // when one exists and its pipeline is ExecConfig-representable.
-    std::string TablePath =
-        (std::filesystem::path(Config.TunedTableDir) / tunedTableFileName(Spec))
-            .string();
-    TunedEntry Entry;
-    std::string LoadError;
-    ExecConfig Seed;
-    if (loadTunedEntryFile(TablePath, Entry, LoadError) &&
-        execConfigFromPipelineText(Entry.Pipeline, Seed)) {
-      Opts.WarmStart = Seed;
-      std::lock_guard<std::mutex> G(Lock);
-      ++Stats.TuneWarmStarts;
-    }
-  }
-
-  GpuModel Gpu;
-  VariantMask Full;
-  Full.Thresholding = Full.Coarsening = Full.Aggregation = true;
-  Resp.Result = tuneWorkload(Req.Mode, Gpu, Workload, Full, Opts);
-  Resp.Ok = true;
-
-  Disk.store(Resp.Key, encodeTuneResult(Resp.Result));
-  {
-    std::lock_guard<std::mutex> G(Lock);
-    TuneMemory[Resp.Key].Response = Resp;
-    reservePendingUses();
-    InFlight.erase(Resp.Key);
-    KeyDone.notify_all();
-  }
+  // Tune keys carry a "tune-" prefix, so they never meet compile keys in
+  // the disk tier or the in-flight set. Searches count no misses.
+  static constexpr Counters TuneCounters = {
+      &ServiceStats::TuneRequests, &ServiceStats::TuneCacheHits,
+      &ServiceStats::TuneCacheHits, nullptr};
+  std::optional<CacheOutcome> Outcome =
+      memoize(Resp.Key, TuneMemory, TuneCounters, Resp.Result, Resp.Error,
+              decodeTuneResult, Compute, encodeTuneResult);
+  Resp.Ok = Outcome.has_value();
+  Resp.CacheHit = Resp.Ok && *Outcome != CacheOutcome::Miss;
   return Resp;
 }
 

@@ -15,10 +15,10 @@
 ///    source and/or a compiled VmProgram, each only when requested
 ///    (CompileRequest::WantText, WantBytecode), keyed by a stable
 ///    content hash of (source, canonical pipeline text, knob signature,
-///    bytecode format version, peephole flag). Repeat requests cost one
-///    cache probe; on-disk artifacts survive the process and warm the
-///    next one. Corrupt/truncated/stale-version artifacts degrade to a
-///    clean recompile with a diagnostic, never an abort.
+///    format versions, artifact shape, peephole flag). Repeat requests
+///    cost one cache probe; on-disk artifacts survive the process and
+///    warm the next one. Corrupt/truncated/stale-version artifacts
+///    degrade to a clean recompile with a diagnostic, never an abort.
 ///  - compileBatch(): many requests drained concurrently on a worker
 ///    pool; responses come back in request order and per-request stat
 ///    shards are merged in request order, so totals are deterministic at
@@ -97,7 +97,8 @@ struct CompileRequest {
   bool WantBytecode = false;
   /// Also return the transformed source text. Text is printed, stored and
   /// returned when this is set or when no bytecode is wanted; a bytecode
-  /// request without it never prints.
+  /// request without it never prints. Text and bytecode demand make the
+  /// artifact's shape, which is part of the cache key.
   bool WantText = false;
   /// Peephole-optimize the bytecode (part of the cache key).
   bool OptimizeBytecode = true;
@@ -172,7 +173,8 @@ public:
   /// The content-address of \p Req (contentKey, service/ContentKey.h)
   /// over the source, the *canonical* pipeline text (parse + re-render,
   /// so equivalent spellings alias), the knob signature, the bytecode
-  /// format + artifact container versions, and the peephole flag.
+  /// format + artifact container versions, and the artifact's shape
+  /// (text, program or both) with, for a program, the peephole flag.
   /// Returns "" (with \p Error) when the pipeline fails to parse.
   static std::string cacheKeyFor(const CompileRequest &Req,
                                  std::string &Error);
@@ -200,9 +202,10 @@ public:
   std::string statsReport() const;
 
 private:
-  /// What a compile of one key produced so far: text, program or both.
+  /// A compile artifact: the sections its key's shape names, text and/or
+  /// program.
   struct MemEntry {
-    std::optional<std::string> TransformedSource;
+    std::string TransformedSource;
     std::shared_ptr<const VmProgram> Program;
   };
   /// A memory-tier entry's use since the disk tier last heard of it: the
@@ -212,24 +215,38 @@ private:
     uint64_t LastUse = 0;     ///< UseClock at the latest memory hit.
     bool UsePending = false;  ///< In PendingUses, not yet handed over.
   };
-  struct MemSlot : UseMark {
-    MemEntry Entry;
+  template <class T> struct Slot : UseMark {
+    T Value;
   };
-  struct TuneSlot : UseMark {
-    TuneResponse Response;
-  };
+  template <class T> using MemoryTier = std::map<std::string, Slot<T>>;
   /// A queued memory hit: the entry's key and its mark.
   using PendingUse = std::pair<const std::string *, UseMark *>;
+  /// The ServiceStats counters a memoize() caller bumps.
+  struct Counters {
+    uint64_t ServiceStats::*Requests;
+    uint64_t ServiceStats::*MemoryHits;
+    uint64_t ServiceStats::*DiskHits;
+    uint64_t ServiceStats::*Misses; ///< Null: misses are not counted.
+  };
 
-  /// The compile slow path (no locks held): adds to \p E what \p Req
-  /// wants and \p E lacks, reusing what it has. Sets \p Changed when it
-  /// added anything.
-  bool completeEntry(const CompileRequest &Req, MemEntry &E, bool &Changed,
-                     std::string &Error) const;
+  /// The one memoize body of compile() and tune(): memory probe,
+  /// single-flight wait, disk probe (a blob \p Decode rejects is
+  /// discarded and counted corrupt), \p Compute, disk store of
+  /// \p Encode's bytes, publish. Returns where \p Out came from, or
+  /// nullopt with \p Error when \p Compute failed; failures are not
+  /// memoized.
+  template <class T, class DecodeFn, class ComputeFn, class EncodeFn>
+  std::optional<CacheOutcome> memoize(const std::string &Key,
+                                      MemoryTier<T> &Tier, const Counters &C,
+                                      T &Out, std::string &Error,
+                                      DecodeFn Decode, ComputeFn Compute,
+                                      EncodeFn Encode);
   /// Artifact container encode/decode (wraps BytecodeIO for the image).
-  static std::string encodeArtifact(const MemEntry &E);
-  static bool decodeArtifact(std::string_view Blob, MemEntry &Out,
-                             std::string &Error);
+  /// \p Shape is the key's section flags; decoding rejects a blob whose
+  /// sections differ.
+  static std::string encodeArtifact(const MemEntry &E, uint32_t Shape);
+  static bool decodeArtifact(std::string_view Blob, uint32_t Shape,
+                             MemEntry &Out, std::string &Error);
   /// Under Lock: records a memory hit on the entry \p Key. No allocation
   /// (see PendingUses) and no system call.
   void noteMemoryUse(const std::string &Key, UseMark &Use);
@@ -245,8 +262,8 @@ private:
 
   mutable std::mutex Lock;
   std::condition_variable KeyDone;
-  std::map<std::string, MemSlot> Memory;
-  std::map<std::string, TuneSlot> TuneMemory;
+  MemoryTier<MemEntry> Memory;
+  MemoryTier<EmpiricalTuneResult> TuneMemory;
   /// Compile and tune slots hit since the last hand-over, each once. Its
   /// capacity is kept at least Memory.size() + TuneMemory.size(), so
   /// recording a hit never allocates.

@@ -292,52 +292,6 @@ VmMeasurement EmpiricalEvaluator::fillMeasurement(const Device &Dev,
   return Out;
 }
 
-bool EmpiricalEvaluator::replayRoundExact(const std::string &PipelineText,
-                                          unsigned Rounds, VmMeasurement &Out,
-                                          std::string &Err) {
-  const VmProgram *Program = programFor(PipelineText);
-  if (!Program) {
-    Err = LastError;
-    return false;
-  }
-  unsigned Resource =
-      std::max(1u, std::min(Rounds, (unsigned)Sample.size()));
-
-  // Same device and rounds as a measurement, up to the final round.
-  Session S;
-  if (!advance(*Program, PipelineText, S, Resource - 1, Err))
-    return false;
-  Device &Dev = *S.Dev;
-
-  // Checkpoint, run the final round, snapshot; restore and run it again.
-  // Identical end states prove the round is a pure function of the
-  // checkpointed device state (allocations land at the same addresses
-  // because BumpPtr is part of the snapshot).
-  DeviceCheckpoint Before = Dev.checkpoint();
-  if (!runSampleRound(S, Resource - 1, Err)) {
-    Err = "final round failed: " + Err;
-    return false;
-  }
-  DeviceCheckpoint First = Dev.checkpoint();
-  if (!Dev.restore(Before)) {
-    Err = "checkpoint restore failed (memory size mismatch)";
-    return false;
-  }
-  if (!runSampleRound(S, Resource - 1, Err)) {
-    Err = "replayed round failed: " + Err;
-    return false;
-  }
-  DeviceCheckpoint Second = Dev.checkpoint();
-  if (!(First == Second)) {
-    Err = "replayed round diverged from its first execution (steps " +
-          std::to_string(First.Stats.Steps) + " vs " +
-          std::to_string(Second.Stats.Steps) + ")";
-    return false;
-  }
-  Out = fillMeasurement(Dev, Resource);
-  return true;
-}
-
 std::optional<VmMeasurement>
 EmpiricalEvaluator::measurePipeline(const std::string &PipelineText,
                                     LaunchProfile *ProfileOut) {

@@ -176,20 +176,6 @@ public:
   measurePipeline(const std::string &PipelineText,
                   LaunchProfile *ProfileOut = nullptr);
 
-  /// Exact-state replay, a test-time proof: runs \p Rounds measurement
-  /// rounds of \p PipelineText (clamped to [1, maxResource()]) on a fresh
-  /// device exactly as a measure() would, but checkpoints the device
-  /// before the final round, runs that round, restores, and runs it again
-  /// — then demands the two end states be bit-identical (full memory
-  /// image, stats, grid log). A measurement round is thus a pure function
-  /// of the device state before it, which is what lets cached and
-  /// warm-started tune results stand for a cold re-run and what lets a
-  /// session resume. On success \p Out holds the measurement over all
-  /// rounds (identical to the measure() path's); on divergence or any VM
-  /// failure, returns false with \p Err. Spends no search budget.
-  bool replayRoundExact(const std::string &PipelineText, unsigned Rounds,
-                        VmMeasurement &Out, std::string &Err);
-
   /// Backs the `profile` parameter of measured pipelines
   /// (`threshold[profile]`, ...). Not owned; must outlive the evaluator's
   /// compiles. Distinct profiles compile distinct programs, so set this

@@ -201,47 +201,6 @@ bool dpo::operator==(const GridRecord &A, const GridRecord &B) {
          A.FromHost == B.FromHost;
 }
 
-bool dpo::operator==(const DeviceCheckpoint &A, const DeviceCheckpoint &B) {
-  return A.BumpPtr == B.BumpPtr && A.Stats == B.Stats &&
-         A.Memory == B.Memory && A.GridLog == B.GridLog;
-}
-
-DeviceCheckpoint Device::checkpoint() const {
-  DeviceCheckpoint C;
-  C.Memory.assign(Memory.data(), Memory.data() + Memory.size());
-  C.BumpPtr = BumpPtr;
-  C.Stats = Stats;
-  C.GridLog = GridLog;
-  return C;
-}
-
-bool Device::restore(const DeviceCheckpoint &C) {
-  if (C.Memory.size() != Memory.size())
-    return false;
-  if (!C.Memory.empty())
-    std::memcpy(Memory.data(), C.Memory.data(), C.Memory.size());
-  BumpPtr = C.BumpPtr;
-  Stats = C.Stats;
-  GridLog = C.GridLog;
-  // Pooled thread contexts cache their lazily bump-allocated frame-memory
-  // regions across launches. A region at or above the restored bump
-  // pointer was allocated after the checkpoint: the restored allocator
-  // has forgotten it, so keeping the cache would let later allocations
-  // land inside live frame memory. Drop those caches — the replayed run
-  // re-allocates them in the same order the original run did. Regions
-  // below the restored pointer were already cached at checkpoint time
-  // and must stay cached for replays to be bit-exact.
-  for (auto &W : WorkerCtxs)
-    for (auto &Pool : W->Pools)
-      for (ThreadCtx &T : Pool->Threads)
-        if (T.StackMemBase >= BumpPtr) {
-          T.StackMemBase = 0;
-          T.StackMemUsed = 0;
-        }
-  LastError.clear();
-  return true;
-}
-
 void Device::setWorkers(unsigned N) {
   if (N == 0)
     N = resolveWorkerCount();

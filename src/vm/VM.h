@@ -130,19 +130,8 @@ struct VmStats {
   uint64_t SpecGuardFail = 0;
 };
 
-/// Snapshot of a Device's observable execution state; see
-/// Device::checkpoint(). Copyable, comparable (exact-state replays assert
-/// bit-identity of two snapshots).
-struct DeviceCheckpoint {
-  std::vector<uint8_t> Memory;
-  uint64_t BumpPtr = 0;
-  VmStats Stats;
-  std::vector<GridRecord> GridLog;
-};
-
 bool operator==(const VmStats &A, const VmStats &B);
 bool operator==(const GridRecord &A, const GridRecord &B);
-bool operator==(const DeviceCheckpoint &A, const DeviceCheckpoint &B);
 
 /// A Device's flat memory image: a demand-zero anonymous mapping. Pages
 /// are committed on first touch, so the image size is a bound rather
@@ -259,19 +248,6 @@ public:
   /// The loaded program (profile harvesting resolves GridRecord::Site
   /// ordinals against its LaunchSiteNames).
   const VmProgram &program() const { return Program; }
-
-  /// A bit-exact snapshot of the device's observable execution state:
-  /// the full memory image, the bump allocator, the statistics, and the
-  /// grid log. Decode caches and formed traces are deliberately outside
-  /// the snapshot — they are engine acceleration state and never change
-  /// retired steps or payloads. Enables exact-state replays (the tuner
-  /// checkpoints before a measurement round and replays it to prove
-  /// cached results are bit-identical to cold runs).
-  DeviceCheckpoint checkpoint() const;
-  /// Restores a snapshot taken from this device (memory sizes must
-  /// match). Must not be called while a launch is running. Returns false
-  /// (device unchanged) on a size mismatch.
-  bool restore(const DeviceCheckpoint &C);
 
   /// Maximum bytecode steps per top-level call (guards against runaway
   /// loops in tests).

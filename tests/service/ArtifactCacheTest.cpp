@@ -224,7 +224,7 @@ TEST(ContentKeyTest, GoldenCompileAndTuneKeys) {
   Req.WantBytecode = true;
   std::string Error;
   EXPECT_EQ(CompileService::cacheKeyFor(Req, Error),
-            "8eee549c446270e15f62e29ed03b7925")
+            "eaf6a0004f2fe70a41d1303f0c90def3")
       << Error;
 
   TuneRequest Tune;

@@ -7,17 +7,17 @@
 /// \file
 /// The compilation-as-a-service contract (src/service/):
 ///  - content-addressed keys: stable, spelling-insensitive, sensitive to
-///    source/pipeline/knob/format changes;
+///    source/pipeline/knob/format changes and the artifact's shape;
 ///  - hit paths: in-memory on repeat requests, on-disk across service
 ///    instances, bit-identical artifacts either way;
 ///  - robustness: truncated / bit-flipped / wrong-version artifacts fall
 ///    back to a clean recompile with a diagnostic and never crash;
 ///    eviction respects the size bound; a source nested past the parser
 ///    limit fails alone;
-///  - concurrency: same-key requests single-flight, batch drains return
-///    deterministic results at every worker count;
-///  - tune caching (memory hits refresh the disk LRU) and tuned-table
-///    warm starts.
+///  - concurrency: same-key compiles and tunes single-flight, batch
+///    drains return deterministic results at every worker count;
+///  - tune caching (memory hits refresh the disk LRU; a mangled result
+///    is corrupt) and tuned-table warm starts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,6 +122,26 @@ TEST_F(CompileServiceTest, CacheKeysAreStableAndContentSensitive) {
   NoOpt.OptimizeBytecode = false;
   EXPECT_NE(CompileService::cacheKeyFor(WithCode, Error),
             CompileService::cacheKeyFor(NoOpt, Error));
+
+  // So is the artifact's shape: text only, program only and both are
+  // three keys. Text alone holds no bytecode, so neither the peephole
+  // flag nor asking for the text it gets anyway moves its key.
+  CompileRequest TextOnly = WithCode;
+  TextOnly.WantBytecode = false;
+  CompileRequest Both = WithCode;
+  Both.WantText = true;
+  std::string TextKey = CompileService::cacheKeyFor(TextOnly, Error);
+  EXPECT_EQ(std::set<std::string>(
+                {TextKey, CompileService::cacheKeyFor(WithCode, Error),
+                 CompileService::cacheKeyFor(Both, Error)})
+                .size(),
+            3u);
+  CompileRequest TextNoOpt = TextOnly;
+  TextNoOpt.OptimizeBytecode = false;
+  EXPECT_EQ(TextKey, CompileService::cacheKeyFor(TextNoOpt, Error));
+  CompileRequest TextAsked = TextOnly;
+  TextAsked.WantText = true;
+  EXPECT_EQ(TextKey, CompileService::cacheKeyFor(TextAsked, Error));
 
   // Equivalent pipeline spellings alias (the key hashes the canonical
   // re-render, not the user's text).
@@ -395,55 +415,42 @@ TEST_F(TextUpgradeTest, BytecodeRequestsStoreNoText) {
   EXPECT_EQ(Blob.find("__global__"), std::string::npos);
 }
 
-TEST_F(TextUpgradeTest, TextRequestUpgradesATextlessMemoryEntry) {
+TEST_F(TextUpgradeTest, ShapesAreSeparateEntries) {
+  // Text only, program only and both: each shape of one source and
+  // pipeline is its own entry, compiled once and then served whole.
+  CompileRequest TextOnly = codeRequest(false);
+  TextOnly.WantBytecode = false;
+  const CompileRequest Shapes[] = {TextOnly, codeRequest(false),
+                                   codeRequest(true)};
   CompileService Service; // memory only
-  CompileResponse Code = Service.compile(codeRequest(false));
-  ASSERT_TRUE(Code.Ok) << Code.Error;
-  CompileResponse Both = Service.compile(codeRequest(true));
-  ASSERT_TRUE(Both.Ok) << Both.Error;
-  EXPECT_EQ(Both.Outcome, CacheOutcome::MemoryHit);
-  EXPECT_EQ(Both.TransformedSource, expectedText());
-  ASSERT_NE(Both.Program, nullptr);
-  EXPECT_EQ(serializeVmProgram(*Both.Program),
-            serializeVmProgram(*Code.Program));
-  ServiceStats S = Service.stats();
-  EXPECT_EQ(S.Misses, 1u);
-  EXPECT_EQ(S.MemoryHits, 1u);
-
-  // The upgraded entry serves text from memory.
-  CompileResponse Again = Service.compile(codeRequest(true));
-  EXPECT_EQ(Again.Outcome, CacheOutcome::MemoryHit);
-  EXPECT_EQ(Again.TransformedSource, expectedText());
-  EXPECT_EQ(Service.stats().Misses, 1u);
-}
-
-TEST_F(TextUpgradeTest, TextRequestUpgradesATextlessDiskArtifact) {
-  std::string Image;
-  {
-    CompileService Cold(diskConfig());
-    CompileResponse Code = Cold.compile(codeRequest(false));
-    ASSERT_TRUE(Code.Ok) << Code.Error;
-    Image = serializeVmProgram(*Code.Program);
+  std::vector<CompileResponse> First;
+  for (const CompileRequest &Req : Shapes) {
+    First.push_back(Service.compile(Req));
+    ASSERT_TRUE(First.back().Ok) << First.back().Error;
+    EXPECT_EQ(First.back().Outcome, CacheOutcome::Miss);
   }
-  CompileService Warm(diskConfig());
-  CompileResponse Both = Warm.compile(codeRequest(true));
-  ASSERT_TRUE(Both.Ok) << Both.Error;
-  EXPECT_EQ(Both.Outcome, CacheOutcome::DiskHit);
-  EXPECT_EQ(Both.TransformedSource, expectedText());
-  ASSERT_NE(Both.Program, nullptr);
-  EXPECT_EQ(serializeVmProgram(*Both.Program), Image);
-  ServiceStats S = Warm.stats();
-  EXPECT_EQ(S.Misses, 0u);
-  EXPECT_EQ(S.DiskHits, 1u);
-  EXPECT_EQ(S.DiskStores, 1u); // the upgraded artifact
+  for (size_t I = 0; I < 3; ++I) {
+    CompileResponse Again = Service.compile(Shapes[I]);
+    ASSERT_TRUE(Again.Ok) << Again.Error;
+    EXPECT_EQ(Again.Outcome, CacheOutcome::MemoryHit) << "shape " << I;
+    EXPECT_EQ(Again.TransformedSource, First[I].TransformedSource);
+    EXPECT_EQ(Again.Program, First[I].Program);
+  }
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.Misses, 3u);
+  EXPECT_EQ(S.MemoryHits, 3u);
 
-  CompileService After(diskConfig());
-  CompileResponse Again = After.compile(codeRequest(true));
-  ASSERT_TRUE(Again.Ok) << Again.Error;
-  EXPECT_EQ(Again.Outcome, CacheOutcome::DiskHit);
-  EXPECT_EQ(Again.TransformedSource, expectedText());
-  EXPECT_EQ(serializeVmProgram(*Again.Program), Image);
-  EXPECT_EQ(After.stats().DiskStores, 0u);
+  // Text equal across the text shapes, program bytes across the
+  // bytecode shapes; bytecode alone carries no text, text alone no
+  // program.
+  EXPECT_EQ(First[0].TransformedSource, expectedText());
+  EXPECT_EQ(First[2].TransformedSource, expectedText());
+  EXPECT_TRUE(First[1].TransformedSource.empty());
+  EXPECT_EQ(First[0].Program, nullptr);
+  ASSERT_NE(First[1].Program, nullptr);
+  ASSERT_NE(First[2].Program, nullptr);
+  EXPECT_EQ(serializeVmProgram(*First[1].Program),
+            serializeVmProgram(*First[2].Program));
 }
 
 TEST_F(CompileServiceTest, EvictionRespectsTheSizeBound) {
@@ -557,6 +564,33 @@ TEST_F(CompileServiceTest, ConcurrentSameKeyRequestsSingleFlight) {
   EXPECT_EQ(S.DiskStores, 1u);
 }
 
+TEST_F(CompileServiceTest, ConcurrentSameKeyTunesSingleFlight) {
+  CompileService Service; // memory only
+  TuneRequest Req;
+  Req.WorkloadSpec = "canonical";
+  Req.Mode = TuneMode::Analytic;
+  constexpr unsigned N = 8;
+  std::vector<TuneResponse> Out(N);
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I < N; ++I)
+    Threads.emplace_back([&, I]() { Out[I] = Service.tune(Req); });
+  for (auto &T : Threads)
+    T.join();
+
+  unsigned Searches = 0;
+  for (unsigned I = 0; I < N; ++I) {
+    ASSERT_TRUE(Out[I].Ok) << Out[I].Error;
+    Searches += !Out[I].CacheHit;
+    EXPECT_EQ(Out[I].Result.Pipeline, Out[0].Result.Pipeline);
+    EXPECT_EQ(Out[I].Result.TimeUs, Out[0].Result.TimeUs);
+  }
+  // Exactly one request searched; everyone else shared its result.
+  EXPECT_EQ(Searches, 1u);
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.TuneRequests, N);
+  EXPECT_EQ(S.TuneCacheHits, N - 1);
+}
+
 TEST_F(CompileServiceTest, BatchResultsAreDeterministicAcrossWorkerCounts) {
   // A duplicate-heavy mix: 4 unique pipelines, 16 requests.
   std::vector<CompileRequest> Reqs;
@@ -623,6 +657,64 @@ TEST_F(CompileServiceTest, TuneResultsAreCachedInMemoryAndOnDisk) {
   EXPECT_EQ(Cold.Pipeline, R.Result.Pipeline);
   EXPECT_EQ(Cold.TimeUs, R.Result.TimeUs);
   EXPECT_TRUE(Cold.Config == R.Result.Config);
+}
+
+TEST_F(CompileServiceTest, MangledTuneResultFieldsAreCorrupt) {
+  // A genuine result blob, planted under the key of a request whose own
+  // search fails at once (an unknown workload): a blob the service
+  // accepts is served as a hit, and one it rejects is discarded, counted
+  // corrupt, and leaves the failing search.
+  TuneRequest Req;
+  Req.WorkloadSpec = "canonical";
+  Req.Mode = TuneMode::Analytic;
+  std::string Blob;
+  {
+    CompileService Service(diskConfig());
+    TuneResponse R = Service.tune(Req);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    Blob = readFile(fs::path(cacheDir()) / (R.Key + ".dpoart"));
+  }
+  TuneRequest Planted = Req;
+  Planted.WorkloadSpec = "nosuch:workload";
+  fs::path File = fs::path(cacheDir()) /
+                  (CompileService::tuneKeyFor(Planted) + ".dpoart");
+  auto Serve = [&](const std::string &Bytes) {
+    writeFile(File, Bytes);
+    CompileService Service(diskConfig());
+    TuneResponse R = Service.tune(Planted);
+    return std::make_pair(R, Service.stats().CorruptArtifacts);
+  };
+  auto [Intact, IntactCorrupt] = Serve(Blob);
+  ASSERT_TRUE(Intact.CacheHit) << Intact.Error;
+  EXPECT_EQ(IntactCorrupt, 0u);
+
+  /// \p Blob with the value of its "Field" line replaced by \p Value.
+  auto WithField = [&](const std::string &Field, const std::string &Value) {
+    size_t At = Blob.find("\n" + Field + " ") + 1;
+    size_t End = Blob.find('\n', At);
+    return Blob.substr(0, At) + Field + " " + Value + Blob.substr(End);
+  };
+  for (const std::string &Bytes :
+       {WithField("timeus", "abc"), WithField("timeus", ""),
+        WithField("timeus", "12abc"), WithField("timeus", "-1"),
+        WithField("timeus", " 5"), WithField("timeus", "inf"),
+        WithField("timeus", "nan"), WithField("timeus", "1e999"),
+        WithField("evals", "abc"), WithField("evals", "-1"),
+        WithField("evals", "4294967296"),
+        WithField("simprobes", "18446744073709551616"),
+        WithField("simprobes", "7x"),
+        Blob + "mode " + tuneModeName(Intact.Result.Mode) + "\n",
+        Blob + "pipeline " + Intact.Result.Pipeline + "\n",
+        Blob + "evals 0\n",
+        Blob.substr(0, Blob.find("timeus "))}) {
+    auto [R, Corrupt] = Serve(Bytes);
+    EXPECT_FALSE(R.Ok) << Bytes;
+    EXPECT_FALSE(R.CacheHit) << Bytes;
+    EXPECT_NE(R.Error.find("bad workload spec"), std::string::npos)
+        << R.Error;
+    EXPECT_EQ(Corrupt, 1u) << Bytes;
+    EXPECT_FALSE(fs::exists(File)) << Bytes;
+  }
 }
 
 TEST_F(CompileServiceTest, TuneMemoryHitsKeepResultsAliveOnDisk) {

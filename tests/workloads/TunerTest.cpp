@@ -239,43 +239,6 @@ TEST(EmpiricalTunerTest, EvaluatorMeasuresTransformedPrograms) {
   EXPECT_DOUBLE_EQ(Again->Cycles, Serial->Cycles);
 }
 
-TEST(EmpiricalTunerTest, ReplayRoundExactMatchesTheMeasurement) {
-  // The exact-state replay contract behind cached/warm-started tune
-  // results: re-running the final sample round from a device checkpoint
-  // retires a bit-identical end state, and the measurement it reports
-  // equals what a plain measure() of the same pipeline reports — every
-  // event count and the priced makespan.
-  GpuModel Gpu;
-  VmWorkload W = smallVmWorkload();
-  for (const char *Pipeline :
-       {"", "threshold[256:literal]",
-        "threshold[256:literal],coarsen[8:literal]",
-        "threshold[128:literal],coarsen[4:literal],"
-        "aggregate[multiblock:8:literal]"}) {
-    EmpiricalEvaluator Eval(Gpu, W, smallOptions());
-    std::optional<VmMeasurement> Measured = Eval.measurePipeline(Pipeline);
-    ASSERT_TRUE(Measured.has_value())
-        << Pipeline << ": " << Eval.lastError();
-
-    VmMeasurement Replayed;
-    std::string Err;
-    ASSERT_TRUE(
-        Eval.replayRoundExact(Pipeline, Eval.maxResource(), Replayed, Err))
-        << Pipeline << ": " << Err;
-    EXPECT_EQ(Measured->Steps, Replayed.Steps) << Pipeline;
-    EXPECT_EQ(Measured->GridsLaunched, Replayed.GridsLaunched) << Pipeline;
-    EXPECT_EQ(Measured->DeviceLaunches, Replayed.DeviceLaunches) << Pipeline;
-    EXPECT_EQ(Measured->HostLaunches, Replayed.HostLaunches) << Pipeline;
-    EXPECT_EQ(Measured->BlocksExecuted, Replayed.BlocksExecuted) << Pipeline;
-    EXPECT_EQ(Measured->ThreadsExecuted, Replayed.ThreadsExecuted)
-        << Pipeline;
-    EXPECT_EQ(Measured->BatchesRun, Replayed.BatchesRun) << Pipeline;
-    EXPECT_EQ(Measured->TraceEntries, Replayed.TraceEntries) << Pipeline;
-    EXPECT_EQ(Measured->TraceIters, Replayed.TraceIters) << Pipeline;
-    EXPECT_DOUBLE_EQ(Measured->Cycles, Replayed.Cycles) << Pipeline;
-  }
-}
-
 /// Every VmMeasurement field equal; Cycles bit for bit.
 void expectSameMeasurement(const VmMeasurement &A, const VmMeasurement &B,
                            const std::string &What) {
