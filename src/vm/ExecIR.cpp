@@ -150,20 +150,19 @@ bool fusePair(const Instr &I0, const Instr &I1, ExecInstr &Out) {
 // Trace formation.
 //
 // A trace is a straight-line superblock walked out of the bytecode from a
-// candidate head (function entry, or a back-edge target): forward
-// conditionals become guards that side-exit into the baseline region
-// (predicted not-taken, unless the fall-through slot holds the
-// unconditional Jmp of a break/continue diamond — then the guard is
-// inverted and the taken edge is walked), forward unconditional jumps
-// fold away, and the head's own back edge closes the trace into a loop.
-// Along the walked path an
-// abstract evaluator tracks value ranges (seeded from the peephole's
+// loop head (a back-edge target): forward conditionals become guards that
+// side-exit into the baseline region (predicted not-taken, unless the
+// fall-through slot holds the unconditional Jmp of a break/continue
+// diamond — then the guard is inverted and the taken edge is walked),
+// forward unconditional jumps fold away, and the head's own back edge
+// closes the trace into a loop. Along the walked path an abstract
+// evaluator tracks value ranges (seeded from the peephole's
 // whole-function slot invariants and refined by every guard's fall-through
-// condition), which licenses eliding provably-identity TruncIs; a
-// store-to-load forwarder then short-circuits frame-local reloads, and
-// the baseline pair fuser runs once more over the straightened stream —
+// condition), which licenses eliding provably-identity TruncIs, and the
+// baseline pair fuser runs once more over the straightened stream —
 // inside a trace there are no jump-target barriers, so it fuses across
-// what used to be basic-block boundaries.
+// what used to be basic-block boundaries. Function entry is not a head
+// (see vm/README.md for why).
 //
 // Step accounting is exact by construction: every emitted element carries
 // the step cost of the bytecode instructions it covers, and the cost of a
@@ -177,7 +176,7 @@ bool fusePair(const Instr &I0, const Instr &I1, ExecInstr &Out) {
 //===----------------------------------------------------------------------===//
 
 constexpr unsigned MaxTraceElems = 192; ///< Walk cap per trace.
-constexpr unsigned MaxHeads = 16;       ///< Candidate heads per function.
+constexpr unsigned MaxHeads = 16;       ///< Loop heads per function.
 constexpr unsigned MaxPending = 64;     ///< Folded-cost rider cap.
 
 /// The inverse predicate, for turning a backward taken-edge into a
@@ -654,9 +653,9 @@ void applyTransfer(AbsEval &St, const Instr &I, const VmProgram *Prog) {
   }
 }
 
-/// One walked trace element: a bytecode (or forwarder-synthesized XOp)
-/// instruction, the step cost it retires (own cost plus any folded
-/// riders), and for guards the bytecode PC of the side exit.
+/// One walked trace element: a bytecode instruction, the step cost it
+/// retires (own cost plus any folded riders), and for guards the bytecode
+/// PC of the side exit.
 struct TraceElem {
   uint16_t Code = 0;
   int64_t A = 0, B = 0;
@@ -840,143 +839,6 @@ TraceBuild walkTrace(const FuncDef &F, const VmProgram &Program,
   }
 }
 
-/// Forwards frame-local stores to matching reloads inside the trace.
-/// A store triple [FrameAddr off; PushI k | LoadLocal s; StI*] records a
-/// fact (the store itself is kept); a later [FrameAddr off; LdI*/LdU*]
-/// with an exact offset+width match becomes one PushI (immediate facts)
-/// or XOp::LoadTrunc (slot facts) carrying both elements' cost. Facts
-/// die on slot overwrites, on overlapping or unrecognized stores, and on
-/// anything that can write memory from outside the walked path.
-void forwardFrameStores(std::vector<TraceElem> &Elems) {
-  struct Fact {
-    int64_t Off;
-    unsigned Width;
-    int32_t Slot; ///< -1: immediate fact (Imm), else locals slot.
-    int64_t Imm;
-  };
-  std::vector<Fact> Facts;
-  auto KillAll = [&] { Facts.clear(); };
-  auto KillSlot = [&](int64_t S) {
-    Facts.erase(std::remove_if(Facts.begin(), Facts.end(),
-                               [&](const Fact &F) {
-                                 return F.Slot == (int32_t)S;
-                               }),
-                Facts.end());
-  };
-  auto KillOverlap = [&](int64_t Off, unsigned W) {
-    Facts.erase(std::remove_if(Facts.begin(), Facts.end(),
-                               [&](const Fact &F) {
-                                 return Off < F.Off + (int64_t)F.Width &&
-                                        F.Off < Off + (int64_t)W;
-                               }),
-                Facts.end());
-  };
-  auto FindFact = [&](int64_t Off, unsigned W) -> Fact * {
-    for (Fact &F : Facts)
-      if (F.Off == Off && F.Width == W)
-        return &F;
-    return nullptr;
-  };
-  auto StoreWidth = [](uint16_t C) -> unsigned {
-    switch ((Op)C) {
-    case Op::StI8: return 1;
-    case Op::StI16: return 2;
-    case Op::StI32: return 4;
-    case Op::StI64: return 8;
-    default: return 0;
-    }
-  };
-  auto LoadSpec = [](uint16_t C, unsigned &W, unsigned &SE) -> bool {
-    switch ((Op)C) {
-    case Op::LdI8: W = 1; SE = 1; return true;
-    case Op::LdU8: W = 1; SE = 0; return true;
-    case Op::LdI16: W = 2; SE = 1; return true;
-    case Op::LdU16: W = 2; SE = 0; return true;
-    case Op::LdI32: W = 4; SE = 1; return true;
-    case Op::LdU32: W = 4; SE = 0; return true;
-    case Op::LdI64: W = 8; SE = 0; return true;
-    default: return false;
-    }
-  };
-
-  std::vector<TraceElem> Out;
-  Out.reserve(Elems.size());
-  size_t N = Elems.size();
-  for (size_t I = 0; I < N;) {
-    const TraceElem &E = Elems[I];
-    if (E.Code < NumOpcodes && (Op)E.Code == Op::FrameAddr) {
-      // Store triple?
-      if (I + 2 < N && Elems[I + 1].Code < NumOpcodes &&
-          Elems[I + 2].Code < NumOpcodes) {
-        const TraceElem &V = Elems[I + 1], &S = Elems[I + 2];
-        unsigned W = StoreWidth(S.Code);
-        if (W && ((Op)V.Code == Op::PushI || (Op)V.Code == Op::LoadLocal)) {
-          KillOverlap(E.A, W);
-          Fact Ft{E.A, W, -1, 0};
-          if ((Op)V.Code == Op::PushI)
-            Ft.Imm = V.A;
-          else
-            Ft.Slot = (int32_t)V.A;
-          Facts.push_back(Ft);
-          Out.push_back(E);
-          Out.push_back(V);
-          Out.push_back(S);
-          I += 3;
-          continue;
-        }
-      }
-      // Forwardable reload?
-      if (I + 1 < N && Elems[I + 1].Code < NumOpcodes) {
-        unsigned W, SE;
-        if (LoadSpec(Elems[I + 1].Code, W, SE)) {
-          if (Fact *Ft = FindFact(E.A, W)) {
-            TraceElem R;
-            R.Cost = E.Cost + Elems[I + 1].Cost;
-            if (Ft->Slot < 0) {
-              R.Code = (uint16_t)Op::PushI;
-              R.A = wrapToWidth(Ft->Imm, W, SE);
-            } else {
-              R.Code = (uint16_t)XOp::LoadTrunc;
-              R.A = Ft->Slot;
-              R.B = ((int64_t)W << 1) | SE;
-            }
-            Out.push_back(R);
-            I += 2;
-            continue;
-          }
-        }
-      }
-    }
-    if (E.Code < NumOpcodes) {
-      switch ((Op)E.Code) {
-      case Op::StoreLocal:
-      case Op::IncLocalI32:
-      case Op::IncLocalI64:
-        KillSlot(E.A);
-        break;
-      case Op::StI8: case Op::StI16: case Op::StI32: case Op::StI64:
-      case Op::StF32: case Op::StF64:
-      case Op::StI32Sc: case Op::StI64Sc: case Op::StF32Sc: case Op::StF64Sc:
-      case Op::AtomicAdd: case Op::AtomicMax: case Op::AtomicMin:
-      case Op::AtomicExch: case Op::AtomicCAS: case Op::AtomicOr:
-      case Op::AtomicAnd:
-      case Op::Call: case Op::Launch:
-      case Op::SyncThreads: case Op::ThreadFence: case Op::CudaSync:
-      case Op::WarpShfl: case Op::WarpBallot: case Op::BlockReduce:
-      case Op::CudaMalloc: case Op::CudaFree:
-      case Op::CudaMemset: case Op::CudaMemcpy:
-        KillAll();
-        break;
-      default:
-        break;
-      }
-    }
-    Out.push_back(E);
-    ++I;
-  }
-  Elems = std::move(Out);
-}
-
 /// Runs the baseline pair fuser over the straightened element stream.
 /// Traces have no interior jump targets, so pairs fuse across what used
 /// to be basic-block boundaries; a guard may be the second half (its
@@ -1078,17 +940,17 @@ void emitTrace(const TraceBuild &T, unsigned Head,
   EnterOf[Map[Head]] = EnterIdx;
 }
 
-/// Forms traces for every candidate head of \p F and appends the kept
-/// ones after the baseline region, then retargets every jump aimed at a
-/// kept head into its trace. Bail jumps and side-exit trampolines are
-/// retargeted too, so traces chain into each other (an entry trace bails
-/// into a loop trace, an exited loop re-enters on the next back edge).
+/// Forms traces for every loop head of \p F and appends the kept ones
+/// after the baseline region, then retargets every jump aimed at a kept
+/// head into its trace. Bail jumps and side-exit trampolines are
+/// retargeted too, so traces chain into each other (an outer loop's trace
+/// bails into its inner loop's, an exited loop re-enters on the next back
+/// edge).
 void formTraces(const FuncDef &F, const VmProgram &Program,
                 const std::vector<uint32_t> &Map, ExecFunc &Out,
                 ExecDecodeStats &Stats) {
   size_t N = F.Code.size();
   std::vector<unsigned> Heads;
-  Heads.push_back(0); // The entry trace.
   for (size_t PC = 0; PC < N && Heads.size() < MaxHeads; ++PC) {
     const Instr &I = F.Code[PC];
     if (isJumpOp(I.Code) && (uint64_t)I.A <= PC &&
@@ -1106,7 +968,6 @@ void formTraces(const FuncDef &F, const VmProgram &Program,
     TraceBuild T = walkTrace(F, Program, Invariants, Map, Head);
     if (!T.Viable)
       continue;
-    forwardFrameStores(T.Elems);
     fuseTraceElems(T.Elems);
     // Keep only traces that dispatch strictly less than the baseline
     // path they cover (TraceLoop skips TraceEnter, so the steady-state
@@ -1146,9 +1007,6 @@ void formTraces(const FuncDef &F, const VmProgram &Program,
       if (It != EnterOf.end())
         E.A = It->second;
     }
-  auto It = EnterOf.find(Map[0]);
-  if (It != EnterOf.end())
-    Out.EntryPC = It->second; // Fresh frames start in the entry trace.
 }
 
 ExecFunc decodeFunction(const FuncDef &F, const VmProgram &Program,

@@ -33,20 +33,22 @@
 ///    most one sub-instruction;
 ///  - on top of the pair-fused baseline, the decoder forms *traces*:
 ///    straight-line superblocks that follow the predicted path across
-///    basic-block boundaries (function entry and every loop head are
-///    candidate heads; forward conditionals are predicted not-taken —
-///    unless the fall-through is a break-shaped unconditional jump past
-///    the conditional's target, in which case the guard is inverted and
-///    the taken edge walked — and the head's own back edge closes the
-///    loop). Trace code is appended
+///    basic-block boundaries from every loop head (forward conditionals
+///    are predicted not-taken — unless the fall-through is a break-shaped
+///    unconditional jump past the conditional's target, in which case the
+///    guard is inverted and the taken edge walked — and the head's own
+///    back edge closes the loop). Trace code is appended
 ///    after the baseline region (ExecFunc::TraceBase); entry happens by
 ///    retargeting every jump to a head at its XOp::TraceEnter, so the
-///    baseline region stays intact for side exits. Inside a trace,
-///    control flow is known, which licenses the two rewrites the
-///    peephole cannot do: branch-aware range refinement (a not-taken
-///    guard narrows the slot invariants published by
-///    slotInvariantRanges, eliding now-provably-identity TruncIs) and a
-///    frame-local store-to-load forwarder. Guards side-exit through
+///    baseline region stays intact for side exits and fresh frames start
+///    at PC 0 on both engines. Inside a trace, control flow is known,
+///    which licenses the rewrite the peephole cannot do: branch-aware
+///    range refinement (a not-taken guard narrows the slot invariants
+///    published by slotInvariantRanges, eliding now-provably-identity
+///    TruncIs), after which the pair fuser runs again across the erased
+///    block boundaries. Function-entry traces and a frame-local
+///    store-to-load forwarder were removed as not paying their way
+///    (measurements in vm/README.md). Guards side-exit through
 ///    XOp::TraceExit trampolines into the baseline region with the
 ///    operand stack already exact; step accounting stays exact because
 ///    every trace element carries the step cost of the bytecode
@@ -95,12 +97,11 @@ namespace dpo {
 /// Width/sign operands pack as (width << 1) | signExtend, exactly the
 /// TruncI encoding; two slot indices pack as lo | (hi << 32).
 ///
-/// The trace layer adds four more decode-only forms:
+/// The trace layer adds three more decode-only forms:
 ///
 ///   TraceEnter        count a trace entry, fall through       (cost 0)
 ///   TraceLoop         count an iteration, jump to A           (cost 0)
 ///   TraceExit         count a side exit, jump to baseline A   (cost 0/1)
-///   LoadTrunc         push wrap(locals[A]) per B   [store-to-load forward]
 ///
 /// TraceEnter is the retarget destination for every jump into the trace
 /// (it sits immediately before the body, so it needs no operand);
@@ -117,7 +118,7 @@ namespace dpo {
   X(AddTrunc) X(MulImmTrunc) X(TruncMulAdd) X(LoadImmAddTrunc) X(LoadLLAdd)   \
   X(JmpLLLTI) X(JmpLLGEI) X(JmpLLLEI) X(JmpLLGTI) X(JmpLLEQ) X(JmpLLNE)       \
   X(JmpLLLTU) X(JmpLLGEU) X(JmpLLLEU) X(JmpLLGTU)                             \
-  X(TraceEnter) X(TraceLoop) X(TraceExit) X(LoadTrunc)
+  X(TraceEnter) X(TraceLoop) X(TraceExit)
 
 enum class XOp : uint16_t {
   BaseMarker = NumOpcodes - 1,
@@ -174,11 +175,6 @@ struct ExecFunc {
   /// (pair-fused, one-to-one accountable) region. == Code.size() when no
   /// traces were kept.
   unsigned TraceBase = 0;
-  /// Where a fresh frame starts executing: 0, or the entry trace's
-  /// TraceEnter. Frames suspended mid-run (barriers, child-grid sync,
-  /// calls) resume at their saved PC, which is never 0 — the saved value
-  /// always points past at least one retired instruction.
-  unsigned EntryPC = 0;
 };
 
 struct ExecDecodeStats {

@@ -1173,7 +1173,7 @@ bool Device::failStepLimit(const ThreadCtx *CoopThreads, uint32_t CoopCount) {
   T.LocalsArena.assign(InitLocals, InitLocals + F->NumLocals);                \
   Locals = T.LocalsArena.data();                                              \
   SP = 0;                                                                     \
-  PC = VM_ENTRY_PC; /* 0, or the kernel's entry trace (decoded engine). */    \
+  PC = 0;                                                                     \
   VM_RESUME()
 
 // The cooperative-block-mode scheduler, shared verbatim by both engines.
@@ -1216,7 +1216,7 @@ bool Device::failStepLimit(const ThreadCtx *CoopThreads, uint32_t CoopCount) {
     S = T.Stack.data();                                                       \
     SP = T.StackTop;                                                          \
     SCap = T.Stack.size();                                                    \
-    PC = Fr->PC ? Fr->PC : VM_ENTRY_PC;                                       \
+    PC = Fr->PC;                                                              \
     StepBudget = stepBudgetLeft();                                            \
     VM_RESUME();                                                              \
   }
@@ -1251,9 +1251,6 @@ bool Device::failStepLimit(const ThreadCtx *CoopThreads, uint32_t CoopCount) {
 // operand; the decoded stream pre-splits it (see ExecIR.cpp).
 #define VM_SREG_BUILTIN ((unsigned)I->A / 4)
 #define VM_SREG_COMP ((unsigned)I->A % 4)
-// Where a fresh frame starts: bytecode functions always start at 0; the
-// decoded engine redefines this to the function's entry trace.
-#define VM_ENTRY_PC 0
 
 // The bytecode reference engine never runs for callers; keep its (large)
 // body out of the decoded loop's text so the default path's I-cache and
@@ -1330,7 +1327,6 @@ StepLimitHit:
 #undef VM_RESUME
 #undef VM_SREG_BUILTIN
 #undef VM_SREG_COMP
-#undef VM_ENTRY_PC
 
 //===----------------------------------------------------------------------===//
 // Engine 2: the decoded-IR loop (the default path).
@@ -1364,10 +1360,6 @@ StepLimitHit:
 #endif
 #define VM_SREG_BUILTIN ((unsigned)I->A)
 #define VM_SREG_COMP ((unsigned)I->B)
-// Fresh frames enter through the function's entry trace when one was
-// kept (ExecFunc::EntryPC); suspended frames resume at their saved PC,
-// which always points past at least one retired instruction (never 0).
-#define VM_ENTRY_PC (F->EntryPC)
 
 bool Device::runThreadExec(ThreadCtx *TPtr, WorkerCtx *WPtr,
                            const PendingLaunch *LPtr, Dim3V BlockIdx,
@@ -1409,9 +1401,7 @@ bool Device::runThreadExec(ThreadCtx *TPtr, WorkerCtx *WPtr,
   uint32_t ThreadsLeft = ThreadCount;
   const ExecInstr *CodeBase = F->Code.data();
   const ExecInstr *I = nullptr;
-  // A saved PC of 0 means a fresh frame (every suspension saves a
-  // post-increment PC >= 1): enter through the function's entry trace.
-  unsigned PC = Fr->PC ? Fr->PC : F->EntryPC;
+  unsigned PC = Fr->PC;
   int64_t *Locals = T.LocalsArena.data() + Fr->LocalsBase;
   int64_t *S = T.Stack.data();
   size_t SP = T.StackTop;
@@ -1468,7 +1458,6 @@ StepLimitHit:
 #undef VM_RESUME
 #undef VM_SREG_BUILTIN
 #undef VM_SREG_COMP
-#undef VM_ENTRY_PC
 #undef VM_THREAD_DONE
 #undef VM_BLOCK_THREAD_SWITCH
 #undef VM_COOP_SCHED

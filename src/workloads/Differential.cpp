@@ -411,10 +411,9 @@ const std::vector<std::string> &dpo::differentialPipelines() {
       "coarsen[4],aggregate[block]",
       "threshold[32],coarsen[2],aggregate[multiblock:4]",
       "threshold[16],coarsen[4],aggregate[grid]",
-      // Reversed orderings only spellable through -passes= (these caught
-      // the serializer's loop-variable capture bug).
+      // A reversed ordering only spellable through -passes= (reversed
+      // orderings caught the serializer's loop-variable capture bug).
       "coarsen[2],threshold[32]",
-      "aggregate[block],threshold[16]",
       // Repeated application: the second coarsening must detect the
       // already-coarsened kernel and stay semantics-preserving.
       "coarsen[2],coarsen[2]",

@@ -145,7 +145,7 @@ TEST(CalibrationRegression, FitIsDeterministic) {
   }
 }
 
-TEST(CalibrationRegression, CommittedPipelinesReplayExactlyFromCheckpoints) {
+TEST(CalibrationRegression, CommittedPipelinesResumeExactlyLikeFresh) {
   // The tuner's measurement sessions, pinned on the committed tables: for
   // every bench/tuned/ entry, measuring the committed pipeline at the
   // rung below the full sample and then resuming that device to the full

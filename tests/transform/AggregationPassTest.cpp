@@ -9,6 +9,7 @@
 #include "ast/ASTPrinter.h"
 #include "parse/Parser.h"
 #include "transform/Pipeline.h"
+#include "workloads/VmWorkload.h"
 
 #include <gtest/gtest.h>
 
@@ -336,6 +337,16 @@ TEST(PipelineTest, PassesAreIndependent) {
         << Diags2.str() << "\n"
         << Output;
   }
+  // Block aggregation leaves thresholding nothing to guard, so the
+  // reversed ordering prints exactly what aggregation alone prints.
+  DiagnosticEngine Diags;
+  std::string Aggregated = transformSourceWithPipeline(
+      quickstartVmSource(), "aggregate[block]", PassPipelineConfig(), Diags);
+  ASSERT_FALSE(Aggregated.empty()) << Diags.str();
+  EXPECT_EQ(transformSourceWithPipeline(quickstartVmSource(),
+                                        "aggregate[block],threshold[16]",
+                                        PassPipelineConfig(), Diags),
+            Aggregated);
 }
 
 } // namespace

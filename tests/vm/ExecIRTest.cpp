@@ -13,8 +13,8 @@
 ///  - the decoded engine and the bytecode reference produce
 ///    bit-identical memory and identical VmStats on kernels covering
 ///    calls, barriers, launches, and frame memory;
-///  - traces form on loop kernels, retire exactly, and compose with the
-///    worker pool.
+///  - traces form on loop kernels only, retire exactly, and compose with
+///    the worker pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,8 +133,8 @@ void expectEngineEquivalent(const char *Source, int N, Dim3V Grid,
   }
 }
 
-TEST(ExecIRTest, EnginesAgreeOnCallsAndFrames) {
-  expectEngineEquivalent(R"(
+/// A recursive __device__ call with frame memory and no loops.
+const char *CallsAndFramesSource = R"(
 __device__ int helper(int x, int depth) {
   int buf[4];
   buf[x % 4] = x;
@@ -145,8 +145,10 @@ __global__ void k(int *out, int n) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   if (i < n) out[i] = helper(i, i % 5);
 }
-)",
-                         64, {2, 1, 1}, {32, 1, 1});
+)";
+
+TEST(ExecIRTest, EnginesAgreeOnCallsAndFrames) {
+  expectEngineEquivalent(CallsAndFramesSource, 64, {2, 1, 1}, {32, 1, 1});
 }
 
 TEST(ExecIRTest, EnginesAgreeOnBarriersAndShared) {
@@ -277,6 +279,28 @@ TEST(ExecIRTest, UntracedEnginesReportNoTraceActivity) {
   EXPECT_EQ(Dev.stats().TraceEntries, 0u);
   EXPECT_EQ(Dev.stats().TraceIters, 0u);
   EXPECT_EQ(Dev.stats().TraceSideExits, 0u);
+}
+
+TEST(ExecIRTest, LoopFreeCodeFormsNoTraces) {
+  // Only loop heads start traces: straight-line kernels and calls run in
+  // the baseline region and retire exactly what the bytecode engine does.
+  std::vector<int32_t> Results[2];
+  uint64_t Steps[2];
+  int Idx = 0;
+  for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
+    Device Dev(compileSource(CallsAndFramesSource), 16ull << 20, Mode);
+    EXPECT_EQ(Dev.decodeStats().TracesFormed, 0u);
+    uint64_t Out = Dev.alloc(64 * 4);
+    ASSERT_TRUE(
+        Dev.launchKernel("k", {2, 1, 1}, {32, 1, 1}, {(int64_t)Out, 64}))
+        << Dev.error();
+    EXPECT_EQ(Dev.stats().TraceEntries, 0u);
+    Results[Idx] = Dev.readI32Array(Out, 64);
+    Steps[Idx] = Dev.stats().Steps;
+    ++Idx;
+  }
+  EXPECT_EQ(Results[0], Results[1]);
+  EXPECT_EQ(Steps[0], Steps[1]);
 }
 
 TEST(ExecIRTest, StepLimitAbortsMidTraceWithExactAccounting) {
