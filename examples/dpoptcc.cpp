@@ -204,6 +204,22 @@ static bool selectVmWorkload(const std::string &WorkloadSpec,
   return true;
 }
 
+/// Writes the tuned-table entry for search \p R over \p Workload (a
+/// --workload= spec) to \p Path.
+static bool writeTuneReport(const std::string &Path,
+                            const std::string &Workload, unsigned Budget,
+                            unsigned Seed, const EmpiricalTuneResult &R) {
+  TunedEntry Entry;
+  Entry.Workload = Workload;
+  Entry.Mode = R.Mode;
+  Entry.Budget = Budget;
+  Entry.Seed = Seed;
+  Entry.Pipeline = R.Pipeline;
+  Entry.TimeUs = R.TimeUs;
+  Entry.VmEvaluations = R.VmEvaluations;
+  return writeTunedEntryFile(Path, Entry);
+}
+
 /// --print-vm-stats / --profile-out: compile \p Pipeline over the selected
 /// workload, execute the measurement sample on the VM, and report the
 /// event counts plus the trace-execution counters (\p PrintStats) and/or
@@ -408,15 +424,8 @@ static int runServe(const std::string &ServePath, ServiceConfig SC,
                                                 : Resp.Result.Pipeline.c_str(),
                    Resp.CacheHit ? " [cached]" : "");
       if (!R.TuneReportPath.empty()) {
-        TunedEntry Entry;
-        Entry.Workload = R.WorkloadSpec;
-        Entry.Mode = Resp.Result.Mode;
-        Entry.Budget = R.Budget;
-        Entry.Seed = R.Seed;
-        Entry.Pipeline = Resp.Result.Pipeline;
-        Entry.TimeUs = Resp.Result.TimeUs;
-        Entry.VmEvaluations = Resp.Result.VmEvaluations;
-        if (!writeTunedEntryFile(R.TuneReportPath, Entry)) {
+        if (!writeTuneReport(R.TuneReportPath, R.WorkloadSpec, R.Budget,
+                             R.Seed, Resp.Result)) {
           std::fprintf(stderr, "[%zu] error: cannot write '%s'\n", I + 1,
                        R.TuneReportPath.c_str());
           ++Failures;
@@ -474,39 +483,37 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--granularity=", 0) == 0) {
       std::string G = Arg.substr(14);
       if (G == "warp")
-        Knobs.Aggregation.Granularity = AggGranularity::Warp;
+        Knobs.Granularity = AggGranularity::Warp;
       else if (G == "block")
-        Knobs.Aggregation.Granularity = AggGranularity::Block;
+        Knobs.Granularity = AggGranularity::Block;
       else if (G == "multiblock")
-        Knobs.Aggregation.Granularity = AggGranularity::MultiBlock;
+        Knobs.Granularity = AggGranularity::MultiBlock;
       else if (G == "grid")
-        Knobs.Aggregation.Granularity = AggGranularity::Grid;
+        Knobs.Granularity = AggGranularity::Grid;
       else {
         std::fprintf(stderr, "error: unknown granularity '%s'\n", G.c_str());
         usage();
         return 1;
       }
     } else if (Arg.rfind("--threshold=", 0) == 0) {
-      if (!parseCountFlag("--threshold", Arg.substr(12),
-                          Knobs.Thresholding.Threshold))
+      if (!parseCountFlag("--threshold", Arg.substr(12), Knobs.Threshold))
         return 1;
     } else if (Arg.rfind("--factor=", 0) == 0) {
-      if (!parseCountFlag("--factor", Arg.substr(9), Knobs.Coarsening.Factor))
+      if (!parseCountFlag("--factor", Arg.substr(9), Knobs.CoarsenFactor))
         return 1;
     } else if (Arg.rfind("--group=", 0) == 0) {
-      if (!parseCountFlag("--group", Arg.substr(8),
-                          Knobs.Aggregation.GroupSize))
+      if (!parseCountFlag("--group", Arg.substr(8), Knobs.GroupSize))
         return 1;
-      if (std::string Why = checkAggGroupSize(Knobs.Aggregation.GroupSize);
+      if (std::string Why = checkAggGroupSize(Knobs.GroupSize);
           !Why.empty()) {
         std::fprintf(stderr, "error: --group: %s\n", Why.c_str());
         return 1;
       }
     } else if (Arg.rfind("--agg-threshold=", 0) == 0) {
-      Knobs.Aggregation.UseAggregationThreshold = true;
-      if (!parseCountFlag("--agg-threshold", Arg.substr(16),
-                          Knobs.Aggregation.AggregationThreshold))
+      unsigned AggThreshold = 0;
+      if (!parseCountFlag("--agg-threshold", Arg.substr(16), AggThreshold))
         return 1;
+      Knobs.AggThreshold = AggThreshold;
     } else if (Arg.rfind("-passes=", 0) == 0) {
       PassText = Arg.substr(8);
     } else if (Arg.rfind("--passes=", 0) == 0) {
@@ -678,22 +685,11 @@ int main(int argc, char **argv) {
     VariantMask Full;
     Full.Thresholding = Full.Coarsening = Full.Aggregation = true;
     VmWorkload Workload;
-    std::string CanonicalSpec;
-    if (!WorkloadSpec.empty()) {
-      BenchCase Case;
-      std::string SpecError;
-      if (!parseWorkloadSpec(WorkloadSpec, Case, SpecError)) {
-        std::fprintf(stderr, "error: bad --workload= spec '%s': %s\n",
-                     WorkloadSpec.c_str(), SpecError.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "tuning against %s (%s)\n", Case.name().c_str(),
+    if (!selectVmWorkload(WorkloadSpec, TuneOpts, Workload))
+      return 1;
+    if (!WorkloadSpec.empty())
+      std::fprintf(stderr, "tuning against %s (%s)\n", Workload.Name.c_str(),
                    WorkloadSpec.c_str());
-      Workload = kernelVmWorkload(Case);
-    } else {
-      Workload = canonicalTuneWorkload(TuneOpts.Seed);
-      CanonicalSpec = "canonical";
-    }
     EmpiricalTuneResult R = tuneWorkload(Mode, Gpu, Workload, Full, TuneOpts);
     std::fprintf(stderr, "%s tuning chose: %s\n", tuneModeName(R.Mode),
                  R.Pipeline.empty() ? "(no transformation)"
@@ -708,21 +704,13 @@ int main(int argc, char **argv) {
                    R.TimeUs, R.VmEvaluations, TuneOpts.Budget,
                    R.SimProbes ? ", " : " and ", R.SimProbes);
     if (!TuneReport.empty()) {
+      std::string Spec = WorkloadSpec.empty() ? "canonical" : WorkloadSpec;
       // Directory form: let tunedTableFileName pick the canonical name,
       // so the spec-to-filename mapping has a single owner.
       if (TuneReport.back() == '/')
-        TuneReport +=
-            tunedTableFileName(WorkloadSpec.empty() ? "canonical"
-                                                    : WorkloadSpec);
-      TunedEntry Entry;
-      Entry.Workload = WorkloadSpec.empty() ? CanonicalSpec : WorkloadSpec;
-      Entry.Mode = R.Mode;
-      Entry.Budget = TuneOpts.Budget;
-      Entry.Seed = TuneOpts.Seed;
-      Entry.Pipeline = R.Pipeline;
-      Entry.TimeUs = R.TimeUs;
-      Entry.VmEvaluations = R.VmEvaluations;
-      if (!writeTunedEntryFile(TuneReport, Entry)) {
+        TuneReport += tunedTableFileName(Spec);
+      if (!writeTuneReport(TuneReport, Spec, TuneOpts.Budget, TuneOpts.Seed,
+                           R)) {
         std::fprintf(stderr, "error: cannot write '%s'\n",
                      TuneReport.c_str());
         return 1;

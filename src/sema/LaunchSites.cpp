@@ -9,6 +9,7 @@
 #include "ast/Walk.h"
 #include "support/Casting.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 using namespace dpo;
@@ -27,6 +28,7 @@ std::vector<LaunchSite> dpo::findLaunchSites(TranslationUnit *TU,
     return nullptr;
   });
 
+  std::unordered_map<std::string, unsigned> Ordinals; // per launched kernel
   forEachExpr(Caller->body(), [&](Expr *E) {
     auto *L = dyn_cast<LaunchExpr>(E);
     if (!L)
@@ -37,6 +39,8 @@ std::vector<LaunchSite> dpo::findLaunchSites(TranslationUnit *TU,
     Site.Child = TU ? TU->findFunction(L->kernel()) : nullptr;
     Site.InStatementPosition = StatementLaunches.count(L) != 0;
     Site.FromKernel = Caller->qualifiers().Global || Caller->qualifiers().Device;
+    Site.Name = Caller->name() + "->" + L->kernel() + "#" +
+                std::to_string(Ordinals[L->kernel()]++);
     Sites.push_back(Site);
   });
   return Sites;

@@ -10,6 +10,7 @@
 #include "ast/Decl.h"
 #include "ast/Stmt.h"
 
+#include <string>
 #include <vector>
 
 namespace dpo {
@@ -20,6 +21,10 @@ struct LaunchSite {
   FunctionDecl *Child = nullptr;  ///< Resolved kernel; null if undeclared.
   bool InStatementPosition = false;
   bool FromKernel = false;        ///< Caller is __global__ (a dynamic launch).
+  /// "<caller>-><kernel>#<n>", n counting that caller/kernel pair in walk
+  /// order: the name the bytecode compiler gives the site, which profiles
+  /// and grid logs key on.
+  std::string Name;
 };
 
 /// Collects all launch expressions in \p TU, resolving each to the launched

@@ -142,9 +142,10 @@ public:
 
     if (Options.Spelling == KnobSpelling::Macro) {
       if (Options.Granularity == AggGranularity::MultiBlock)
-        emitMacroDefault(GroupSizeMacro, Options.GroupSize);
+        emitMacroDefault(Ctx, TU, GroupSizeMacro, Options.GroupSize);
       if (useAggThreshold())
-        emitMacroDefault(AggThresholdMacro, Options.AggregationThreshold);
+        emitMacroDefault(Ctx, TU, AggThresholdMacro,
+                         Options.AggregationThreshold);
     }
 
     // Generate the aggregated child kernel for each distinct child.
@@ -185,45 +186,24 @@ public:
       }
     }
 
-    // Apply launch-site replacements; each launch lies in its parent.
-    std::vector<FunctionDecl *> Callers;
-    for (auto &[Parent, Sites] : SitesOfParent)
-      Callers.push_back(Parent);
-    replaceLaunches(Callers, Replacements);
+    replaceStmts(TU, Replacements);
 
     // Host wrappers + host launch redirection.
     std::unordered_map<const Stmt *, Stmt *> HostRepl;
-    std::vector<FunctionDecl *> HostCallers;
     for (auto &[Parent, Sites] : SitesOfParent) {
       generateHostWrapper(Parent, Sites);
       ++Result.GeneratedWrappers;
-      for (const LaunchSite &Site : AllSites) {
-        if (Site.Child != Parent || Site.FromKernel)
-          continue;
-        HostRepl[Site.Launch] = buildWrapperCall(Parent, Site);
-        if (std::find(HostCallers.begin(), HostCallers.end(), Site.Caller) ==
-            HostCallers.end())
-          HostCallers.push_back(Site.Caller);
-      }
+      for (const LaunchSite &Site : AllSites)
+        if (Site.Child == Parent && !Site.FromKernel)
+          HostRepl[Site.Launch] = buildWrapperCall(Parent, Site);
     }
-    replaceLaunches(HostCallers, HostRepl);
+    replaceStmts(TU, HostRepl);
 
     Result.TransformedLaunches = Planned.size();
     return Result;
   }
 
 private:
-  /// Replaces the launches keyed in \p Repl, which lie in \p Callers.
-  static void
-  replaceLaunches(const std::vector<FunctionDecl *> &Callers,
-                  const std::unordered_map<const Stmt *, Stmt *> &Repl) {
-    for (FunctionDecl *F : Callers)
-      rewriteStmts(F->body(), [&](Stmt *S) -> Stmt * {
-        auto It = Repl.find(S);
-        return It != Repl.end() ? It->second : nullptr;
-      });
-  }
-
   bool useAggThreshold() const {
     return Options.UseAggregationThreshold &&
            Options.Granularity == AggGranularity::Block;
@@ -280,12 +260,6 @@ private:
       }
     }
     return true;
-  }
-
-  void emitMacroDefault(const std::string &Macro, unsigned Value) {
-    std::string Text = "#ifndef " + Macro + "\n#define " + Macro + " " +
-                       std::to_string(Value) + "\n#endif";
-    TU->decls().insert(TU->decls().begin(), Ctx.create<RawDecl>(Text));
   }
 
   //===--------------------------------------------------------------------===//

@@ -184,6 +184,27 @@ std::unordered_set<std::string> dpo::usedNames(const FunctionDecl *Fn) {
   return Names;
 }
 
+void dpo::emitMacroDefault(ASTContext &Ctx, TranslationUnit *TU,
+                           const std::string &Macro, unsigned Value) {
+  std::string Text = "#ifndef " + Macro + "\n#define " + Macro + " " +
+                     std::to_string(Value) + "\n#endif";
+  TU->decls().insert(TU->decls().begin(), Ctx.create<RawDecl>(Text));
+}
+
+void dpo::replaceStmts(
+    TranslationUnit *TU,
+    const std::unordered_map<const Stmt *, Stmt *> &Replacements) {
+  for (Decl *D : TU->decls()) {
+    auto *F = dyn_cast<FunctionDecl>(D);
+    if (!F || !F->body())
+      continue;
+    rewriteStmts(F->body(), [&](Stmt *S) -> Stmt * {
+      auto It = Replacements.find(S);
+      return It != Replacements.end() ? It->second : nullptr;
+    });
+  }
+}
+
 std::string dpo::freshVarName(std::unordered_set<std::string> &Taken,
                               const std::string &Base) {
   std::string Name = Base;

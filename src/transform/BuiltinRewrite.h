@@ -77,6 +77,16 @@ std::unordered_set<std::string> usedNames(const FunctionDecl *Fn);
 std::string freshVarName(std::unordered_set<std::string> &Taken,
                          const std::string &Base);
 
+/// Inserts `#ifndef Macro / #define Macro Value / #endif` at the top of
+/// \p TU: the default a knob spelled as a macro gets.
+void emitMacroDefault(ASTContext &Ctx, TranslationUnit *TU,
+                      const std::string &Macro, unsigned Value);
+
+/// Replaces every statement keyed in \p Replacements, wherever it lies in
+/// a function body of \p TU, with its mapped statement.
+void replaceStmts(TranslationUnit *TU,
+                  const std::unordered_map<const Stmt *, Stmt *> &Replacements);
+
 /// The builtin remapping exposed as a standalone pipeline pass — a
 /// building block for pipeline experiments ("builtin-rewrite[gridDim=_gd:
 /// blockIdx.x=_bx]" renames builtins across every kernel body). Unmapped

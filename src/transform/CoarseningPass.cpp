@@ -100,27 +100,19 @@ public:
     // Per-site values can't share one macro: profile mode always spells
     // its factors as literals.
     if (Options.Spelling == KnobSpelling::Macro && !Options.UseProfile)
-      emitMacroDefault(FactorMacro, Options.Factor);
+      emitMacroDefault(Ctx, TU, FactorMacro, Options.Factor);
 
     const LaunchProfile *Profile =
         Options.UseProfile ? Options.Profile : nullptr;
 
-    // Patch every launch of every coarsened kernel. Site ordinals count
-    // *every* site in walk order — the same counting the bytecode
-    // compiler uses to name sites, so profile lookups key on the names
-    // grid logs recorded.
+    // Patch every launch of every coarsened kernel.
     std::unordered_map<const Stmt *, Stmt *> Replacements;
-    std::unordered_map<std::string, unsigned> SiteOrdinals;
     for (const LaunchSite &Site : AllSites) {
-      std::string SitePair =
-          Site.Caller->name() + "->" + Site.Launch->kernel();
-      std::string SiteName =
-          SitePair + "#" + std::to_string(SiteOrdinals[SitePair]++);
       if (!Site.Child || Skipped.count(Site.Child) ||
           !Candidates.count(Site.Child))
         continue;
       unsigned Factor =
-          Profile ? Profile->siteCoarsenFactor(SiteName, Options.Factor)
+          Profile ? Profile->siteCoarsenFactor(Site.Name, Options.Factor)
                   : Options.Factor;
       // A per-site factor of 1 keeps the identity configuration (the
       // kernel is already coarsened in place, so the launch still passes
@@ -130,15 +122,7 @@ public:
       ++Result.RewrittenLaunches;
     }
 
-    for (Decl *D : TU->decls()) {
-      auto *F = dyn_cast<FunctionDecl>(D);
-      if (!F || !F->body())
-        continue;
-      rewriteStmts(F->body(), [&](Stmt *S) -> Stmt * {
-        auto It = Replacements.find(S);
-        return It != Replacements.end() ? It->second : nullptr;
-      });
-    }
+    replaceStmts(TU, Replacements);
     return Result;
   }
 
@@ -168,12 +152,6 @@ private:
       if (Site.Child == Child && Site.Launch->gridDim()->type().isDim3())
         return false;
     return true;
-  }
-
-  void emitMacroDefault(const std::string &Macro, unsigned Value) {
-    std::string Text = "#ifndef " + Macro + "\n#define " + Macro + " " +
-                       std::to_string(Value) + "\n#endif";
-    TU->decls().insert(TU->decls().begin(), Ctx.create<RawDecl>(Text));
   }
 
   Expr *factorExpr(unsigned Factor) {

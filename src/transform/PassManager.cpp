@@ -122,78 +122,80 @@ bool applySpellingParam(std::string_view Param, KnobSpelling &Spelling) {
   return false;
 }
 
+/// Parses the parameters of a knob pass (threshold, coarsen, speculate):
+/// a positive \p Value, 'profile', 'literal'/'macro', and 'fallback' when
+/// \p Fallback is non-null. Anything else sets \p Error, naming \p Pass.
+/// The factories hand every knob pass the config's profile; a pass reads
+/// it only once 'profile' has set its UseProfile.
+bool parseKnobParams(const char *Pass, std::string_view Params,
+                     unsigned &Value, bool &UseProfile, KnobSpelling &Spelling,
+                     bool *Fallback, std::string &Error) {
+  if (Params.empty())
+    return true;
+  for (std::string_view P : split(Params, ':')) {
+    if (Fallback && P == "fallback")
+      *Fallback = true;
+    else if (P == "profile")
+      UseProfile = true;
+    else if (!applySpellingParam(P, Spelling) && !parsePassUInt(P, Value)) {
+      Error = std::string(Pass) + ": invalid parameter '" + std::string(P) +
+              "' (expected a positive integer, 'profile', " +
+              (Fallback ? "'fallback', " : "") + "'literal', or 'macro')";
+      return false;
+    }
+  }
+  return true;
+}
+
 std::unique_ptr<TransformPass> makeThresholdPass(std::string_view Params,
                                                  const PassPipelineConfig &C,
                                                  std::string &Error) {
-  ThresholdingOptions O = C.Thresholding;
-  if (!Params.empty()) {
-    for (std::string_view P : split(Params, ':')) {
-      if (P == "fallback")
-        O.FallbackToTotalThreads = true;
-      else if (P == "profile") {
-        O.UseProfile = true;
-        O.Profile = C.Profile;
-      } else if (applySpellingParam(P, O.Spelling))
-        ;
-      else if (!parsePassUInt(P, O.Threshold)) {
-        Error = "threshold: invalid parameter '" + std::string(P) +
-                "' (expected a positive integer, 'profile', 'fallback', "
-                "'literal', or 'macro')";
-        return nullptr;
-      }
-    }
-  }
+  ThresholdingOptions O;
+  O.Threshold = C.Threshold;
+  O.Spelling = C.Spelling;
+  O.Profile = C.Profile;
+  if (!parseKnobParams("threshold", Params, O.Threshold, O.UseProfile,
+                       O.Spelling, &O.FallbackToTotalThreads, Error))
+    return nullptr;
   return std::make_unique<ThresholdingPass>(O);
 }
 
 std::unique_ptr<TransformPass> makeCoarsenPass(std::string_view Params,
                                                const PassPipelineConfig &C,
                                                std::string &Error) {
-  CoarseningOptions O = C.Coarsening;
-  if (!Params.empty()) {
-    for (std::string_view P : split(Params, ':')) {
-      if (P == "profile") {
-        O.UseProfile = true;
-        O.Profile = C.Profile;
-      } else if (applySpellingParam(P, O.Spelling))
-        ;
-      else if (!parsePassUInt(P, O.Factor)) {
-        Error = "coarsen: invalid parameter '" + std::string(P) +
-                "' (expected a positive integer, 'profile', 'literal', or "
-                "'macro')";
-        return nullptr;
-      }
-    }
-  }
+  CoarseningOptions O;
+  O.Factor = C.CoarsenFactor;
+  O.Spelling = C.Spelling;
+  O.Profile = C.Profile;
+  if (!parseKnobParams("coarsen", Params, O.Factor, O.UseProfile, O.Spelling,
+                       nullptr, Error))
+    return nullptr;
   return std::make_unique<CoarseningPass>(O);
 }
 
 std::unique_ptr<TransformPass> makeSpeculatePass(std::string_view Params,
                                                  const PassPipelineConfig &C,
                                                  std::string &Error) {
-  SpeculationOptions O = C.Speculation;
-  if (!Params.empty()) {
-    for (std::string_view P : split(Params, ':')) {
-      if (P == "profile") {
-        O.UseProfile = true;
-        O.Profile = C.Profile;
-      } else if (applySpellingParam(P, O.Spelling))
-        ;
-      else if (!parsePassUInt(P, O.MaxThreads)) {
-        Error = "speculate: invalid parameter '" + std::string(P) +
-                "' (expected a positive integer, 'profile', 'literal', or "
-                "'macro')";
-        return nullptr;
-      }
-    }
-  }
+  SpeculationOptions O;
+  O.Spelling = C.Spelling;
+  O.Profile = C.Profile;
+  if (!parseKnobParams("speculate", Params, O.MaxThreads, O.UseProfile,
+                       O.Spelling, nullptr, Error))
+    return nullptr;
   return std::make_unique<SpeculationPass>(O);
 }
 
 std::unique_ptr<TransformPass> makeAggregatePass(std::string_view Params,
                                                  const PassPipelineConfig &C,
                                                  std::string &Error) {
-  AggregationOptions O = C.Aggregation;
+  AggregationOptions O;
+  O.Granularity = C.Granularity;
+  O.GroupSize = C.GroupSize;
+  O.Spelling = C.Spelling;
+  if (C.AggThreshold) {
+    O.UseAggregationThreshold = true;
+    O.AggregationThreshold = *C.AggThreshold;
+  }
   if (!Params.empty()) {
     for (std::string_view P : split(Params, ':')) {
       if (P == "none")

@@ -39,6 +39,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,18 +103,29 @@ private:
   std::vector<PassTiming> Timings;
 };
 
-/// Default knob values handed to pass factories; textual parameters
-/// override fields of the matching options struct.
+/// The knob values a caller sets for a whole pipeline: the paper's
+/// `_THRESHOLD`, `_CFACTOR` and `_AGG_SIZE` knobs plus how they are
+/// spelled. Each pass factory starts from its pass's own defaults and
+/// copies in the values that concern it; bracket parameters in the
+/// pipeline text override them for that one pass.
 struct PassPipelineConfig {
-  ThresholdingOptions Thresholding;
-  CoarseningOptions Coarsening;
-  SpeculationOptions Speculation;
-  AggregationOptions Aggregation;
+  /// How every knob appears in the output (macros by default).
+  KnobSpelling Spelling = KnobSpelling::Macro;
   /// Profile consulted by the `profile` pass parameter
   /// (`threshold[profile]` etc.). Null means "no profile": passes fall
   /// back to their literal knobs; `speculate[profile]` transforms
   /// nothing. Not owned; must outlive the constructed passes.
   const LaunchProfile *Profile = nullptr;
+  /// `threshold`: serialize child grids with fewer threads than this.
+  unsigned Threshold = ThresholdingOptions().Threshold;
+  /// `coarsen`: child blocks merged per coarsened block.
+  unsigned CoarsenFactor = CoarseningOptions().Factor;
+  /// `aggregate`: granularity and multi-block group size.
+  AggGranularity Granularity = AggregationOptions().Granularity;
+  unsigned GroupSize = AggregationOptions().GroupSize;
+  /// `aggregate`: the Section V-B participant threshold; unset leaves
+  /// it off.
+  std::optional<unsigned> AggThreshold;
 };
 
 /// Name -> factory map for pipeline parsing. The four builtin passes are

@@ -12,6 +12,12 @@
 /// autotuners) or inlined as integer literals (used when the output is fed
 /// to the bytecode VM, which has no preprocessor).
 ///
+/// The structs below are each pass's own options, and their member
+/// initializers are the one home of every knob default. Callers do not
+/// fill them: they set pipeline-wide values on PassPipelineConfig
+/// (PassManager.h), whose factories copy those values in, and per-pass
+/// values through pipeline-text parameters.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DPO_TRANSFORM_PASSOPTIONS_H

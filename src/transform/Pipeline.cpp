@@ -16,10 +16,7 @@ using namespace dpo;
 
 PassPipelineConfig dpo::literalKnobConfig(const LaunchProfile *Profile) {
   PassPipelineConfig Config;
-  Config.Thresholding.Spelling = KnobSpelling::Literal;
-  Config.Coarsening.Spelling = KnobSpelling::Literal;
-  Config.Speculation.Spelling = KnobSpelling::Literal;
-  Config.Aggregation.Spelling = KnobSpelling::Literal;
+  Config.Spelling = KnobSpelling::Literal;
   Config.Profile = Profile;
   return Config;
 }
@@ -100,18 +97,12 @@ bool dpo::canonicalPipelineText(std::string_view PipelineText,
   return true;
 }
 
-namespace {
-
-const char *spellingName(KnobSpelling S) {
-  return S == KnobSpelling::Macro ? "macro" : "literal";
-}
-
-} // namespace
-
 std::string dpo::knobSignature(const PassPipelineConfig &Config) {
-  // Signatures name on-disk artifacts, so their bytes are frozen. The
-  // `*.macro` and `agg.wrapper` fields name constants (the knob macro
-  // names, the always-generated host wrapper) and are fixed text.
+  // Signatures name on-disk artifacts, so their bytes are frozen. Fields
+  // a config does not carry are fixed text: the knob macro names, the
+  // always-generated host wrapper, and the fallback, profile-mode and
+  // speculation-bound settings, which only pipeline-text parameters set
+  // (and the canonical pipeline text is part of every key).
   std::string S;
   auto Field = [&](const char *Key, const std::string &Value) {
     S += Key;
@@ -119,34 +110,25 @@ std::string dpo::knobSignature(const PassPipelineConfig &Config) {
     S += Value;
     S += ';';
   };
-  const ThresholdingOptions &T = Config.Thresholding;
-  Field("thr", std::to_string(T.Threshold));
-  Field("thr.spell", spellingName(T.Spelling));
-  S += "thr.macro=_THRESHOLD;";
-  Field("thr.fallback", T.FallbackToTotalThreads ? "1" : "0");
-  Field("thr.profile", T.UseProfile ? "1" : "0");
-  const CoarseningOptions &C = Config.Coarsening;
-  Field("cf", std::to_string(C.Factor));
-  Field("cf.spell", spellingName(C.Spelling));
-  S += "cf.macro=_CFACTOR;";
-  Field("cf.profile", C.UseProfile ? "1" : "0");
-  const SpeculationOptions &Sp = Config.Speculation;
-  Field("spec", std::to_string(Sp.MaxThreads));
-  Field("spec.spell", spellingName(Sp.Spelling));
-  S += "spec.macro=_SPEC_BOUND;";
-  Field("spec.profile", Sp.UseProfile ? "1" : "0");
-  const AggregationOptions &A = Config.Aggregation;
-  Field("agg", aggGranularityName(A.Granularity));
-  Field("agg.group", std::to_string(A.GroupSize));
-  Field("agg.spell", spellingName(A.Spelling));
+  const std::string Spell =
+      Config.Spelling == KnobSpelling::Macro ? "macro" : "literal";
+  Field("thr", std::to_string(Config.Threshold));
+  Field("thr.spell", Spell);
+  S += "thr.macro=_THRESHOLD;thr.fallback=0;thr.profile=0;";
+  Field("cf", std::to_string(Config.CoarsenFactor));
+  Field("cf.spell", Spell);
+  S += "cf.macro=_CFACTOR;cf.profile=0;spec=64;";
+  Field("spec.spell", Spell);
+  S += "spec.macro=_SPEC_BOUND;spec.profile=0;";
+  Field("agg", aggGranularityName(Config.Granularity));
+  Field("agg.group", std::to_string(Config.GroupSize));
+  Field("agg.spell", Spell);
   S += "agg.macro=_AGG_SIZE;";
-  Field("agg.thr", A.UseAggregationThreshold
-                       ? std::to_string(A.AggregationThreshold)
-                       : std::string("off"));
+  Field("agg.thr", Config.AggThreshold ? std::to_string(*Config.AggThreshold)
+                                       : std::string("off"));
   S += "agg.thrmacro=_AGG_THRESHOLD;agg.wrapper=1;";
   // A profile changes what profile-mode passes emit; hash its canonical
-  // textual serialization so distinct profiles never alias. (Passes copy
-  // the per-option Profile pointers from this one in pipeline parsing.)
+  // textual serialization so distinct profiles never alias.
   Field("profile",
         Config.Profile ? serializeProfile(*Config.Profile) : std::string());
   return S;

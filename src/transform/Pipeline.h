@@ -45,7 +45,7 @@
 
 namespace dpo {
 
-/// A textual-pipeline configuration whose knob spellings are all literal —
+/// A textual-pipeline configuration that spells every knob as a literal —
 /// what VM execution requires (the VM has no preprocessor to give the
 /// `_THRESHOLD`/`_CFACTOR`/`_AGG_SIZE` macros values). The empirical tuner
 /// parses pipelines produced by passPipelineTextFor with these defaults.
@@ -87,11 +87,12 @@ bool canonicalPipelineText(std::string_view PipelineText,
                            const PassPipelineConfig &Config,
                            std::string &Canonical, std::string &Error);
 
-/// A deterministic textual rendering of every knob in \p Config that can
-/// change a pass's output (thresholds, factors, spellings, aggregation
-/// shape, speculation, and whether a profile is attached — profiles are
-/// content-hashed via their textual serialization). The service layer
-/// folds this into artifact-cache keys so knob changes never alias.
+/// A deterministic textual rendering of every value in \p Config (the
+/// threshold, factor, spelling, aggregation shape, and the attached
+/// profile, content-hashed via its textual serialization). The service
+/// layer folds this into artifact-cache keys so knob changes never alias.
+/// Its bytes are frozen so existing keys stay valid: settings only the
+/// pipeline text carries appear as the fixed text they always read.
 std::string knobSignature(const PassPipelineConfig &Config);
 
 } // namespace dpo

@@ -8,6 +8,7 @@
 
 #include "ast/Clone.h"
 #include "ast/Walk.h"
+#include "sema/Analysis.h"
 #include "support/Casting.h"
 #include "transform/BuiltinRewrite.h"
 
@@ -17,6 +18,16 @@
 #include <unordered_set>
 
 using namespace dpo;
+
+std::string dpo::serialCallBlocker(const LaunchSite &Site,
+                                   AnalysisManager &AM) {
+  if (!Site.InStatementPosition)
+    return "launch is not in statement position";
+  if (!Site.Child || !Site.Child->isDefinition())
+    return "child kernel definition not found";
+  Transformability T = AM.serializability(Site.Child);
+  return T.Serializable ? std::string() : T.Reasons.front();
+}
 
 namespace {
 

@@ -34,7 +34,13 @@
 
 namespace dpo {
 
+class AnalysisManager;
 class DiagnosticEngine;
+
+/// Why the dynamic launch \p Site cannot become a call of its child's
+/// serial version — not in statement position, no child definition, or a
+/// child that cannot be serialized — or empty if it can.
+std::string serialCallBlocker(const LaunchSite &Site, AnalysisManager &AM);
 
 /// Builds (and memoizes) serial versions of child kernels inside one
 /// translation unit. Create one per pass execution; the memoization is

@@ -11,7 +11,6 @@
 #include "profile/Profile.h"
 #include "sema/LaunchSites.h"
 #include "sema/PurityAnalysis.h"
-#include "sema/Transformability.h"
 #include "support/Casting.h"
 #include "transform/BuiltinRewrite.h"
 #include "transform/SerialKernel.h"
@@ -45,30 +44,13 @@ public:
       uint64_t Bound = 0; ///< Guard bound (total threads <= Bound).
     };
     std::vector<PlannedSite> Planned;
-    // Site ordinals count *every* site in walk order — the same counting
-    // the bytecode compiler uses to name sites, so profile lookups key on
-    // the names grid logs recorded.
-    std::unordered_map<std::string, unsigned> SiteOrdinals;
     for (const LaunchSite &Site : AllSites) {
-      std::string SitePair =
-          Site.Caller->name() + "->" + Site.Launch->kernel();
-      std::string SiteName =
-          SitePair + "#" + std::to_string(SiteOrdinals[SitePair]++);
       if (!Site.FromKernel)
         continue; // Host launches are not dynamic parallelism.
       std::string Where =
           Site.Caller->name() + " -> " + Site.Launch->kernel();
-      if (!Site.InStatementPosition) {
-        skip(Result, Where + ": launch is not in statement position");
-        continue;
-      }
-      if (!Site.Child || !Site.Child->isDefinition()) {
-        skip(Result, Where + ": child kernel definition not found");
-        continue;
-      }
-      Transformability T = AM.serializability(Site.Child);
-      if (!T.Serializable) {
-        skip(Result, Where + ": " + T.Reasons.front());
+      if (std::string Why = serialCallBlocker(Site, AM); !Why.empty()) {
+        skip(Result, Where + ": " + Why);
         continue;
       }
       // The guard multiplies grid by block dim, so both must be scalar —
@@ -87,7 +69,7 @@ public:
       P.Site = Site;
       P.Bound = Options.MaxThreads;
       if (Options.UseProfile &&
-          (!Profile || !Profile->siteSpeculationBound(SiteName, P.Bound))) {
+          (!Profile || !Profile->siteSpeculationBound(Site.Name, P.Bound))) {
         skip(Result, Where + ": site absent from profile");
         continue;
       }
@@ -100,7 +82,7 @@ public:
     // Per-site values can't share one macro: profile mode always spells
     // its bounds as literals.
     if (Options.Spelling == KnobSpelling::Macro && !Options.UseProfile)
-      emitMacroDefault(BoundMacro, Options.MaxThreads);
+      emitMacroDefault(Ctx, TU, BoundMacro, Options.MaxThreads);
     // The guard itself: the VM compiles the call to a dedicated opcode;
     // host compilers get this macro so the printed source stays valid.
     TU->decls().insert(
@@ -116,15 +98,7 @@ public:
     for (const PlannedSite &P : Planned)
       Replacements[P.Site.Launch] = buildSpeculatedLaunch(P.Site, P.Bound);
 
-    for (Decl *D : TU->decls()) {
-      auto *F = dyn_cast<FunctionDecl>(D);
-      if (!F || !F->body())
-        continue;
-      rewriteStmts(F->body(), [&](Stmt *S) -> Stmt * {
-        auto It = Replacements.find(S);
-        return It != Replacements.end() ? It->second : nullptr;
-      });
-    }
+    replaceStmts(TU, Replacements);
 
     Result.SpeculatedLaunches = Planned.size();
     return Result;
@@ -134,12 +108,6 @@ private:
   void skip(SpeculationResult &Result, std::string Reason) {
     ++Result.SkippedLaunches;
     Result.SkipReasons.push_back(std::move(Reason));
-  }
-
-  void emitMacroDefault(const std::string &Macro, unsigned Value) {
-    std::string Text = "#ifndef " + Macro + "\n#define " + Macro + " " +
-                       std::to_string(Value) + "\n#endif";
-    TU->decls().insert(TU->decls().begin(), Ctx.create<RawDecl>(Text));
   }
 
   Expr *boundExpr(uint64_t Bound) {

@@ -12,12 +12,10 @@
 #include "sema/GridDimAnalysis.h"
 #include "sema/LaunchSites.h"
 #include "sema/PurityAnalysis.h"
-#include "sema/Transformability.h"
 #include "support/Casting.h"
 #include "transform/BuiltinRewrite.h"
 #include "transform/SerialKernel.h"
 
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -61,35 +59,18 @@ public:
       bool UseTotalThreadsFallback = false;
     };
     std::vector<PlannedSite> Planned;
-    // Per-(caller, kernel) launch ordinals, counted over *every* site in
-    // walk order — the same counting the bytecode compiler uses to name
-    // sites, so profile lookups key on the names grid logs recorded.
-    std::unordered_map<std::string, unsigned> SiteOrdinals;
     for (const LaunchSite &Site : AllSites) {
-      std::string SitePair =
-          Site.Caller->name() + "->" + Site.Launch->kernel();
-      std::string SiteName =
-          SitePair + "#" + std::to_string(SiteOrdinals[SitePair]++);
       if (!Site.FromKernel)
         continue; // Host launches are not dynamic parallelism.
       std::string Where =
           Site.Caller->name() + " -> " + Site.Launch->kernel();
-      if (!Site.InStatementPosition) {
-        skip(Result, Where + ": launch is not in statement position");
-        continue;
-      }
-      if (!Site.Child || !Site.Child->isDefinition()) {
-        skip(Result, Where + ": child kernel definition not found");
-        continue;
-      }
-      Transformability T = AM.serializability(Site.Child);
-      if (!T.Serializable) {
-        skip(Result, Where + ": " + T.Reasons.front());
+      if (std::string Why = serialCallBlocker(Site, AM); !Why.empty()) {
+        skip(Result, Where + ": " + Why);
         continue;
       }
       PlannedSite P;
       P.Site = Site;
-      P.Threshold = Profile ? Profile->siteThreshold(SiteName,
+      P.Threshold = Profile ? Profile->siteThreshold(Site.Name,
                                                      Options.Threshold)
                             : Options.Threshold;
       P.Info = AM.gridDim(Site.Caller, Site.Launch->gridDim());
@@ -112,7 +93,7 @@ public:
     // Per-site values can't share one macro: profile mode always spells
     // its thresholds as literals.
     if (Options.Spelling == KnobSpelling::Macro && !Options.UseProfile)
-      emitMacroDefault(ThresholdMacro, Options.Threshold);
+      emitMacroDefault(Ctx, TU, ThresholdMacro, Options.Threshold);
 
     // Build serial versions (one per distinct child kernel).
     for (const PlannedSite &P : Planned)
@@ -124,15 +105,7 @@ public:
       Replacements[P.Site.Launch] = buildThresholdedLaunch(
           P.Site, P.Info, P.Threshold, P.UseTotalThreadsFallback);
 
-    for (Decl *D : TU->decls()) {
-      auto *F = dyn_cast<FunctionDecl>(D);
-      if (!F || !F->body())
-        continue;
-      rewriteStmts(F->body(), [&](Stmt *S) -> Stmt * {
-        auto It = Replacements.find(S);
-        return It != Replacements.end() ? It->second : nullptr;
-      });
-    }
+    replaceStmts(TU, Replacements);
 
     Result.TransformedLaunches = Planned.size();
     return Result;
@@ -145,12 +118,6 @@ private:
   }
 
   /// Emits `#ifndef M / #define M V / #endif` at the top of the file.
-  void emitMacroDefault(const std::string &Macro, unsigned Value) {
-    std::string Text = "#ifndef " + Macro + "\n#define " + Macro + " " +
-                       std::to_string(Value) + "\n#endif";
-    TU->decls().insert(TU->decls().begin(), Ctx.create<RawDecl>(Text));
-  }
-
   Expr *thresholdExpr(unsigned Threshold) {
     if (Options.Spelling == KnobSpelling::Macro && !Options.UseProfile)
       return Ctx.ref(ThresholdMacro);

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "tuner/Tuner.h"
-#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <limits>
@@ -114,12 +113,14 @@ TuneResult dpo::exhaustiveTune(const GpuModel &Gpu,
   return Best;
 }
 
+/// The no-CDP baseline serializes every child grid: thresholding with a
+/// threshold no realistic grid reaches, and the total-threads fallback.
+constexpr unsigned NoCdpThreshold = 0xFFFFFFFFu;
+
 std::string dpo::passPipelineTextFor(const ExecConfig &Config) {
   ThresholdingOptions T;
   if (Config.NoCdp) {
-    // The no-CDP baseline serializes every child grid: thresholding with a
-    // threshold no realistic grid reaches.
-    T.Threshold = 0xFFFFFFFFu;
+    T.Threshold = NoCdpThreshold;
     T.FallbackToTotalThreads = true;
     return ThresholdingPass(T).repr();
   }
@@ -145,112 +146,49 @@ std::string dpo::passPipelineTextFor(const ExecConfig &Config) {
 }
 
 bool dpo::execConfigFromPipelineText(std::string_view Text, ExecConfig &Out) {
+  if (Text.empty()) {
+    Out = ExecConfig();
+    return true;
+  }
+  PassManager PM;
+  std::string Error;
+  if (!parsePassPipeline(PM, Text, PassPipelineConfig(), Error))
+    return false;
+  // Read each pass's knobs into C, and re-render the pass in the macro
+  // spelling passPipelineTextFor uses, so the spelling is all the two
+  // texts may differ in.
   ExecConfig C;
-  size_t Pos = 0;
-  while (Pos < Text.size()) {
-    size_t End = Text.find(',', Pos);
-    if (End == std::string_view::npos)
-      End = Text.size();
-    std::string_view Component = Text.substr(Pos, End - Pos);
-    Pos = End + 1;
-    if (Component.empty())
-      continue;
-
-    std::string_view Name = Component;
-    std::vector<std::string_view> Params;
-    size_t Open = Component.find('[');
-    if (Open != std::string_view::npos) {
-      if (Component.back() != ']')
-        return false;
-      Name = Component.substr(0, Open);
-      std::string_view Body =
-          Component.substr(Open + 1, Component.size() - Open - 2);
-      size_t P = 0;
-      while (P <= Body.size()) {
-        size_t Colon = Body.find(':', P);
-        if (Colon == std::string_view::npos)
-          Colon = Body.size();
-        Params.push_back(Body.substr(P, Colon - P));
-        P = Colon + 1;
-        if (Colon == Body.size())
-          break;
-      }
-    }
-
-    auto ParseU32 = [](std::string_view S, uint32_t &V) {
-      unsigned Parsed = 0;
-      if (parsePositiveU32(std::string(S), Parsed) != ParseUIntStatus::Ok)
-        return false;
-      V = Parsed;
-      return true;
-    };
-
-    if (Name == "threshold") {
-      uint32_t N = 0;
-      bool Fallback = false;
-      bool HaveValue = false;
-      for (std::string_view P : Params) {
-        if (P == "fallback")
-          Fallback = true;
-        else if (P == "literal" || P == "macro")
-          continue;
-        else if (ParseU32(P, N))
-          HaveValue = true;
-        else
-          return false; // "profile" and anything else: not representable
-      }
-      if (!HaveValue)
-        N = ThresholdingOptions().Threshold; // bare `threshold`
-      if (N == 0xFFFFFFFFu && Fallback)
+  PassManager Read;
+  for (const std::unique_ptr<TransformPass> &Pass : PM.passes()) {
+    if (auto *T = dynamic_cast<const ThresholdingPass *>(Pass.get())) {
+      ThresholdingOptions O = T->options();
+      if (O.Threshold == NoCdpThreshold && O.FallbackToTotalThreads)
         C.NoCdp = true;
       else
-        C.Threshold = N;
-    } else if (Name == "coarsen") {
-      uint32_t N = CoarseningOptions().Factor;
-      for (std::string_view P : Params) {
-        if (P == "literal" || P == "macro")
-          continue;
-        if (!ParseU32(P, N))
-          return false;
-      }
-      C.CoarsenFactor = N;
-    } else if (Name == "aggregate") {
-      if (Params.empty())
-        return false;
-      std::string_view G = Params[0];
-      if (G == "warp")
-        C.Agg = AggGranularity::Warp;
-      else if (G == "block")
-        C.Agg = AggGranularity::Block;
-      else if (G == "multiblock")
-        C.Agg = AggGranularity::MultiBlock;
-      else if (G == "grid")
-        C.Agg = AggGranularity::Grid;
-      else
-        return false;
-      for (size_t I = 1; I < Params.size(); ++I) {
-        std::string_view P = Params[I];
-        if (P == "literal" || P == "macro")
-          continue;
-        const std::string_view AggThr = "agg-threshold=";
-        uint32_t N = 0;
-        if (P.rfind(AggThr, 0) == 0) {
-          if (!ParseU32(P.substr(AggThr.size()), N))
-            return false;
-          C.AggThresholdEnabled = true;
-          C.AggThreshold = N;
-        } else if (ParseU32(P, N)) {
-          C.AggGroupBlocks = N;
-        } else {
-          return false;
-        }
-      }
+        C.Threshold = O.Threshold;
+      O.Spelling = KnobSpelling::Macro;
+      Read.addPass(std::make_unique<ThresholdingPass>(O));
+    } else if (auto *Co = dynamic_cast<const CoarseningPass *>(Pass.get())) {
+      CoarseningOptions O = Co->options();
+      C.CoarsenFactor = O.Factor;
+      O.Spelling = KnobSpelling::Macro;
+      Read.addPass(std::make_unique<CoarseningPass>(O));
+    } else if (auto *A = dynamic_cast<const AggregationPass *>(Pass.get())) {
+      AggregationOptions O = A->options();
+      C.Agg = O.Granularity;
+      C.AggGroupBlocks = O.GroupSize;
+      C.AggThresholdEnabled = O.UseAggregationThreshold;
+      C.AggThreshold = O.AggregationThreshold;
+      O.Spelling = KnobSpelling::Macro;
+      Read.addPass(std::make_unique<AggregationPass>(O));
     } else {
-      // speculate, canonicalize, builtin-rewrite, unknown passes: outside
-      // ExecConfig's vocabulary.
-      return false;
+      return false; // speculate, canonicalize, builtin-rewrite, ...
     }
   }
+  // Profile knobs, repeated or reordered passes, and a fallback on any
+  // threshold but NoCdp's render differently from C's own pipeline.
+  if (Read.pipelineText() != passPipelineTextFor(C))
+    return false;
   Out = C;
   return true;
 }

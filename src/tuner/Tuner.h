@@ -81,13 +81,15 @@ uint32_t thresholdForLaunchBudget(const std::vector<NestedBatch> &Batches,
 std::string passPipelineTextFor(const ExecConfig &Config);
 
 /// The inverse of passPipelineTextFor, for warm-starting searches from
-/// committed tuned tables: parses a pipeline in the subset that ExecConfig
-/// can represent (threshold[N], coarsen[N], aggregate[...], knob-spelling
-/// and fallback suffixes ignored; the NoCdp spelling maps back to
-/// ExecConfig::noCdp()). Returns false when the text uses anything outside
-/// that subset — profile-mode knobs, speculate, builtin-rewrite, an
-/// unknown pass — leaving \p Out untouched. An empty pipeline is the
-/// default (untransformed) config.
+/// committed tuned tables and reading tune results back from disk: parses
+/// \p Text with parsePassPipeline, reads each pass's options() into an
+/// ExecConfig, and accepts the text only when passPipelineTextFor of that
+/// config renders the same canonical text, knob spellings aside. So
+/// bare `aggregate` reads as `aggregate[multiblock:8]` and the NoCdp
+/// spelling maps back to ExecConfig::noCdp(), while profile knobs,
+/// speculate and other passes, repeated or reordered passes, and a
+/// fallback on any other threshold return false, leaving \p Out
+/// untouched. An empty pipeline is the default (untransformed) config.
 bool execConfigFromPipelineText(std::string_view Text, ExecConfig &Out);
 
 } // namespace dpo

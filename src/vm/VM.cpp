@@ -528,7 +528,7 @@ bool Device::callHost(const std::string &Name,
   for (PendingLaunch &C : W.Pending)
     Queue.push_back(std::move(C));
   W.Pending.clear();
-  Ok = Ok && drainLaunches();
+  Ok = Ok ? drainLaunches() : dropLaunches();
   InHostCall = false;
   mergeWorkerStats();
   return Ok;
@@ -561,7 +561,7 @@ bool Device::drainLaunches() {
       Queue.push_back(std::move(C));
     W.Pending.clear();
     if (!Ok)
-      return false;
+      return dropLaunches();
     // Recycle the argument buffer: steady-state device-side launching
     // performs no per-launch allocation.
     if (L.Args.capacity() > 0 && W.ArgPool.size() < 256)
@@ -586,7 +586,7 @@ bool Device::drainLaunchesParallel() {
         Queue.push_back(std::move(C));
       W0.Pending.clear();
       if (!Ok)
-        return false;
+        return dropLaunches();
       if (L.Args.capacity() > 0 && W0.ArgPool.size() < 256)
         W0.ArgPool.push_back(std::move(L.Args));
       continue;
@@ -629,9 +629,16 @@ bool Device::drainLaunchesParallel() {
         Queue.push_back(std::move(C));
     }
     if (Wave.Failed.load(std::memory_order_relaxed))
-      return false;
+      return dropLaunches();
   }
   return true;
+}
+
+bool Device::dropLaunches() {
+  Queue.clear();
+  for (std::unique_ptr<WorkerCtx> &W : WorkerCtxs)
+    W->Pending.clear();
+  return false;
 }
 
 void Device::runWaveItems(ParallelWave &Wave, WorkerCtx &W) {

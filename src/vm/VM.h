@@ -432,6 +432,10 @@ private:
         Locals[SI] = wrapToWidth(Locals[SI], Spec[SI] >> 1, Spec[SI] & 1);
   }
   bool drainLaunches();
+  /// Discards every queued and buffered launch after a grid failed, so
+  /// the next launch on this device does not run a failed one's children.
+  /// Returns false.
+  bool dropLaunches();
   /// The parallel queue drain: snapshots the queue as one wave, executes
   /// it across the worker pool (main thread participating), merges
   /// per-slot children/records in order, repeats until empty.

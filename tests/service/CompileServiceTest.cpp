@@ -748,25 +748,25 @@ TEST_F(CompileServiceTest, TuneMemoryHitsKeepResultsAliveOnDisk) {
   EXPECT_EQ(B.compile(Y).Outcome, CacheOutcome::Miss);
 }
 
-TEST_F(CompileServiceTest, WarmStartSeedsFromCommittedTunedTables) {
-  // Commit a tuned entry for the canonical workload, then ask for a
-  // warm-started search: the table seed must be picked up (counter) and
-  // the search must stay deterministic.
-  fs::path Tables = Scratch / "tuned";
-  fs::create_directories(Tables);
+/// Commits a tuned table for the canonical workload whose winner is
+/// \p Pipeline, in \p Dir.
+static void commitCanonicalTable(const fs::path &Dir,
+                                 const std::string &Pipeline) {
+  fs::create_directories(Dir);
   TunedEntry Entry;
   Entry.Workload = "canonical";
   Entry.Mode = TuneMode::Empirical;
   Entry.Budget = 6;
   Entry.Seed = 3;
-  Entry.Pipeline = "threshold[256],coarsen[8]";
+  Entry.Pipeline = Pipeline;
   Entry.TimeUs = 1.0;
   Entry.VmEvaluations = 6;
   ASSERT_TRUE(writeTunedEntryFile(
-      (Tables / tunedTableFileName("canonical")).string(), Entry));
+      (Dir / tunedTableFileName("canonical")).string(), Entry));
+}
 
-  ServiceConfig C; // memory-only: the searches must actually run twice
-  C.TunedTableDir = Tables.string();
+/// A small warm-started empirical search over the canonical workload.
+static TuneRequest warmCanonicalRequest() {
   TuneRequest Req;
   Req.WorkloadSpec = "canonical";
   Req.Mode = TuneMode::Empirical;
@@ -775,6 +775,19 @@ TEST_F(CompileServiceTest, WarmStartSeedsFromCommittedTunedTables) {
   Req.Opts.SampleBatches = 2;
   Req.Opts.MaxSampleUnits = 4000;
   Req.WarmStart = true;
+  return Req;
+}
+
+TEST_F(CompileServiceTest, WarmStartSeedsFromCommittedTunedTables) {
+  // Commit a tuned entry for the canonical workload, then ask for a
+  // warm-started search: the table seed must be picked up (counter) and
+  // the search must stay deterministic.
+  fs::path Tables = Scratch / "tuned";
+  commitCanonicalTable(Tables, "threshold[256],coarsen[8]");
+
+  ServiceConfig C; // memory-only: the searches must actually run twice
+  C.TunedTableDir = Tables.string();
+  TuneRequest Req = warmCanonicalRequest();
 
   CompileService A(C);
   TuneResponse First = A.tune(Req);
@@ -793,6 +806,19 @@ TEST_F(CompileServiceTest, WarmStartSeedsFromCommittedTunedTables) {
   TuneRequest ColdReq = Req;
   ColdReq.WarmStart = false;
   EXPECT_NE(First.Key, B.tune(ColdReq).Key);
+}
+
+TEST_F(CompileServiceTest, WarmStartSkipsTablesOutsideExecConfig) {
+  // Threshold after coarsening is a different program from every
+  // ExecConfig's pipeline, so the table may not seed the search.
+  fs::path Tables = Scratch / "tuned";
+  commitCanonicalTable(Tables, "coarsen[2],threshold[32]");
+  ServiceConfig C;
+  C.TunedTableDir = Tables.string();
+  CompileService A(C);
+  TuneResponse R = A.tune(warmCanonicalRequest());
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(A.stats().TuneWarmStarts, 0u);
 }
 
 //===----------------------------------------------------------------------===//

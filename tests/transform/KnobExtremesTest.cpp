@@ -79,7 +79,7 @@ TEST(KnobExtremesTest, GroupSizeBoundIsAcceptedAndOneMoreRefused) {
 
   // The same check covers a group size that arrives through the knobs.
   PassPipelineConfig Knobs;
-  Knobs.Aggregation.GroupSize = MaxAggGroupSize + 1;
+  Knobs.GroupSize = MaxAggGroupSize + 1;
   PassManager FromKnobs;
   Error.clear();
   EXPECT_FALSE(parsePassPipeline(FromKnobs, "aggregate", Knobs, Error));

@@ -196,12 +196,12 @@ std::string transformWith(const std::string &Source,
                          (Config.A ? "aggregate," : "");
   Pipeline.pop_back();
   PassPipelineConfig Knobs = literalKnobConfig();
-  Knobs.Thresholding.Threshold = Config.Threshold;
-  Knobs.Coarsening.Factor = Config.Factor;
-  Knobs.Aggregation.Granularity = Config.Granularity;
-  Knobs.Aggregation.GroupSize = 4;
-  Knobs.Aggregation.UseAggregationThreshold = Config.AggThreshold;
-  Knobs.Aggregation.AggregationThreshold = 3;
+  Knobs.Threshold = Config.Threshold;
+  Knobs.CoarsenFactor = Config.Factor;
+  Knobs.Granularity = Config.Granularity;
+  Knobs.GroupSize = 4;
+  if (Config.AggThreshold)
+    Knobs.AggThreshold = 3;
   DiagnosticEngine Diags;
   std::string Result =
       transformSourceWithPipeline(Source, Pipeline, Knobs, Diags);

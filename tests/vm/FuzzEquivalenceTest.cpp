@@ -255,11 +255,10 @@ TEST_P(FuzzEquivalenceTest, RandomProgramsSurviveAllPipelines) {
                            (Mask & 4 ? "aggregate," : "");
     Pipeline.pop_back();
     PassPipelineConfig Knobs = literalKnobConfig();
-    Knobs.Thresholding.Threshold = 1u << (Seed % 9);
-    Knobs.Coarsening.Factor = 1 + Seed % 7;
-    Knobs.Aggregation.Granularity =
-        (AggGranularity)(1 + (Seed + Mask) % 4); // Warp..Grid
-    Knobs.Aggregation.GroupSize = 2 + Seed % 6;
+    Knobs.Threshold = 1u << (Seed % 9);
+    Knobs.CoarsenFactor = 1 + Seed % 7;
+    Knobs.Granularity = (AggGranularity)(1 + (Seed + Mask) % 4); // Warp..Grid
+    Knobs.GroupSize = 2 + Seed % 6;
 
     DiagnosticEngine Diags;
     std::string Transformed =
@@ -352,8 +351,8 @@ TEST(MultiSiteAggregationTest, TwoSitesOnePlan) {
   for (AggGranularity G : {AggGranularity::Warp, AggGranularity::Block,
                            AggGranularity::MultiBlock, AggGranularity::Grid}) {
     PassPipelineConfig Knobs = literalKnobConfig();
-    Knobs.Aggregation.Granularity = G;
-    Knobs.Aggregation.GroupSize = 2;
+    Knobs.Granularity = G;
+    Knobs.GroupSize = 2;
     DiagnosticEngine Diags;
     std::string Transformed =
         transformSourceWithPipeline(MultiSiteSource, "aggregate", Knobs, Diags);

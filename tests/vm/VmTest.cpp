@@ -563,6 +563,42 @@ __global__ void top(int *out) {
   EXPECT_EQ(Dev->stats().DeviceLaunches, 3u);
 }
 
+VM_TEST(FailedLaunchLeavesNoQueuedGrids) {
+  // Child 0 traps while its siblings (and, on two workers, possibly their
+  // grandchildren) are still queued; none of them may run later.
+  for (unsigned Workers : {1u, 2u}) {
+    SCOPED_TRACE("workers=" + std::to_string(Workers));
+    auto Dev = makeDevice(Engine, R"(
+__global__ void grandchild(int *data, int i) { data[8 + i] = 1; }
+__global__ void child(int *data, int i) {
+  data[i] = 10 / i;
+  grandchild<<<1, 1>>>(data, i);
+}
+__global__ void parent(int *data) {
+  child<<<1, 1>>>(data, threadIdx.x);
+}
+__global__ void good(int *data) { data[16] = 7; }
+)");
+    ASSERT_NE(Dev, nullptr);
+    Dev->setWorkers(Workers);
+    uint64_t Data = Dev->alloc(17 * 4);
+    EXPECT_FALSE(
+        Dev->launchKernel("parent", {1, 1, 1}, {4, 1, 1}, {(int64_t)Data}));
+    EXPECT_NE(Dev->error().find("division by zero"), std::string::npos)
+        << Dev->error();
+    std::vector<int32_t> Before = Dev->readI32Array(Data, 17);
+    uint64_t Grids = Dev->stats().GridsLaunched;
+
+    ASSERT_TRUE(Dev->launchKernel("good", {1, 1, 1}, {1, 1, 1},
+                                  {(int64_t)Data}))
+        << Dev->error();
+    EXPECT_EQ(Dev->stats().GridsLaunched, Grids + 1);
+    std::vector<int32_t> After = Dev->readI32Array(Data, 17);
+    Before[16] = 7;
+    EXPECT_EQ(After, Before);
+  }
+}
+
 VM_TEST(CompoundAssignAndIncDecValues) {
   auto Dev = makeDevice(Engine, R"(
 __global__ void k(int *out) {

@@ -433,10 +433,23 @@ TEST(TunerTest, ExecConfigPipelineTextRoundTrips) {
   // Empty pipeline = default config.
   ASSERT_TRUE(execConfigFromPipelineText("", Back));
   EXPECT_TRUE(Back == ExecConfig());
+  // Knob spellings do not matter; a bare aggregate is the default shape.
+  ASSERT_TRUE(execConfigFromPipelineText("threshold[32:literal]", Back));
+  EXPECT_EQ(Back.Threshold, std::optional<uint32_t>(32));
+  ASSERT_TRUE(execConfigFromPipelineText("aggregate", Back));
+  EXPECT_EQ(passPipelineTextFor(Back), "aggregate[multiblock:8]");
   // Outside the vocabulary: profile knobs and unknown passes refuse.
   EXPECT_FALSE(execConfigFromPipelineText("threshold[profile]", Back));
   EXPECT_FALSE(execConfigFromPipelineText("speculate[64]", Back));
   EXPECT_FALSE(execConfigFromPipelineText("bogus", Back));
+  // Texts that realize a different program than any ExecConfig's own
+  // pipeline refuse too: a fallback on an ordinary threshold, another
+  // pass order, a repeated pass.
+  EXPECT_FALSE(execConfigFromPipelineText("threshold[256:fallback]", Back));
+  EXPECT_FALSE(execConfigFromPipelineText("coarsen[2],threshold[32]", Back));
+  EXPECT_FALSE(execConfigFromPipelineText("coarsen[2],coarsen[2]", Back));
+  EXPECT_EQ(passPipelineTextFor(Back), "aggregate[multiblock:8]")
+      << "a refused text must leave the config untouched";
 }
 
 TEST(EmpiricalTunerTest, RankConfigsIsStableAndComplete) {
