@@ -29,6 +29,7 @@
 
 #include "profile/Profile.h"
 #include "service/CompileService.h"
+#include "support/Parallel.h"
 #include "support/StringUtils.h"
 #include "transform/Pipeline.h"
 #include "tuner/Calibrate.h"
@@ -37,13 +38,11 @@
 #include "workloads/KernelSources.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <thread>
 
 using namespace dpo;
 
@@ -345,35 +344,22 @@ static int runServe(const std::string &ServePath, ServiceConfig SC,
 
   std::vector<CompileResponse> CompileResults(Reqs.size());
   std::vector<TuneResponse> TuneResults(Reqs.size());
-  std::atomic<size_t> Next{0};
-  auto Work = [&]() {
-    while (true) {
-      size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Reqs.size())
-        return;
-      if (!StageErrors[I].empty())
-        continue;
-      const ServeRequest &R = Reqs[I];
-      if (R.Kind == ServeRequest::Compile) {
-        CompileResults[I] = Service.compile(CompileReqs[I]);
-      } else {
-        TuneRequest T;
-        T.WorkloadSpec = R.WorkloadSpec;
-        T.Mode = R.Mode;
-        T.Opts.Budget = R.Budget;
-        T.Opts.Seed = R.Seed;
-        T.WarmStart = R.WarmStart;
-        TuneResults[I] = Service.tune(T);
-      }
+  parallelFor(Reqs.size(), Service.workers(), [&](size_t I) {
+    if (!StageErrors[I].empty())
+      return;
+    const ServeRequest &R = Reqs[I];
+    if (R.Kind == ServeRequest::Compile) {
+      CompileResults[I] = Service.compile(CompileReqs[I]);
+      return;
     }
-  };
-  unsigned N = std::min<size_t>(Service.workers(), Reqs.size());
-  std::vector<std::thread> Pool;
-  for (unsigned T = 0; T + 1 < N; ++T)
-    Pool.emplace_back(Work);
-  Work(); // the driver thread participates too
-  for (std::thread &T : Pool)
-    T.join();
+    TuneRequest T;
+    T.WorkloadSpec = R.WorkloadSpec;
+    T.Mode = R.Mode;
+    T.Opts.Budget = R.Budget;
+    T.Opts.Seed = R.Seed;
+    T.WarmStart = R.WarmStart;
+    TuneResults[I] = Service.tune(T);
+  });
 
   // Report and write outputs in request order: the drain's schedule never
   // shows in what the user sees.

@@ -7,6 +7,7 @@
 #include "service/CompileService.h"
 
 #include "service/ContentKey.h"
+#include "support/Parallel.h"
 #include "support/StringUtils.h"
 #include "transform/Pipeline.h"
 #include "tuner/TunedTable.h"
@@ -15,7 +16,6 @@
 #include "workloads/VmWorkload.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -24,7 +24,6 @@
 #include <filesystem>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 using namespace dpo;
 
@@ -44,14 +43,8 @@ ServiceConfig dpo::serviceConfigFromEnv() {
 }
 
 unsigned CompileService::workers() const {
-  if (Config.Workers)
-    return Config.Workers;
-  unsigned Parsed = 0;
-  if (const char *W = std::getenv("DPO_SERVICE_WORKERS");
-      W && parsePositiveU32(W, Parsed) == ParseUIntStatus::Ok)
-    return Parsed;
-  unsigned HW = std::thread::hardware_concurrency();
-  return std::max(1u, std::min(HW, 8u));
+  return resolveWorkers(Config.Workers, "DPO_SERVICE_WORKERS",
+                        hardwareWorkers());
 }
 
 CompileService::CompileService(ServiceConfig ConfigIn)
@@ -438,31 +431,12 @@ CompileResponse CompileService::compile(const CompileRequest &Req) {
 
 std::vector<CompileResponse>
 CompileService::compileBatch(const std::vector<CompileRequest> &Reqs) {
+  // Responses land positionally, so the result order — and every per-key
+  // artifact, via the single-flight compile path — is deterministic at
+  // any worker count.
   std::vector<CompileResponse> Out(Reqs.size());
-  unsigned N = std::min<unsigned>(workers(), (unsigned)Reqs.size());
-  if (N <= 1) {
-    for (size_t I = 0; I < Reqs.size(); ++I)
-      Out[I] = compile(Reqs[I]);
-    return Out;
-  }
-  // Atomic work-claiming drain: responses land positionally, so the
-  // result order — and every per-key artifact, via the single-flight
-  // compile path — is deterministic at any worker count.
-  std::atomic<size_t> Next{0};
-  auto Work = [&]() {
-    while (true) {
-      size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Reqs.size())
-        return;
-      Out[I] = compile(Reqs[I]);
-    }
-  };
-  std::vector<std::thread> Pool;
-  Pool.reserve(N);
-  for (unsigned T = 0; T < N; ++T)
-    Pool.emplace_back(Work);
-  for (std::thread &T : Pool)
-    T.join();
+  parallelFor(Reqs.size(), workers(),
+              [&](size_t I) { Out[I] = compile(Reqs[I]); });
   return Out;
 }
 

@@ -19,10 +19,9 @@
 ///    cost one cache probe; on-disk artifacts survive the process and
 ///    warm the next one. Corrupt/truncated/stale-version artifacts
 ///    degrade to a clean recompile with a diagnostic, never an abort.
-///  - compileBatch(): many requests drained concurrently on a worker
-///    pool; responses come back in request order and per-request stat
-///    shards are merged in request order, so totals are deterministic at
-///    every worker count.
+///  - compileBatch(): many requests drained concurrently through
+///    parallelFor; responses come back in request order, and the stat
+///    totals are sums, so both are deterministic at every worker count.
 ///  - tune(): autotune requests with result caching and optional
 ///    warm-starting from committed bench/tuned/ tables and previously
 ///    cached tune results (EmpiricalOptions::WarmStart; strictly opt-in,
@@ -70,7 +69,8 @@ struct ServiceConfig {
   /// Disk-cache size bound (LRU eviction). DPO_CACHE_MAX_BYTES.
   uint64_t CacheMaxBytes = 256ull << 20;
   /// Workers for compileBatch(). 0 = auto: DPO_SERVICE_WORKERS env, else
-  /// hardware concurrency capped at 8.
+  /// hardware concurrency capped at 8. Every value is capped at 64
+  /// (resolveWorkers, support/Parallel.h).
   unsigned Workers = 0;
   /// Directory of committed tuned tables used to warm-start tune
   /// requests (bench/tuned/ in the repo). Empty disables table seeding.
@@ -141,10 +141,10 @@ struct TuneResponse {
   EmpiricalTuneResult Result;
 };
 
-/// Aggregate counters across the service's lifetime. Batch drains merge
-/// per-request shards in request order, so these are deterministic for a
-/// given request sequence at any worker count (eviction aside: evictions
-/// depend on store order once the disk bound is hit).
+/// Aggregate counters across the service's lifetime. They are sums, so
+/// they are deterministic for a given request sequence at any worker
+/// count (eviction aside: evictions depend on store order once the disk
+/// bound is hit).
 struct ServiceStats {
   uint64_t Requests = 0;
   uint64_t MemoryHits = 0;
@@ -186,9 +186,8 @@ public:
 
   CompileResponse compile(const CompileRequest &Req);
 
-  /// Drains \p Reqs on min(config workers, #requests) threads. Responses
-  /// are positionally aligned with \p Reqs; stat shards merge in request
-  /// order.
+  /// Drains \p Reqs through parallelFor on workers() threads, the caller
+  /// included. Responses are positionally aligned with \p Reqs.
   std::vector<CompileResponse> compileBatch(
       const std::vector<CompileRequest> &Reqs);
 

@@ -197,9 +197,8 @@ SerialKernelBuilder::ensureSerialVersion(FunctionDecl *Child,
     std::unordered_set<std::string> RematNames;
     std::vector<Stmt *> SharedDecls;
 
-    std::function<void(const std::vector<Stmt *> &, bool,
-                       std::vector<Stmt *> &)>
-        BuildLevel = [&](const std::vector<Stmt *> &Stmts, bool BodyTop,
+    std::function<void(const std::vector<Stmt *> &, std::vector<Stmt *> &)>
+        BuildLevel = [&](const std::vector<Stmt *> &Stmts,
                          std::vector<Stmt *> &Out) {
           std::vector<const Stmt *> SegOrig;
           std::vector<Stmt *> SegClone;
@@ -312,7 +311,7 @@ SerialKernelBuilder::ensureSerialVersion(FunctionDecl *Child,
                   BodyStmts = CS->body();
                 else
                   BodyStmts.push_back(For->body());
-                BuildLevel(BodyStmts, /*BodyTop=*/false, Inner);
+                BuildLevel(BodyStmts, Inner);
                 Out.push_back(Ctx.create<ForStmt>(
                     cloneStmt(Ctx, For->init()), cloneExpr(Ctx, For->cond()),
                     cloneExpr(Ctx, For->inc()), Ctx.compound(Inner)));
@@ -320,7 +319,7 @@ SerialKernelBuilder::ensureSerialVersion(FunctionDecl *Child,
               }
               if (auto *CS = dyn_cast<CompoundStmt>(S)) {
                 std::vector<Stmt *> Inner;
-                BuildLevel(CS->body(), /*BodyTop=*/false, Inner);
+                BuildLevel(CS->body(), Inner);
                 Out.push_back(Ctx.compound(Inner));
                 continue;
               }
@@ -338,7 +337,7 @@ SerialKernelBuilder::ensureSerialVersion(FunctionDecl *Child,
         };
 
     std::vector<Stmt *> BlockStmts;
-    BuildLevel(Child->body()->body(), /*BodyTop=*/true, BlockStmts);
+    BuildLevel(Child->body()->body(), BlockStmts);
     std::vector<Stmt *> BlockBody = std::move(SharedDecls);
     BlockBody.insert(BlockBody.end(), BlockStmts.begin(), BlockStmts.end());
     auto *PerBlock = Ctx.compound(std::move(BlockBody));

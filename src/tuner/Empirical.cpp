@@ -7,15 +7,12 @@
 #include "tuner/Empirical.h"
 
 #include "profile/Profile.h"
-#include "support/StringUtils.h"
+#include "support/Parallel.h"
 #include "transform/Pipeline.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <random>
-#include <thread>
 
 using namespace dpo;
 
@@ -188,9 +185,9 @@ bool EmpiricalEvaluator::openDevice(const VmProgram &Program, Session &S,
   // Measurement devices stay single-worker regardless of DPO_VM_WORKERS:
   // racy kernels (BFS/SSSP frontier CAS) retire worker-count-dependent
   // step totals, and tuned tables are committed against the sequential
-  // counts. The tuner's parallelism is across candidates (prefetch), not
-  // inside one measurement. One worker is also what makes a resumed
-  // session equal a fresh run.
+  // counts. The tuner's parallelism is across candidates (measureAll's
+  // waves), not inside one measurement. One worker is also what makes a
+  // resumed session equal a fresh run.
   Dev->setWorkers(1);
   Dev->setStepLimit(Opts.VmStepLimit);
   Dev->setGridLogEnabled(true);
@@ -228,16 +225,14 @@ bool EmpiricalEvaluator::advance(const VmProgram &Program,
   return true;
 }
 
-EmpiricalEvaluator::Run
-EmpiricalEvaluator::run(const VmProgram &Program, const std::string &Pipeline,
-                        Session S, unsigned Resource) const {
-  Run R;
-  R.FromRound = S.resumeFrom(Resource);
-  R.Ok = advance(Program, Pipeline, S, Resource, R.Error);
+void EmpiricalEvaluator::run(Run &R, unsigned Resource) const {
+  R.FromRound = R.S.resumeFrom(Resource);
+  R.Ok = advance(*R.Program, R.Pipeline, R.S, Resource, R.Error);
   if (R.Ok)
-    R.M = fillMeasurement(*S.Dev, Resource);
-  R.S = std::move(S);
-  return R;
+    R.M = fillMeasurement(*R.S.Dev, Resource);
+  // A full-sample device has nothing left to resume.
+  if (Resource == maxResource())
+    R.S = Session();
 }
 
 bool EmpiricalEvaluator::runSampleRound(Session &S, unsigned I,
@@ -306,17 +301,6 @@ EmpiricalEvaluator::measurePipeline(const std::string &PipelineText,
   return fillMeasurement(*S.Dev, maxResource());
 }
 
-unsigned EmpiricalEvaluator::evalWorkers() const {
-  if (Opts.EvalWorkers)
-    return std::min(Opts.EvalWorkers, 64u);
-  unsigned V = 0;
-  if (const char *E = std::getenv("DPO_TUNER_WORKERS");
-      E && parsePositiveU32(E, V) == ParseUIntStatus::Ok)
-    return std::min(V, 64u);
-  unsigned HW = std::thread::hardware_concurrency();
-  return std::clamp(HW, 1u, 8u);
-}
-
 void EmpiricalEvaluator::retainSessions(
     const std::vector<ExecConfig> &Survivors) {
   std::set<std::string> Keep;
@@ -326,117 +310,91 @@ void EmpiricalEvaluator::retainSessions(
                 [&](const auto &Entry) { return !Keep.count(Entry.first); });
 }
 
-void EmpiricalEvaluator::prefetch(const std::vector<ExecConfig> &Configs,
-                                  unsigned Resource) {
-  unsigned Threads = evalWorkers();
-  if (Threads <= 1 || Sample.empty())
-    return;
-  Resource = std::clamp(Resource, 1u, maxResource());
-
-  // Replay the sequential measure() calls' budget/cache decisions to find
-  // the VM runs that will actually happen. A failed run is simulated as
-  // consuming budget (we cannot know failure before running); that can
-  // only under-schedule, and unstaged keys simply fall back to the
-  // sequential path in measure().
-  struct Job {
-    std::string Key;
-    const VmProgram *Program;
-    std::string Pipeline;
-    Session S; ///< The keys are distinct, so no two jobs share a session.
-  };
-  std::vector<Job> Jobs;
-  unsigned SimEvals = Evaluations;
-  for (const ExecConfig &C : Configs) {
-    if (SimEvals >= Opts.Budget)
-      break;
-    std::string Pipeline = passPipelineTextFor(C);
-    std::string Key = Pipeline + "|" + std::to_string(Resource);
-    if (Cache.count(Key))
-      continue; // will be a cache hit: free
-    if (auto It = Staged.find(Key); It != Staged.end()) {
-      SimEvals += It->second.Ok ? 1 : 0; // already prefetched
-      continue;
-    }
-    if (std::any_of(Jobs.begin(), Jobs.end(),
-                    [&](const Job &J) { return J.Key == Key; }))
-      continue; // second occurrence hits the cache the first one fills
-    // Compiles stay serial: programFor mutates the shared program cache,
-    // and its counter order must match the sequential execution.
-    const VmProgram *P = programFor(Pipeline);
-    if (!P)
-      continue; // compile failure costs no budget sequentially either
-    Jobs.push_back({std::move(Key), P, std::move(Pipeline), Session()});
-    ++SimEvals;
-  }
-  if (Jobs.size() <= 1)
-    return; // nothing to overlap
-  for (Job &J : Jobs)
-    if (auto Node = Sessions.extract(J.Pipeline))
-      J.S = std::move(Node.mapped());
-
-  std::vector<Run> Results(Jobs.size());
-  std::atomic<size_t> NextJob{0};
-  auto Work = [&]() {
-    for (size_t I = NextJob.fetch_add(1); I < Jobs.size();
-         I = NextJob.fetch_add(1))
-      Results[I] = run(*Jobs[I].Program, Jobs[I].Pipeline,
-                       std::move(Jobs[I].S), Resource);
-  };
-  std::vector<std::thread> Pool;
-  size_t Spawn = std::min<size_t>(Threads, Jobs.size()) - 1;
-  for (size_t T = 0; T < Spawn; ++T)
-    Pool.emplace_back(Work);
-  Work();
-  for (std::thread &T : Pool)
-    T.join();
-
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    Staged.emplace(std::move(Jobs[I].Key), std::move(Results[I]));
-}
-
 std::optional<VmMeasurement>
 EmpiricalEvaluator::measure(const ExecConfig &Config, unsigned Resource) {
+  return measureWithin({Config}, Resource,
+                       std::numeric_limits<unsigned>::max())
+      .front();
+}
+
+std::vector<std::optional<VmMeasurement>>
+EmpiricalEvaluator::measureWithin(const std::vector<ExecConfig> &Configs,
+                                  unsigned Resource, unsigned Budget) {
+  std::vector<std::optional<VmMeasurement>> Out;
   if (Sample.empty()) {
     LastError = "workload has no batches to measure";
-    return std::nullopt;
+    Out.resize(Configs.size());
+    return Out;
   }
   Resource = std::clamp(Resource, 1u, maxResource());
+  const std::string Rung = "|" + std::to_string(Resource);
 
-  std::string Pipeline = passPipelineTextFor(Config);
-  std::string Key = Pipeline + "|" + std::to_string(Resource);
-  if (auto It = Cache.find(Key); It != Cache.end()) {
-    ++CacheHits;
-    return It->second;
-  }
+  // One wave per pass. Every config up to the run that fills the budget's
+  // remaining room is one the sequential loop reaches, so compiling them
+  // here compiles what it would.
+  constexpr size_t NoRun = std::numeric_limits<size_t>::max();
+  struct Item {
+    std::string Key;
+    size_t RunIdx = NoRun; ///< Into Runs; NoRun for a hit or a failure.
+    std::string CompileError;
+  };
+  while (Out.size() < Configs.size() && Evaluations < Budget) {
+    std::vector<Item> Items;
+    std::vector<Run> Runs;
+    for (size_t I = Out.size();
+         I < Configs.size() && Runs.size() < Budget - Evaluations; ++I) {
+      std::string Pipeline = passPipelineTextFor(Configs[I]);
+      Item &It = Items.emplace_back();
+      It.Key = Pipeline + Rung;
+      if (Cache.count(It.Key))
+        continue;
+      // A repeated pipeline shares the first one's run: a hit if it
+      // succeeded, the same failure if not.
+      auto Same = std::find_if(Runs.begin(), Runs.end(), [&](const Run &R) {
+        return R.Pipeline == Pipeline;
+      });
+      if (Same != Runs.end()) {
+        It.RunIdx = (size_t)(Same - Runs.begin());
+      } else if (const VmProgram *Program = programFor(Pipeline)) {
+        It.RunIdx = Runs.size();
+        Run &R = Runs.emplace_back();
+        R.Program = Program;
+        R.Pipeline = std::move(Pipeline);
+        if (auto Node = Sessions.extract(R.Pipeline))
+          R.S = std::move(Node.mapped());
+      } else {
+        It.CompileError = LastError;
+      }
+    }
 
-  // A prefetched run: consume it and perform the counter accounting the
-  // sequential execution would have done here. Failed runs are consumed
-  // too (not negatively cached — the sequential path re-runs on retry,
-  // deterministically failing again).
-  Run R;
-  if (auto It = Staged.find(Key); It != Staged.end()) {
-    R = std::move(It->second);
-    Staged.erase(It);
-  } else {
-    const VmProgram *Program = programFor(Pipeline);
-    if (!Program)
-      return std::nullopt;
-    auto Node = Sessions.extract(Pipeline);
-    R = run(*Program, Pipeline, Node ? std::move(Node.mapped()) : Session(),
-            Resource);
+    parallelFor(Runs.size(),
+                resolveWorkers(Opts.EvalWorkers, "DPO_TUNER_WORKERS",
+                               hardwareWorkers()),
+                [&](size_t I) { run(Runs[I], Resource); });
+
+    // The counter accounting, in config order.
+    for (Item &It : Items) {
+      if (auto Hit = Cache.find(It.Key); Hit != Cache.end()) {
+        ++CacheHits;
+        Out.push_back(Hit->second);
+        continue;
+      }
+      Run *R = It.RunIdx == NoRun ? nullptr : &Runs[It.RunIdx];
+      if (!R || !R->Ok) {
+        LastError = R ? R->Error : It.CompileError;
+        Out.push_back(std::nullopt);
+        continue;
+      }
+      ++Evaluations;
+      DevicesOpened += R->FromRound == 0;
+      RoundsRun += Resource - R->FromRound;
+      Cache.emplace(std::move(It.Key), R->M);
+      if (R->S.Dev)
+        Sessions[R->Pipeline] = std::move(R->S);
+      Out.push_back(R->M);
+    }
   }
-  if (!R.Ok) {
-    LastError = std::move(R.Error);
-    return std::nullopt;
-  }
-  ++Evaluations;
-  DevicesOpened += R.FromRound == 0;
-  RoundsRun += Resource - R.FromRound;
-  Cache.emplace(std::move(Key), R.M);
-  // A full-sample device has nothing left to resume.
-  if (Resource < maxResource())
-    Sessions[Pipeline] = std::move(R.S);
-  return R.M;
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -533,14 +491,12 @@ void hillClimb(EmpiricalEvaluator &Eval, const VariantMask &Mask,
   while (Improved && Eval.evaluations() < Budget) {
     Improved = false;
     std::vector<ExecConfig> Neighbors = neighborConfigs(Result.Config, Mask);
-    Eval.prefetch(Neighbors, MaxRes);
-    for (const ExecConfig &N : Neighbors) {
-      if (Eval.evaluations() >= Budget)
-        break;
-      std::optional<VmMeasurement> M = Eval.measure(N, MaxRes);
-      if (M && M->Cycles + 1e-9 < Result.Measured.Cycles) {
-        Result.Config = N;
-        Result.Measured = *M;
+    std::vector<std::optional<VmMeasurement>> Ms =
+        Eval.measureAll(Neighbors, MaxRes);
+    for (size_t I = 0; I < Ms.size(); ++I) {
+      if (Ms[I] && Ms[I]->Cycles + 1e-9 < Result.Measured.Cycles) {
+        Result.Config = Neighbors[I];
+        Result.Measured = *Ms[I];
         Improved = true;
       }
     }
@@ -627,25 +583,24 @@ EmpiricalTuneResult dpo::empiricalTune(EmpiricalEvaluator &Eval,
   while (true) {
     Ranked.clear();
     bool RungHasBest = false;
-    // Warm this rung's measurements concurrently; the sequential loop
-    // below consumes them with exact counter replay.
-    Eval.prefetch(Pool, Resource);
-    for (const ExecConfig &C : Pool) {
-      if (Eval.evaluations() >= Budget)
-        break;
-      if (std::optional<VmMeasurement> M = Eval.measure(C, Resource)) {
-        Ranked.emplace_back(M->Cycles, C);
-        if (!RungHasBest || M->Cycles < RungBestM.Cycles) {
-          RungBestC = C;
-          RungBestM = *M;
-          RungHasBest = true;
-        }
-        if (Resource == MaxRes &&
-            (!HaveBest || M->Cycles < Result.Measured.Cycles)) {
-          Result.Config = C;
-          Result.Measured = *M;
-          HaveBest = true;
-        }
+    std::vector<std::optional<VmMeasurement>> Ms =
+        Eval.measureAll(Pool, Resource);
+    for (size_t I = 0; I < Ms.size(); ++I) {
+      if (!Ms[I])
+        continue;
+      const ExecConfig &C = Pool[I];
+      const VmMeasurement &M = *Ms[I];
+      Ranked.emplace_back(M.Cycles, C);
+      if (!RungHasBest || M.Cycles < RungBestM.Cycles) {
+        RungBestC = C;
+        RungBestM = M;
+        RungHasBest = true;
+      }
+      if (Resource == MaxRes &&
+          (!HaveBest || M.Cycles < Result.Measured.Cycles)) {
+        Result.Config = C;
+        Result.Measured = M;
+        HaveBest = true;
       }
     }
     if (Ranked.empty())
@@ -709,14 +664,12 @@ EmpiricalTuneResult dpo::hybridTune(EmpiricalEvaluator &Eval,
   for (size_t I = 0; I < Order.size() && I < Shortlist; ++I)
     ShortlistConfigs.push_back(Candidates[Order[I]]);
   warmStartFirst(Eval, ShortlistConfigs);
-  Eval.prefetch(ShortlistConfigs, MaxRes);
-  for (const ExecConfig &C : ShortlistConfigs) {
-    if (Eval.evaluations() >= Budget)
-      break;
-    std::optional<VmMeasurement> M = Eval.measure(C, MaxRes);
-    if (M && (!HaveBest || M->Cycles < Result.Measured.Cycles)) {
-      Result.Config = C;
-      Result.Measured = *M;
+  std::vector<std::optional<VmMeasurement>> Ms =
+      Eval.measureAll(ShortlistConfigs, MaxRes);
+  for (size_t I = 0; I < Ms.size(); ++I) {
+    if (Ms[I] && (!HaveBest || Ms[I]->Cycles < Result.Measured.Cycles)) {
+      Result.Config = ShortlistConfigs[I];
+      Result.Measured = *Ms[I];
       HaveBest = true;
     }
   }

@@ -81,10 +81,11 @@ struct EmpiricalOptions {
   uint64_t VmMemoryBytes = 32ull << 20;
   /// Step limit per VM run (guards against pathological candidates).
   uint64_t VmStepLimit = 500ull * 1000 * 1000;
-  /// Threads for prefetch()'s concurrent candidate measurement. 0 = auto
-  /// (DPO_TUNER_WORKERS env, else hardware concurrency capped at 8).
+  /// Threads that run measureAll()'s VM runs. 0 = auto
+  /// (DPO_TUNER_WORKERS env, else hardware concurrency capped at 8);
+  /// every value is capped at 64 (resolveWorkers, support/Parallel.h).
   /// Any value reproduces the sequential search trajectory bit-for-bit:
-  /// prefetch only warms the measurement cache.
+  /// measureAll accounts for its runs in config order.
   unsigned EvalWorkers = 0;
   /// Optional warm-start seed for empirical/hybrid searches: the service
   /// layer sets this from committed bench/tuned/ tables or cached tune
@@ -150,12 +151,13 @@ public:
                      EmpiricalOptions Opts = {});
 
   /// Measures \p Config against the first \p Resource sample batches
-  /// (clamped to [1, maxResource()]). Resumes the pipeline's session if it
-  /// has run at most \p Resource rounds, running only the rounds it lacks;
-  /// a single-worker device is deterministic, so the result equals a
-  /// fresh device's field for field, and it counts as one evaluation.
-  /// Below the full sample the device is kept as the session. Returns
-  /// nullopt on pipeline/VM failure (lastError() explains).
+  /// (clamped to [1, maxResource()]): measureAll()'s path for one config,
+  /// with no budget stop. Resumes the pipeline's session if it has run at
+  /// most \p Resource rounds, running only the rounds it lacks; a
+  /// single-worker device is deterministic, so the result equals a fresh
+  /// device's field for field, and it counts as one evaluation. Below the
+  /// full sample the device is kept as the session. Returns nullopt on
+  /// pipeline/VM failure (lastError() explains).
   std::optional<VmMeasurement> measure(const ExecConfig &Config,
                                        unsigned Resource);
   /// Full-resource measurement.
@@ -183,19 +185,20 @@ public:
   void setProfile(const LaunchProfile *P) { Profile = P; }
   const LaunchProfile *profile() const { return Profile; }
 
-  /// Executes the VM runs that upcoming measure(C, \p Resource) calls
-  /// over \p Configs (in order) would perform, concurrently across
-  /// options().EvalWorkers threads, and parks the results in a staging
-  /// cache that measure() consumes. The budget/cache replay is exact:
-  /// compiles stay serial (they mutate the shared program cache, and are
-  /// cheap next to VM execution), only VM runs fan out, and a consuming
-  /// measure() advances Evaluations/Compiles/CacheHits precisely as the
-  /// sequential execution would have — the search trajectory (rung
-  /// rankings, budget cut-offs, chosen config) is bit-identical at every
-  /// worker count. Each run takes its pipeline's session along, so
-  /// sessions save the same work at every worker count. No-op at one
-  /// worker.
-  void prefetch(const std::vector<ExecConfig> &Configs, unsigned Resource);
+  /// Measures \p Configs at \p Resource in order, as a loop of measure()
+  /// calls that stops once evaluations() reaches options().Budget would:
+  /// one result per config that loop reaches (nullopt where it failed),
+  /// with the same counters and lastError(). Compiles run serially. VM
+  /// runs go in waves of at most Budget - evaluations() uncached runs,
+  /// each wave through parallelFor on options().EvalWorkers threads, and
+  /// each run takes its pipeline's session along; the counter accounting
+  /// happens once per wave, in config order. A failed run costs no
+  /// budget, so it only makes room in the next wave. Results and counters
+  /// are therefore the same at every worker count.
+  std::vector<std::optional<VmMeasurement>>
+  measureAll(const std::vector<ExecConfig> &Configs, unsigned Resource) {
+    return measureWithin(Configs, Resource, Opts.Budget);
+  }
 
   /// Drops every session but those of \p Survivors' pipelines.
   void retainSessions(const std::vector<ExecConfig> &Survivors);
@@ -238,15 +241,16 @@ private:
     }
   };
 
-  /// One measurement of a pipeline. Prefetched runs wait in Staged for
-  /// their measure() call, which does the counter accounting; failed runs
-  /// are staged too so that call reports the sequential run's error.
+  /// One VM run of a measureAll() wave: the pipeline's program and the
+  /// session it resumes, then what the run measured.
   struct Run {
+    const VmProgram *Program = nullptr;
+    std::string Pipeline;
+    Session S;
+    unsigned FromRound = 0;
     bool Ok = false;
     VmMeasurement M;
     std::string Error;
-    Session S;
-    unsigned FromRound = 0;
   };
 
   const VmProgram *programFor(const std::string &PipelineText);
@@ -259,15 +263,19 @@ private:
   /// \p Err and immutable evaluator state). A failure empties \p S.
   bool advance(const VmProgram &Program, const std::string &Pipeline,
                Session &S, unsigned Rounds, std::string &Err) const;
-  /// advance() to \p Resource rounds and measure: the body shared by
-  /// measure() and prefetch()'s worker threads.
-  Run run(const VmProgram &Program, const std::string &Pipeline, Session S,
-          unsigned Resource) const;
+  /// measureAll() with \p Budget in place of options().Budget (measure()
+  /// passes none).
+  std::vector<std::optional<VmMeasurement>>
+  measureWithin(const std::vector<ExecConfig> &Configs, unsigned Resource,
+                unsigned Budget);
+  /// advance() \p R's session to \p Resource rounds and measure. Keeps
+  /// the session only below the full sample; counter-free and
+  /// thread-safe like advance().
+  void run(Run &R, unsigned Resource) const;
   /// One measurement round: stage sample batch \p I's arguments and
   /// launch the parent.
   bool runSampleRound(Session &S, unsigned I, std::string &Err) const;
   VmMeasurement fillMeasurement(const Device &Dev, unsigned Rounds) const;
-  unsigned evalWorkers() const;
 
   GpuModel Gpu;
   VmWorkload Workload;
@@ -280,7 +288,6 @@ private:
   std::map<std::string, VmProgram> Programs;
   std::set<std::string> FailedPipelines; ///< Negative compile cache.
   std::map<std::string, VmMeasurement> Cache;
-  std::map<std::string, Run> Staged;
   std::map<std::string, Session> Sessions; ///< By pipeline text.
   unsigned Evaluations = 0;
   unsigned Compiles = 0;

@@ -48,7 +48,7 @@
 
 #include "vm/VM.h"
 
-#include "support/StringUtils.h"
+#include "support/Parallel.h"
 #include "transform/Pipeline.h"
 #include "vm/AtomicMem.h"
 #include "vm/SlotOps.h"
@@ -79,17 +79,6 @@ constexpr uint64_t ThreadFrameMemBytes = 64 * 1024;
 /// Ranges at least this large are zeroed by releasing their pages
 /// (DeviceImage::zero) rather than by writing them.
 constexpr uint64_t ReleaseZeroBytes = 2ull << 20;
-
-/// Resolves the worker count from DPO_VM_WORKERS (absent or invalid
-/// means the deterministic single-worker mode). Capped so a typo cannot
-/// spawn an absurd pool.
-unsigned resolveWorkerCount() {
-  const char *Env = std::getenv("DPO_VM_WORKERS");
-  unsigned N = 0;
-  if (!Env || parsePositiveU32(Env, N) != ParseUIntStatus::Ok)
-    return 1;
-  return std::min(N, 64u);
-}
 
 } // namespace
 
@@ -131,7 +120,7 @@ void DeviceImage::zero(uint64_t Off, uint64_t Bytes) {
 
 Device::Device(VmProgram ProgramIn, uint64_t MemoryBytes, ExecMode Mode)
     : Program(std::move(ProgramIn)), UseDecoded(Mode == ExecMode::Decoded),
-      Memory(MemoryBytes), Workers(resolveWorkerCount()) {
+      Memory(MemoryBytes), Workers(resolveWorkers(0, "DPO_VM_WORKERS", 1)) {
   // The main thread's worker context; pool contexts are created lazily
   // at the first parallel drain.
   WorkerCtxs.push_back(std::make_unique<WorkerCtx>());
@@ -202,11 +191,9 @@ bool dpo::operator==(const GridRecord &A, const GridRecord &B) {
 }
 
 void Device::setWorkers(unsigned N) {
-  if (N == 0)
-    N = resolveWorkerCount();
-  Workers = std::min(N, 64u);
-  if (Workers == 0)
-    Workers = 1;
+  // DPO_VM_WORKERS absent or invalid means the deterministic
+  // single-worker mode.
+  Workers = resolveWorkers(N, "DPO_VM_WORKERS", 1);
 }
 
 void Device::validateProgram() {
@@ -545,39 +532,14 @@ bool Device::hasHostFunction(const std::string &Name) const {
 }
 
 bool Device::drainLaunches() {
-  if (Workers > 1)
-    return drainLaunchesParallel();
-  // Sequential mode: FIFO drain on the main worker. Children buffered
-  // during a grid append behind the whole queue when it completes —
-  // exactly where the direct-push implementation put them, since only
-  // one grid ever runs at a time.
-  WorkerCtx &W = *WorkerCtxs[0];
-  while (!Queue.empty()) {
-    PendingLaunch L = std::move(Queue.front());
-    Queue.pop_front();
-    W.LogSink = &GridLog;
-    bool Ok = runGrid(L, W);
-    for (PendingLaunch &C : W.Pending)
-      Queue.push_back(std::move(C));
-    W.Pending.clear();
-    if (!Ok)
-      return dropLaunches();
-    // Recycle the argument buffer: steady-state device-side launching
-    // performs no per-launch allocation.
-    if (L.Args.capacity() > 0 && W.ArgPool.size() < 256)
-      W.ArgPool.push_back(std::move(L.Args));
-  }
-  return true;
-}
-
-bool Device::drainLaunchesParallel() {
-  ensureWorkersSpawned();
   WorkerCtx &W0 = *WorkerCtxs[0];
   while (!Queue.empty()) {
-    // A solo grid has nothing to overlap with: run it inline instead of
-    // waking the pool (deep launch chains — one parent grid per round —
-    // hit this path every round).
-    if (Queue.size() == 1) {
+    // One worker, or a solo grid with nothing to overlap with, runs the
+    // front grid inline on the main worker (deep launch chains — one
+    // parent grid per round — hit this path every round). Children
+    // buffered during the grid append behind the whole queue when it
+    // completes, which is the sequential FIFO order.
+    if (Workers == 1 || Queue.size() == 1) {
       PendingLaunch L = std::move(Queue.front());
       Queue.pop_front();
       W0.LogSink = &GridLog;
@@ -587,6 +549,8 @@ bool Device::drainLaunchesParallel() {
       W0.Pending.clear();
       if (!Ok)
         return dropLaunches();
+      // Recycle the argument buffer: steady-state device-side launching
+      // performs no per-launch allocation.
       if (L.Args.capacity() > 0 && W0.ArgPool.size() < 256)
         W0.ArgPool.push_back(std::move(L.Args));
       continue;
@@ -597,6 +561,7 @@ bool Device::drainLaunchesParallel() {
     // the queue after it completes), so the wave may execute in any
     // interleaving; the per-slot child/record merge below restores the
     // sequential FIFO linearization.
+    ensureWorkersSpawned();
     ParallelWave Wave;
     Wave.Items.reserve(Queue.size());
     while (!Queue.empty()) {

@@ -253,11 +253,12 @@ public:
   /// loops in tests).
   void setStepLimit(uint64_t Limit) { StepLimit = Limit; }
 
-  /// Sets the worker count for draining independent grids concurrently.
-  /// 0 re-resolves from the DPO_VM_WORKERS environment variable (absent
-  /// or invalid = 1). 1 is the deterministic sequential mode: step
-  /// counts, stats, and grid logs are bit-identical to the
-  /// pre-concurrency device. Must not be called while a launch is
+  /// Sets the worker count for draining independent grids concurrently,
+  /// through resolveWorkers (support/Parallel.h): 0 re-resolves from the
+  /// DPO_VM_WORKERS environment variable (absent or invalid = 1), and
+  /// every value is capped at MaxWorkers (64). 1 is the deterministic
+  /// sequential mode: step counts, stats, and grid logs are bit-identical
+  /// to the pre-concurrency device. Must not be called while a launch is
   /// running.
   void setWorkers(unsigned N);
   /// The resolved worker count (>= 1).
@@ -431,15 +432,15 @@ private:
       if (Spec[SI])
         Locals[SI] = wrapToWidth(Locals[SI], Spec[SI] >> 1, Spec[SI] & 1);
   }
+  /// Runs the queue until it is empty. One worker, or a queue of one,
+  /// runs the front grid inline; otherwise the whole queue becomes one
+  /// wave, run across the worker pool (main thread participating), whose
+  /// per-slot children and records merge back in order.
   bool drainLaunches();
   /// Discards every queued and buffered launch after a grid failed, so
   /// the next launch on this device does not run a failed one's children.
   /// Returns false.
   bool dropLaunches();
-  /// The parallel queue drain: snapshots the queue as one wave, executes
-  /// it across the worker pool (main thread participating), merges
-  /// per-slot children/records in order, repeats until empty.
-  bool drainLaunchesParallel();
   /// Claims and runs wave items until the wave is exhausted.
   void runWaveItems(ParallelWave &Wave, WorkerCtx &W);
   /// The pool thread body: waits for published waves.

@@ -622,6 +622,26 @@ TEST_F(CompileServiceTest, BatchResultsAreDeterministicAcrossWorkerCounts) {
   }
 }
 
+TEST_F(CompileServiceTest, WorkerCountIsCappedAt64) {
+  // The batch worker count goes through the same rule as the VM's and the
+  // tuner's: an explicit value or DPO_SERVICE_WORKERS, capped at 64. Only
+  // the getter is called; no batch runs, so no thread starts.
+  ServiceConfig Explicit;
+  Explicit.Workers = 100000;
+  EXPECT_EQ(CompileService(Explicit).workers(), 64u);
+
+  const char *Saved = std::getenv("DPO_SERVICE_WORKERS");
+  std::string Restore = Saved ? Saved : "";
+  ASSERT_EQ(setenv("DPO_SERVICE_WORKERS", "100000", 1), 0);
+  EXPECT_EQ(CompileService(ServiceConfig()).workers(), 64u);
+  ASSERT_EQ(setenv("DPO_SERVICE_WORKERS", "3", 1), 0);
+  EXPECT_EQ(CompileService(ServiceConfig()).workers(), 3u);
+  if (Saved)
+    setenv("DPO_SERVICE_WORKERS", Restore.c_str(), 1);
+  else
+    unsetenv("DPO_SERVICE_WORKERS");
+}
+
 //===----------------------------------------------------------------------===//
 // Tune caching and warm starts
 //===----------------------------------------------------------------------===//

@@ -336,10 +336,10 @@ TEST(EmpiricalTunerTest, ResumedMeasurementEqualsFreshAtEveryRung) {
 }
 
 TEST(EmpiricalTunerTest, SearchIsIdenticalAtEveryWorkerCount) {
-  // prefetch() measures a rung's candidates on worker threads, each
-  // taking its pipeline's session along; the consuming measure() calls
-  // replay the sequential accounting. The search, its counters and the
-  // work sessions save must not depend on the worker count.
+  // measureAll() measures a rung's candidates on worker threads, each
+  // taking its pipeline's session along, and accounts for them in config
+  // order. The search, its counters and the work sessions save must not
+  // depend on the worker count.
   GpuModel Gpu;
   VmWorkload W = fourBatchVmWorkload();
   for (TuneMode Mode : {TuneMode::Empirical, TuneMode::Hybrid}) {
@@ -377,6 +377,121 @@ TEST(EmpiricalTunerTest, SearchIsIdenticalAtEveryWorkerCount) {
       EXPECT_EQ(Eval.cacheHits(), BaseHits) << What;
       EXPECT_EQ(Eval.devicesOpened(), BaseDevices) << What;
       EXPECT_EQ(Eval.roundsRun(), BaseRounds) << What;
+    }
+  }
+}
+
+TEST(EmpiricalTunerTest, FailedRunsLeaveTheSearchIdenticalAtEveryWorkerCount) {
+  // A step limit between the cheapest and the costliest candidate's
+  // one-batch step count makes the costlier candidates fail. A failed run
+  // costs no budget, so measureAll() fills the room it leaves in a later
+  // wave. Its results and counters must be those of a loop of measure()
+  // calls that stops at the budget, and a search over such candidates
+  // must not depend on the worker count.
+  GpuModel Gpu;
+  VmWorkload W = fourBatchVmWorkload();
+  std::vector<ExecConfig> All = enumerateConfigs(fullMask());
+  std::vector<ExecConfig> Configs;
+  for (size_t I = 0; I < All.size(); I += 37)
+    Configs.push_back(All[I]);
+  ASSERT_GE(Configs.size(), 12u);
+  uint64_t Cheapest = UINT64_MAX, Costliest = 0;
+  EmpiricalEvaluator Probe(Gpu, W, fourBatchOptions());
+  for (const ExecConfig &C : Configs) {
+    std::optional<VmMeasurement> M = Probe.measure(C, 1);
+    ASSERT_TRUE(M.has_value()) << Probe.lastError();
+    Cheapest = std::min(Cheapest, M->Steps);
+    Costliest = std::max(Costliest, M->Steps);
+  }
+  ASSERT_LT(Cheapest, Costliest);
+  const uint64_t Limit = Cheapest + (Costliest - Cheapest) / 2;
+  // Repeats: a pipeline seen earlier in the same call is a cache hit
+  // after a success and the same failure after a failure.
+  Configs.push_back(Configs[0]);
+  Configs.push_back(Configs[3]);
+  Configs.push_back(Configs[1]);
+
+  // Without the limit every run succeeds, so the first wave alone fills
+  // the budget.
+  for (uint64_t StepLimit : {Limit, EmpiricalOptions().VmStepLimit}) {
+    EmpiricalOptions Opts = fourBatchOptions(6);
+    Opts.VmStepLimit = StepLimit;
+    EmpiricalEvaluator Ref(Gpu, W, Opts);
+    std::vector<std::optional<VmMeasurement>> Expected;
+    for (const ExecConfig &C : Configs) {
+      if (Ref.evaluations() >= Opts.Budget)
+        break;
+      Expected.push_back(Ref.measure(C, 1));
+    }
+    ASSERT_LT(Expected.size(), Configs.size()) << "the budget must bind";
+    bool AnyFailed = std::any_of(Expected.begin(), Expected.end(),
+                                 [](const auto &M) { return !M; });
+    ASSERT_EQ(AnyFailed, StepLimit == Limit) << Ref.lastError();
+
+    for (unsigned Workers : {1u, 2u, 4u}) {
+      std::string What = "measureAll at " + std::to_string(Workers) +
+                         " workers, step limit " + std::to_string(StepLimit);
+      Opts.EvalWorkers = Workers;
+      EmpiricalEvaluator Eval(Gpu, W, Opts);
+      std::vector<std::optional<VmMeasurement>> Got =
+          Eval.measureAll(Configs, 1);
+      ASSERT_EQ(Got.size(), Expected.size()) << What;
+      for (size_t I = 0; I < Got.size(); ++I) {
+        ASSERT_EQ(Got[I].has_value(), Expected[I].has_value())
+            << What << ", config " << I;
+        if (Got[I])
+          expectSameMeasurement(*Got[I], *Expected[I],
+                                What + ", config " + std::to_string(I));
+      }
+      EXPECT_EQ(Eval.evaluations(), Ref.evaluations()) << What;
+      EXPECT_EQ(Eval.programCompiles(), Ref.programCompiles()) << What;
+      EXPECT_EQ(Eval.cacheHits(), Ref.cacheHits()) << What;
+      EXPECT_EQ(Eval.devicesOpened(), Ref.devicesOpened()) << What;
+      EXPECT_EQ(Eval.roundsRun(), Ref.roundsRun()) << What;
+      EXPECT_EQ(Eval.lastError(), Ref.lastError()) << What;
+    }
+  }
+
+  for (TuneMode Mode : {TuneMode::Empirical, TuneMode::Hybrid}) {
+    std::optional<EmpiricalTuneResult> Base;
+    unsigned BaseEvals = 0, BaseCompiles = 0, BaseHits = 0;
+    unsigned BaseDevices = 0, BaseRounds = 0;
+    std::string BaseError;
+    for (unsigned Workers : {1u, 2u, 4u}) {
+      EmpiricalOptions SearchOpts = fourBatchOptions(20);
+      SearchOpts.VmStepLimit = Limit;
+      SearchOpts.EvalWorkers = Workers;
+      EmpiricalEvaluator Eval(Gpu, W, SearchOpts);
+      EmpiricalTuneResult R = Mode == TuneMode::Empirical
+                                  ? empiricalTune(Eval, fullMask())
+                                  : hybridTune(Eval, fullMask());
+      std::string What = std::string(tuneModeName(Mode)) + " at " +
+                         std::to_string(Workers) + " workers";
+      if (!Base) {
+        Base = R;
+        BaseEvals = Eval.evaluations();
+        BaseCompiles = Eval.programCompiles();
+        BaseHits = Eval.cacheHits();
+        BaseDevices = Eval.devicesOpened();
+        BaseRounds = Eval.roundsRun();
+        BaseError = Eval.lastError();
+        // The search measured a winner and saw runs fail.
+        EXPECT_GT(R.Measured.Steps, 0u) << What;
+        EXPECT_FALSE(BaseError.empty()) << What;
+        continue;
+      }
+      EXPECT_TRUE(R.Config == Base->Config) << What;
+      EXPECT_EQ(R.Pipeline, Base->Pipeline) << What;
+      expectSameMeasurement(R.Measured, Base->Measured, What);
+      EXPECT_EQ(std::bit_cast<uint64_t>(R.TimeUs),
+                std::bit_cast<uint64_t>(Base->TimeUs))
+          << What;
+      EXPECT_EQ(Eval.evaluations(), BaseEvals) << What;
+      EXPECT_EQ(Eval.programCompiles(), BaseCompiles) << What;
+      EXPECT_EQ(Eval.cacheHits(), BaseHits) << What;
+      EXPECT_EQ(Eval.devicesOpened(), BaseDevices) << What;
+      EXPECT_EQ(Eval.roundsRun(), BaseRounds) << What;
+      EXPECT_EQ(Eval.lastError(), BaseError) << What;
     }
   }
 }
