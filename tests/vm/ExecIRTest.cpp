@@ -14,15 +14,23 @@
 ///    bit-identical memory and identical VmStats on kernels covering
 ///    calls, barriers, launches, and frame memory;
 ///  - traces form on loop kernels only, retire exactly, and compose with
-///    the worker pool.
+///    the worker pool;
+///  - the decoded IR of a fixed set of kernels, traces included, is
+///    pinned by hash.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "transform/Pipeline.h"
+#include "vm/BytecodeIO.h"
 #include "vm/ExecIR.h"
 #include "vm/VM.h"
+#include "workloads/VmWorkload.h"
 
 #include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <map>
 
 using namespace dpo;
 
@@ -151,8 +159,8 @@ TEST(ExecIRTest, EnginesAgreeOnCallsAndFrames) {
   expectEngineEquivalent(CallsAndFramesSource, 64, {2, 1, 1}, {32, 1, 1});
 }
 
-TEST(ExecIRTest, EnginesAgreeOnBarriersAndShared) {
-  expectEngineEquivalent(R"(
+/// A shared-memory tree reduction: a loop with barriers in its body.
+const char *BarrierReduceSource = R"(
 __global__ void k(int *out, int n) {
   __shared__ int scratch[64];
   int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -166,8 +174,10 @@ __global__ void k(int *out, int n) {
   if (threadIdx.x == 0)
     out[blockIdx.x] = scratch[0];
 }
-)",
-                         4, {4, 1, 1}, {64, 1, 1});
+)";
+
+TEST(ExecIRTest, EnginesAgreeOnBarriersAndShared) {
+  expectEngineEquivalent(BarrierReduceSource, 4, {4, 1, 1}, {64, 1, 1});
 }
 
 TEST(ExecIRTest, EnginesAgreeOnDynamicLaunches) {
@@ -303,11 +313,8 @@ TEST(ExecIRTest, LoopFreeCodeFormsNoTraces) {
   EXPECT_EQ(Steps[0], Steps[1]);
 }
 
-TEST(ExecIRTest, StepLimitAbortsMidTraceWithExactAccounting) {
-  // The infinite loop spins inside a trace; the budget must trip at the
-  // same retired-step count on every engine even though the traced
-  // engine charges multi-instruction regions at once.
-  const char *Loop = R"(
+/// A long-running counted loop with a never-taken break.
+const char *SpinLoopSource = R"(
 __global__ void k(int *out, int n) {
   int sum = 0;
   for (int j = 0; j < 2000000000; ++j) {
@@ -317,10 +324,15 @@ __global__ void k(int *out, int n) {
   out[0] = sum;
 }
 )";
+
+TEST(ExecIRTest, StepLimitAbortsMidTraceWithExactAccounting) {
+  // The infinite loop spins inside a trace; the budget must trip at the
+  // same retired-step count on every engine even though the traced
+  // engine charges multi-instruction regions at once.
   uint64_t StepsAtAbort[2];
   int Idx = 0;
   for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
-    VmProgram P = compileSource(Loop);
+    VmProgram P = compileSource(SpinLoopSource);
     Device Dev(std::move(P), 16ull << 20, Mode);
     if (Mode == ExecMode::Decoded)
       ASSERT_GT(Dev.decodeStats().TracesFormed, 0u);
@@ -336,12 +348,8 @@ __global__ void k(int *out, int n) {
       << "mid-trace abort charged a different step count";
 }
 
-TEST(ExecIRTest, TracedExecutionComposesWithWorkerPool) {
-  // Device-launched child grids with a traced hot loop, drained by 2 and
-  // 4 workers: payload identical to the single-worker run (the children
-  // claim work through an atomic), and the single-worker runs pin the
-  // exact step count the tuner prices against.
-  const char *Source = R"(
+/// Device-launched child grids whose threads each run a counted loop.
+const char *LaunchedLoopSource = R"(
 __global__ void child(int *out, int base, int count) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   if (i < count) {
@@ -357,9 +365,15 @@ __global__ void k(int *out, int n) {
     child<<<(v + 7) / 8, 8>>>(out, v, v);
 }
 )";
+
+TEST(ExecIRTest, TracedExecutionComposesWithWorkerPool) {
+  // Device-launched child grids with a traced hot loop, drained by 2 and
+  // 4 workers: payload identical to the single-worker run (the children
+  // claim work through an atomic), and the single-worker runs pin the
+  // exact step count the tuner prices against.
   auto RunAt = [&](unsigned Workers, std::vector<int32_t> &Out,
                    uint64_t &Steps) {
-    VmProgram P = compileSource(Source);
+    VmProgram P = compileSource(LaunchedLoopSource);
     Device Dev(std::move(P), 16ull << 20, ExecMode::Decoded);
     ASSERT_GT(Dev.decodeStats().TracesFormed, 0u);
     Dev.setWorkers(Workers);
@@ -381,6 +395,152 @@ __global__ void k(int *out, int n) {
     RunAt(Workers, Par, ParSteps);
     EXPECT_EQ(Solo, Par) << "payload diverged at workers=" << Workers;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Decoded-IR pin: what the peephole and the trace former emit.
+//===----------------------------------------------------------------------===//
+
+/// An `int` counted loop whose increment (IncLocalI32) is followed by an
+/// unsigned use of the counter that a trace can prove needs no wrap.
+const char *IntCountedLoopSource = R"(
+__global__ void k(int *out, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  unsigned sum = 0;
+  int j = 0;
+  while (j < n) {
+    if (j < 0) break;
+    ++j;
+    sum = sum + (unsigned)j * 3u;
+  }
+  if (i < n) out[i] = (int)sum;
+}
+)";
+
+/// The same shape over a `long` counter (IncLocalI64).
+const char *LongCountedLoopSource = R"(
+__global__ void k(int *out, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int sum = 0;
+  long j = 0;
+  while (j < n) {
+    if (j < 0) break;
+    ++j;
+    sum = sum + (i ^ (int)j);
+  }
+  if (i < n) out[i] = sum;
+}
+)";
+
+struct DecodedPin {
+  const char *Source;
+  const char *Pipeline;
+  bool Optimize;
+  uint64_t Hash;
+  uint64_t Traces;
+};
+
+const DecodedPin DecodedPins[] = {
+#include "DecodedPinTable.inc"
+};
+
+struct PinSource {
+  const char *Name;
+  std::string Text;
+  bool Launches; ///< Also pinned through the transform pipelines.
+};
+
+std::vector<PinSource> decodedPinSources() {
+  return {{"quickstart", quickstartVmSource(), true},
+          {"nestedVmSource(32)", nestedVmSource(32), true},
+          {"LaunchedLoopSource", LaunchedLoopSource, true},
+          {"TracedLoopSource", TracedLoopSource, false},
+          {"SpinLoopSource", SpinLoopSource, false},
+          {"BarrierReduceSource", BarrierReduceSource, false},
+          {"CallsAndFramesSource", CallsAndFramesSource, false},
+          {"IntCountedLoopSource", IntCountedLoopSource, false},
+          {"LongCountedLoopSource", LongCountedLoopSource, false}};
+}
+
+/// No multi-block aggregation: the pin covers the VM layers, not the
+/// multi-block wrapper's buffer sizing.
+const char *const DecodedPinPipelines[] = {"threshold[64],coarsen[4]",
+                                           "coarsen[4],aggregate[block]"};
+
+/// FNV-1a over every decoded field that reaches execution except the
+/// handler addresses, which differ per process.
+uint64_t decodedHash(const ExecProgram &E) {
+  uint64_t H = fnv1a64("");
+  auto Mix = [&](int64_t V) {
+    H = fnv1a64(std::string_view((const char *)&V, sizeof(V)), H);
+  };
+  for (const ExecFunc &F : E.Functions) {
+    Mix((int64_t)F.Code.size());
+    Mix(F.TraceBase);
+    for (const ExecInstr &I : F.Code) {
+      Mix(I.Code);
+      Mix(I.A);
+      Mix(I.B);
+      Mix(I.Cost);
+      Mix(I.C);
+    }
+  }
+  return H;
+}
+
+bool containsOp(const VmProgram &P, Op Code) {
+  for (const FuncDef &F : P.Functions)
+    for (const Instr &I : F.Code)
+      if (I.Code == Code)
+        return true;
+  return false;
+}
+
+TEST(ExecIRTest, DecodedProgramsArePinned) {
+  // The pin has to reach both loop-counter superinstructions, which no
+  // corpus kernel produces together.
+  EXPECT_TRUE(containsOp(compileSource(IntCountedLoopSource), Op::IncLocalI32));
+  EXPECT_TRUE(
+      containsOp(compileSource(LongCountedLoopSource), Op::IncLocalI64));
+
+  std::map<std::tuple<std::string, std::string, bool>, const DecodedPin *>
+      Rows;
+  for (const DecodedPin &Row : DecodedPins)
+    Rows[{Row.Source, Row.Pipeline, Row.Optimize}] = &Row;
+  size_t Checked = 0;
+  auto Check = [&](const PinSource &Src, const char *Pipeline) {
+    for (bool Optimize : {true, false}) {
+      DiagnosticEngine Diags;
+      VmCompileOptions Opts;
+      Opts.OptimizeBytecode = Optimize;
+      std::optional<VmProgram> P = compileWithPipeline(
+          Src.Text, Pipeline, literalKnobConfig(), Opts, Diags);
+      ASSERT_TRUE(P) << Src.Name << " [" << Pipeline << "]: " << Diags.str();
+      ExecProgram E = decodeProgram(*P, nullptr);
+      uint64_t Hash = decodedHash(E), Traces = E.Stats.TracesFormed;
+      char Now[256];
+      std::snprintf(Now, sizeof(Now),
+                    "{\"%s\", \"%s\", %s, 0x%016" PRIx64 "u, %" PRIu64
+                    "u},",
+                    Src.Name, Pipeline, Optimize ? "true" : "false", Hash,
+                    Traces);
+      auto It = Rows.find({Src.Name, Pipeline, Optimize});
+      if (It == Rows.end()) {
+        ADD_FAILURE() << "no pinned row; now " << Now;
+        continue;
+      }
+      EXPECT_EQ(It->second->Hash, Hash) << "decoded IR; now " << Now;
+      EXPECT_EQ(It->second->Traces, Traces) << "traces formed; now " << Now;
+      ++Checked;
+    }
+  };
+  for (const PinSource &Src : decodedPinSources()) {
+    Check(Src, "");
+    if (Src.Launches)
+      for (const char *Pipeline : DecodedPinPipelines)
+        Check(Src, Pipeline);
+  }
+  EXPECT_EQ(Checked, sizeof(DecodedPins) / sizeof(DecodedPins[0]));
 }
 
 } // namespace
