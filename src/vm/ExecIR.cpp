@@ -199,29 +199,6 @@ Op invertCondJump(Op C) {
   }
 }
 
-bool isCompareOp(Op C) {
-  switch (C) {
-  case Op::CmpEQ: case Op::CmpNE:
-  case Op::CmpLTI: case Op::CmpLEI: case Op::CmpGTI: case Op::CmpGEI:
-  case Op::CmpLTU: case Op::CmpLEU: case Op::CmpGTU: case Op::CmpGEU:
-  case Op::CmpEQF: case Op::CmpNEF:
-  case Op::CmpLTF: case Op::CmpLEF: case Op::CmpGTF: case Op::CmpGEF:
-    return true;
-  default:
-    return false;
-  }
-}
-
-/// Mirrors the peephole's sregRange: runGrid rejects blocks over 1024
-/// threads, so threadIdx stays below 1024 and blockDim in [1, 1024].
-SlotRange traceSregRange(unsigned Builtin) {
-  if (Builtin == 0)
-    return {true, 0, 1023};
-  if (Builtin == 2)
-    return {true, 1, 1024};
-  return {true, 0, (int64_t)UINT32_MAX};
-}
-
 /// One abstract stack value: its range plus slot provenance — Slot >= 0
 /// means "this value is the current content of local slot Slot", which
 /// is what makes a guard on the value refine the slot's range. Any write
@@ -232,29 +209,16 @@ struct AbsVal {
   int32_t Slot = -1;
 };
 
-/// Abstract evaluator state for one trace walk: a bounded value stack
-/// (suffix semantics — overflow drops all knowledge, pops of unknown
-/// depth return unknown) plus strong per-path slot ranges, seeded from
-/// the whole-function invariants and narrowed by stores and guards.
-struct AbsEval {
-  static constexpr unsigned Cap = 64;
-  AbsVal S[Cap];
-  unsigned Sp = 0;
+/// The trace walk's rangeTransfer state: stack values carry slot
+/// provenance, and slot ranges are strong per-path facts, seeded from the
+/// whole-function invariants and narrowed by stores and guards — inside a
+/// trace there are no merge points, so a store's range replaces the
+/// slot's outright.
+struct AbsEval : AbsStack<AbsVal, 64> {
   std::vector<SlotRange> Slots;
 
-  void push(AbsVal V) {
-    if (Sp == Cap)
-      clearStack(); // Conservative: deeper values become unknown.
-    else
-      S[Sp++] = V;
-  }
-  void pushR(SlotRange R) { push({R, -1}); }
-  AbsVal pop() { return Sp ? S[--Sp] : AbsVal{}; }
   SlotRange popR() { return pop().R; }
-  void popN(unsigned N) { Sp = N >= Sp ? 0 : Sp - N; }
-  AbsVal top() const { return Sp ? S[Sp - 1] : AbsVal{}; }
-  void clearStack() { Sp = 0; }
-
+  void pushR(SlotRange R) { push({R, -1}); }
   SlotRange slot(int64_t Idx) const {
     return (uint64_t)Idx < Slots.size() ? Slots[Idx] : SlotRange{};
   }
@@ -262,16 +226,18 @@ struct AbsEval {
     if ((uint64_t)Idx < Slots.size())
       Slots[Idx] = R;
   }
-  void scrubSlot(int64_t Idx) {
+  void load(int64_t Idx) { push({slot(Idx), (int32_t)Idx}); }
+  void store(int64_t Idx, SlotRange R) {
     for (unsigned I = 0; I < Sp; ++I)
       if (S[I].Slot == (int32_t)Idx)
         S[I].Slot = -1;
-  }
-  void writeSlot(int64_t Idx, SlotRange R) {
-    scrubSlot(Idx);
     setSlot(Idx, R);
   }
-  void clearAll() {
+  /// The incremented value itself: one path sees one increment.
+  void incLocalI32(int64_t Idx, int64_t Imm) {
+    store(Idx, rTruncOf(rAddConst(slot(Idx), Imm), 4, 1));
+  }
+  void unmodeled() {
     clearStack();
     for (SlotRange &R : Slots)
       R = {};
@@ -360,295 +326,6 @@ void applyGuard(AbsEval &St, Op C) {
       clampSlot(St, R.Slot, L.R.Lo, L.R.Hi);
     break;
   default: // JmpIfEQ fall-through (L != R) carries no interval.
-    break;
-  }
-}
-
-/// The abstract transfer for one non-control instruction on the trace
-/// path. Mirrors the peephole dataflow (vm/Peephole.cpp dataflowStep)
-/// but with strong per-path slot updates — inside a trace there are no
-/// merge points, so a store's range replaces the slot's outright.
-void applyTransfer(AbsEval &St, const Instr &I, const VmProgram *Prog) {
-  if (isCompareOp(I.Code)) {
-    St.popN(2);
-    St.pushR({true, 0, 1});
-    return;
-  }
-  switch (I.Code) {
-  case Op::PushI:
-  case Op::PushF:
-    St.pushR({true, I.A, I.A});
-    break;
-  case Op::LoadLocal:
-    St.push({St.slot(I.A), (int32_t)I.A});
-    break;
-  case Op::StoreLocal: {
-    AbsVal V = St.pop();
-    St.writeSlot(I.A, V.R);
-    break;
-  }
-  case Op::Dup:
-    St.push(St.top());
-    break;
-  case Op::Pop:
-    St.pop();
-    break;
-  case Op::Swap: {
-    AbsVal A = St.pop(), B = St.pop();
-    St.push(A);
-    St.push(B);
-    break;
-  }
-  case Op::LdI8:
-    St.pop();
-    St.pushR(slotRangeOfTrunc(1, 1));
-    break;
-  case Op::LdU8:
-    St.pop();
-    St.pushR(slotRangeOfTrunc(1, 0));
-    break;
-  case Op::LdI16:
-    St.pop();
-    St.pushR(slotRangeOfTrunc(2, 1));
-    break;
-  case Op::LdU16:
-    St.pop();
-    St.pushR(slotRangeOfTrunc(2, 0));
-    break;
-  case Op::LdI32:
-    St.pop();
-    St.pushR(slotRangeOfTrunc(4, 1));
-    break;
-  case Op::LdU32:
-    St.pop();
-    St.pushR(slotRangeOfTrunc(4, 0));
-    break;
-  case Op::LdI64:
-  case Op::LdF32:
-  case Op::LdF64:
-    St.pop();
-    St.pushR({});
-    break;
-  case Op::StI8: case Op::StI16: case Op::StI32: case Op::StI64:
-  case Op::StF32: case Op::StF64:
-    St.popN(2);
-    break;
-  case Op::FrameAddr:
-  case Op::SharedBase:
-    St.pushR({});
-    break;
-  case Op::AddI: {
-    SlotRange R = St.popR(), L = St.popR();
-    St.pushR(rAdd(L, R));
-    break;
-  }
-  case Op::SubI: {
-    SlotRange R = St.popR(), L = St.popR();
-    St.pushR(rSub(L, R));
-    break;
-  }
-  case Op::MulI: {
-    SlotRange R = St.popR(), L = St.popR();
-    St.pushR(rMul(L, R));
-    break;
-  }
-  case Op::DivI: {
-    SlotRange R = St.popR(), L = St.popR();
-    St.pushR(rDivPos(L, R));
-    break;
-  }
-  case Op::RemI:
-  case Op::RemU: {
-    SlotRange R = St.popR(), L = St.popR();
-    St.pushR(rRemPos(L, R));
-    break;
-  }
-  case Op::DivU: {
-    // Nonnegative int64 ranges behave identically under / and u/.
-    SlotRange R = St.popR(), L = St.popR();
-    St.pushR(L.Known && L.Lo >= 0 ? rDivPos(L, R) : SlotRange{});
-    break;
-  }
-  case Op::MinI: {
-    SlotRange R = St.popR(), L = St.popR();
-    St.pushR(rMinI(L, R));
-    break;
-  }
-  case Op::MaxI: {
-    SlotRange R = St.popR(), L = St.popR();
-    St.pushR(rMaxI(L, R));
-    break;
-  }
-  case Op::MinU:
-  case Op::MaxU: {
-    // Sound only when both sides are provably nonnegative.
-    SlotRange R = St.popR(), L = St.popR();
-    if (L.Known && R.Known && L.Lo >= 0 && R.Lo >= 0)
-      St.pushR(I.Code == Op::MinU ? rMinI(L, R) : rMaxI(L, R));
-    else
-      St.pushR({});
-    break;
-  }
-  case Op::BitAnd: {
-    SlotRange R = St.popR(), L = St.popR();
-    if (L.Known && R.Known && L.Lo >= 0 && R.Lo >= 0)
-      St.pushR({true, 0, std::min(L.Hi, R.Hi)});
-    else
-      St.pushR({});
-    break;
-  }
-  case Op::Shl: case Op::ShrI: case Op::ShrU:
-  case Op::BitOr: case Op::BitXor:
-    St.popN(2);
-    St.pushR({});
-    break;
-  case Op::BitNot: {
-    SlotRange V = St.popR();
-    St.pushR(V.Known ? SlotRange{true, ~V.Hi, ~V.Lo} : SlotRange{});
-    break;
-  }
-  case Op::NegI: {
-    SlotRange V = St.popR();
-    if (V.Known && V.Lo != INT64_MIN)
-      St.pushR({true, -V.Hi, -V.Lo});
-    else
-      St.pushR({});
-    break;
-  }
-  case Op::LogicalNot:
-    St.pop();
-    St.pushR({true, 0, 1});
-    break;
-  case Op::AddF: case Op::SubF: case Op::MulF: case Op::DivF:
-  case Op::Math2:
-    St.popN(2);
-    St.pushR({});
-    break;
-  case Op::NegF: case Op::I2F: case Op::U2F: case Op::F2I:
-  case Op::F2Single: case Op::Math1:
-    St.pop();
-    St.pushR({});
-    break;
-  case Op::TruncI:
-    St.pushR(rTruncOf(St.popR(), I.A, I.B));
-    break;
-  case Op::Call:
-    St.popN((unsigned)I.B);
-    if (!Prog)
-      St.clearStack(); // Unknown callee arity: stay conservative.
-    else if ((uint64_t)I.A < Prog->Functions.size() &&
-             Prog->Functions[I.A].ReturnsValue)
-      St.pushR({});
-    // Callees run in their own frames: caller slots survive the call.
-    break;
-  case Op::SReg:
-    St.pushR(traceSregRange((unsigned)I.A / 4));
-    break;
-  case Op::SyncThreads:
-  case Op::ThreadFence:
-  case Op::CudaSync:
-    break;
-  case Op::WarpShfl:
-    St.popN(3);
-    St.pushR({});
-    break;
-  case Op::WarpBallot:
-    St.popN(2);
-    St.pushR(slotRangeOfTrunc(4, 0));
-    break;
-  case Op::BlockReduce:
-    St.pop();
-    St.pushR({});
-    break;
-  case Op::AtomicAdd: case Op::AtomicMax: case Op::AtomicMin:
-  case Op::AtomicExch: case Op::AtomicOr: case Op::AtomicAnd:
-    St.popN(2);
-    St.pushR(I.A == 4 ? slotRangeOfTrunc(4, I.B != 0) : SlotRange{});
-    break;
-  case Op::AtomicCAS:
-    St.popN(3);
-    St.pushR(I.A == 4 ? slotRangeOfTrunc(4, I.B != 0) : SlotRange{});
-    break;
-  case Op::Launch:
-    St.popN(6 + (unsigned)I.B);
-    break;
-  case Op::SpecGuard:
-    St.popN(2);
-    St.pushR({true, 0, 1});
-    break;
-  case Op::CudaMalloc:
-    St.popN(2);
-    St.pushR({true, 0, 0});
-    break;
-  case Op::CudaFree:
-    St.pop();
-    St.pushR({true, 0, 0});
-    break;
-  case Op::CudaMemset:
-    St.popN(3);
-    St.pushR({true, 0, 0});
-    break;
-  case Op::CudaMemcpy:
-    St.popN(4);
-    St.pushR({true, 0, 0});
-    break;
-  case Op::LoadLocal2:
-    St.push({St.slot(I.A), (int32_t)I.A});
-    St.push({St.slot(I.B), (int32_t)I.B});
-    break;
-  case Op::LoadLocalImmAddI:
-    St.pushR(rAddConst(St.slot(I.A), I.B));
-    break;
-  case Op::LoadLoadAddI:
-    St.pushR(rAdd(St.slot(I.A), St.slot(I.B)));
-    break;
-  case Op::AddImmI:
-    St.pushR(rAddConst(St.popR(), I.A));
-    break;
-  case Op::MulImmI:
-    St.pushR(rMul(St.popR(), {true, I.A, I.A}));
-    break;
-  case Op::MulImmAddI: {
-    SlotRange Y = St.popR(), X = St.popR();
-    St.pushR(rAdd(X, rMul(Y, {true, I.A, I.A})));
-    break;
-  }
-  case Op::IncLocalI32:
-    St.writeSlot(I.A, rTruncOf(rAddConst(St.slot(I.A), I.B), 4, 1));
-    break;
-  case Op::IncLocalI64:
-    St.writeSlot(I.A, rAddConst(St.slot(I.A), I.B));
-    break;
-  case Op::GlobalTidX:
-    St.pushR(slotRangeOfTrunc(4, I.B));
-    break;
-  case Op::LdI32Idx:
-    St.pushR(slotRangeOfTrunc(4, 1));
-    break;
-  case Op::LdU32Idx:
-    St.pushR(slotRangeOfTrunc(4, 0));
-    break;
-  case Op::LdI64Idx: case Op::LdF32Idx: case Op::LdF64Idx:
-    St.pushR({});
-    break;
-  case Op::LdI32Sc:
-    St.popN(2);
-    St.pushR(slotRangeOfTrunc(4, 1));
-    break;
-  case Op::LdU32Sc:
-    St.popN(2);
-    St.pushR(slotRangeOfTrunc(4, 0));
-    break;
-  case Op::LdI64Sc: case Op::LdF32Sc: case Op::LdF64Sc:
-    St.popN(2);
-    St.pushR({});
-    break;
-  case Op::StI32Sc: case Op::StI64Sc: case Op::StF32Sc: case Op::StF64Sc:
-    St.popN(3);
-    break;
-  default:
-    // Unmodeled opcode: drop every piece of knowledge (sound).
-    St.clearAll();
     break;
   }
 }
@@ -834,7 +511,7 @@ TraceBuild walkTrace(const FuncDef &F, const VmProgram &Program,
     E.Cost = 1 + Pending;
     Pending = 0;
     T.Elems.push_back(E);
-    applyTransfer(St, I, &Program);
+    rangeTransfer(St, I, &Program);
     ++PC;
   }
 }

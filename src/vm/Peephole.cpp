@@ -39,114 +39,34 @@ int64_t wrapTo(int64_t V, int64_t Width, int64_t SignExtend) {
 //===----------------------------------------------------------------------===//
 
 // The interval domain and its combinators (rAdd, rMul, rTruncOf, ...)
-// live in vm/SlotOps.h so the trace former (vm/ExecIR.cpp) can consume
-// the fixpoint this file publishes through slotInvariantRanges().
+// live in vm/SlotOps.h, and the per-opcode transfer (rangeTransfer) in
+// vm/Peephole.h, so the trace former (vm/ExecIR.cpp) runs the same
+// semantics and consumes the fixpoint this file publishes through
+// slotInvariantRanges().
 using Range = SlotRange;
-
-Range rangeOfTrunc(int64_t Width, int64_t SignExtend) {
-  return slotRangeOfTrunc(Width, SignExtend);
-}
-
-bool rangeFits(const Range &R, int64_t Width, int64_t SignExtend) {
-  return slotRangeFits(R, Width, SignExtend);
-}
-
-bool isCompare(Op C) {
-  switch (C) {
-  case Op::CmpEQ:
-  case Op::CmpNE:
-  case Op::CmpLTI:
-  case Op::CmpLEI:
-  case Op::CmpGTI:
-  case Op::CmpGEI:
-  case Op::CmpLTU:
-  case Op::CmpLEU:
-  case Op::CmpGTU:
-  case Op::CmpGEU:
-  case Op::CmpEQF:
-  case Op::CmpNEF:
-  case Op::CmpLTF:
-  case Op::CmpLEF:
-  case Op::CmpGTF:
-  case Op::CmpGEF:
-  case Op::LogicalNot:
-    return true;
-  default:
-    return false;
-  }
-}
-
-/// Range of an SReg read. runGrid rejects blocks over 1024 threads, so
-/// threadIdx components stay below 1024 and blockDim components at or
-/// below 1024 whenever a thread executes; blockIdx/gridDim span uint32.
-Range sregRange(unsigned Builtin) {
-  if (Builtin == 0)
-    return {true, 0, 1023};
-  if (Builtin == 2)
-    return {true, 1, 1024};
-  return {true, 0, (int64_t)UINT32_MAX};
-}
 
 /// Conservative range of the value \p I pushes, judged from the
 /// instruction alone plus the per-slot invariants (empty = none).
 Range producerRange(const Instr &I, const std::vector<Range> &SlotRanges) {
-  if (isCompare(I.Code))
+  if (isCompare(I.Code) || I.Code == Op::LogicalNot)
     return {true, 0, 1};
   switch (I.Code) {
   case Op::PushI:
     return {true, I.A, I.A};
   case Op::TruncI:
-    return rangeOfTrunc(I.A, I.B);
+    return slotRangeOfTrunc(I.A, I.B);
   case Op::SReg:
     return sregRange((unsigned)I.A / 4);
   case Op::GlobalTidX:
-    return rangeOfTrunc(4, I.B);
-  case Op::LdI8:
-    return rangeOfTrunc(1, 1);
-  case Op::LdU8:
-    return rangeOfTrunc(1, 0);
-  case Op::LdI16:
-    return rangeOfTrunc(2, 1);
-  case Op::LdU16:
-    return rangeOfTrunc(2, 0);
-  case Op::LdI32:
-  case Op::LdI32Idx:
-  case Op::LdI32Sc:
-    return rangeOfTrunc(4, 1);
-  case Op::LdU32:
-  case Op::LdU32Idx:
-  case Op::LdU32Sc:
-    return rangeOfTrunc(4, 0);
+    return slotRangeOfTrunc(4, I.B);
   case Op::LoadLocal:
     if ((uint64_t)I.A < SlotRanges.size())
       return SlotRanges[I.A];
     return {};
   default:
-    return {};
+    return loadRange(I.Code);
   }
 }
-
-/// Abstract operand stack for the dataflow walk. Popping past the known
-/// region (cleared at jump targets / after terminators) yields unknown,
-/// which keeps any arity mismatch conservative instead of wrong. A
-/// fixed-depth array (overflow degrades to clear, i.e. all-unknown) —
-/// this walk runs once per peephole round, so it must stay allocation-
-/// free and cache-tight.
-struct AbsStack {
-  static constexpr unsigned Cap = 128;
-  Range S[Cap];
-  unsigned Sp = 0;
-  void push(const Range &R) {
-    if (Sp == Cap)
-      clear(); // Conservative: deeper values become unknown.
-    else
-      S[Sp++] = R;
-  }
-  Range pop() { return Sp ? S[--Sp] : Range{}; }
-  void popN(unsigned N) { Sp = N >= Sp ? 0 : Sp - N; }
-  Range top() const { return Sp ? S[Sp - 1] : Range{}; }
-  void clear() { Sp = 0; }
-};
 
 /// Per-slot store accumulator for one dataflow pass.
 struct SlotAcc {
@@ -165,6 +85,49 @@ struct SlotAcc {
       R.Lo = std::min(R.Lo, V.Lo);
       R.Hi = std::max(R.Hi, V.Hi);
     }
+  }
+};
+
+/// The dataflow's rangeTransfer state: a plain range stack and weak
+/// stores. One pass visits every path's stores, so a store joins into its
+/// slot's accumulator instead of replacing the slot's range; in Linear
+/// mode it joins into the running range that later loads read. An
+/// unmodeled opcode poisons every slot.
+struct DataflowState : AbsStack<Range, 128> {
+  const std::vector<Range> *Cur = nullptr; ///< Slot estimates loads read.
+  std::vector<SlotAcc> Acc;                ///< Store joins (iterated mode).
+  std::vector<Range> Running;              ///< Slot ranges (Linear mode).
+  bool Linear = false;
+
+  Range popR() { return pop(); }
+  void pushR(const Range &R) { push(R); }
+  Range slot(int64_t S) const {
+    const std::vector<Range> &Slots = Linear ? Running : *Cur;
+    return (uint64_t)S < Slots.size() ? Slots[S] : Range{};
+  }
+  void load(int64_t S) { push(slot(S)); }
+  void store(int64_t S, const Range &V) {
+    if (Linear) {
+      if ((uint64_t)S < Running.size()) {
+        Range &R = Running[S];
+        if (!R.Known || !V.Known)
+          R = Range{};
+        else
+          R = {true, std::min(R.Lo, V.Lo), std::max(R.Hi, V.Hi)};
+      }
+    } else if ((uint64_t)S < Acc.size()) {
+      Acc[S].merge(V);
+    }
+  }
+  /// The whole int32 range rather than the incremented value: the join
+  /// of a loop counter's increments then stays stable across iterations.
+  void incLocalI32(int64_t S, int64_t) { store(S, slotRangeOfTrunc(4, 1)); }
+  void unmodeled() {
+    clearStack();
+    for (SlotAcc &A : Acc)
+      A.Unknown = true;
+    for (Range &R : Running)
+      R = Range{};
   }
 };
 
@@ -194,369 +157,37 @@ std::vector<Range> slotEntryRanges(const FuncDef &F) {
 /// TruncI at that point would see).
 std::vector<Range> dataflowStep(const FuncDef &F,
                                 const std::vector<uint8_t> &Target,
-                                const std::vector<Range> &CurIn,
+                                const std::vector<Range> &Cur,
                                 const VmProgram *Prog,
                                 const std::vector<Range> &Entry,
                                 std::vector<Range> *TopBefore,
                                 bool NeedStores, bool Linear = false) {
-  std::vector<SlotAcc> Acc(NeedStores && !Linear ? F.NumLocals : 0);
+  DataflowState St;
+  St.Cur = &Cur;
+  St.Linear = Linear;
   // Linear mode (no back edges): execution order is increasing PC, so a
   // load can only observe the entry value and stores at earlier
   // positions — one flow-sensitive pass over a running accumulation IS
   // the fixpoint, and is strictly more precise than iterating the
   // flow-insensitive merge.
-  std::vector<Range> Running;
   if (Linear)
-    Running = Entry;
-  const std::vector<Range> &Cur = Linear ? Running : CurIn;
-  AbsStack St;
-  auto SlotR = [&](int64_t S) -> Range {
-    return (uint64_t)S < Cur.size() ? Cur[S] : Range{};
-  };
-  auto Store = [&](int64_t S, const Range &V) {
-    if (Linear) {
-      if ((uint64_t)S < Running.size()) {
-        Range &R = Running[S];
-        if (!R.Known || !V.Known)
-          R = Range{};
-        else
-          R = {true, std::min(R.Lo, V.Lo), std::max(R.Hi, V.Hi)};
-      }
-      return;
-    }
-    if (NeedStores && (uint64_t)S < Acc.size())
-      Acc[S].merge(V);
-  };
+    St.Running = Entry;
+  else if (NeedStores)
+    St.Acc.resize(F.NumLocals);
 
   for (size_t PC = 0; PC < F.Code.size(); ++PC) {
     if (Target[PC])
-      St.clear(); // Merge point: predecessors' stacks are unknown here.
+      St.clearStack(); // Merge point: predecessors' stacks are unknown here.
     if (TopBefore)
       (*TopBefore)[PC] = St.top();
-    const Instr &I = F.Code[PC];
-    if (isCompare(I.Code) && I.Code != Op::LogicalNot) {
-      St.popN(2); // Int and float comparisons alike: pop 2, push 0/1.
-      St.push({true, 0, 1});
-      continue;
-    }
-    switch (I.Code) {
-    case Op::PushI:
-    case Op::PushF:
-      St.push({true, I.A, I.A});
-      break;
-    case Op::LoadLocal:
-      St.push(SlotR(I.A));
-      break;
-    case Op::StoreLocal:
-      Store(I.A, St.pop());
-      break;
-    case Op::Dup:
-      St.push(St.top());
-      break;
-    case Op::Pop:
-      St.pop();
-      break;
-    case Op::Swap: {
-      Range A = St.pop(), B = St.pop();
-      St.push(A);
-      St.push(B);
-      break;
-    }
-    case Op::LdI8:
-    case Op::LdU8:
-    case Op::LdI16:
-    case Op::LdU16:
-    case Op::LdI32:
-    case Op::LdU32:
-    case Op::LdI64:
-    case Op::LdF32:
-    case Op::LdF64:
-      St.pop();
-      St.push(producerRange(I, Cur));
-      break;
-    case Op::StI8:
-    case Op::StI16:
-    case Op::StI32:
-    case Op::StI64:
-    case Op::StF32:
-    case Op::StF64:
-      St.popN(2);
-      break;
-    case Op::FrameAddr:
-    case Op::SharedBase:
-      St.push({});
-      break;
-    case Op::AddI: {
-      Range R = St.pop(), L = St.pop();
-      St.push(rAdd(L, R));
-      break;
-    }
-    case Op::SubI: {
-      Range R = St.pop(), L = St.pop();
-      St.push(rSub(L, R));
-      break;
-    }
-    case Op::MulI: {
-      Range R = St.pop(), L = St.pop();
-      St.push(rMul(L, R));
-      break;
-    }
-    case Op::DivI: {
-      Range R = St.pop(), L = St.pop();
-      St.push(rDivPos(L, R));
-      break;
-    }
-    case Op::RemI: {
-      Range R = St.pop(), L = St.pop();
-      St.push(rRemPos(L, R));
-      break;
-    }
-    case Op::DivU: {
-      // Nonnegative int64 ranges behave identically under / and u/.
-      Range R = St.pop(), L = St.pop();
-      St.push(L.Known && L.Lo >= 0 ? rDivPos(L, R) : Range{});
-      break;
-    }
-    case Op::RemU: {
-      Range R = St.pop(), L = St.pop();
-      St.push(rRemPos(L, R));
-      break;
-    }
-    case Op::MinI: {
-      Range R = St.pop(), L = St.pop();
-      St.push(rMinI(L, R));
-      break;
-    }
-    case Op::MaxI: {
-      Range R = St.pop(), L = St.pop();
-      St.push(rMaxI(L, R));
-      break;
-    }
-    case Op::MinU:
-    case Op::MaxU: {
-      // Sound only when both sides are provably nonnegative.
-      Range R = St.pop(), L = St.pop();
-      if (L.Known && R.Known && L.Lo >= 0 && R.Lo >= 0)
-        St.push(I.Code == Op::MinU ? rMinI(L, R) : rMaxI(L, R));
-      else
-        St.push({});
-      break;
-    }
-    case Op::BitAnd: {
-      Range R = St.pop(), L = St.pop();
-      if (L.Known && R.Known && L.Lo >= 0 && R.Lo >= 0)
-        St.push({true, 0, std::min(L.Hi, R.Hi)});
-      else
-        St.push({});
-      break;
-    }
-    case Op::Shl:
-    case Op::ShrI:
-    case Op::ShrU:
-    case Op::BitOr:
-    case Op::BitXor:
-      St.popN(2);
-      St.push({});
-      break;
-    case Op::BitNot: {
-      Range V = St.pop();
-      St.push(V.Known ? Range{true, ~V.Hi, ~V.Lo} : Range{});
-      break;
-    }
-    case Op::NegI: {
-      Range V = St.pop();
-      if (V.Known && V.Lo != INT64_MIN)
-        St.push({true, -V.Hi, -V.Lo});
-      else
-        St.push({});
-      break;
-    }
-    case Op::LogicalNot:
-      St.pop();
-      St.push({true, 0, 1});
-      break;
-    case Op::AddF:
-    case Op::SubF:
-    case Op::MulF:
-    case Op::DivF:
-    case Op::Math2:
-      St.popN(2);
-      St.push({});
-      break;
-    case Op::NegF:
-    case Op::I2F:
-    case Op::U2F:
-    case Op::F2I:
-    case Op::F2Single:
-    case Op::Math1:
-      St.pop();
-      St.push({});
-      break;
-    case Op::TruncI: {
-      Range V = St.pop();
-      St.push(rTruncOf(V, I.A, I.B));
-      break;
-    }
-    case Op::Jmp:
-      St.clear();
-      break;
-    case Op::JmpIfZero:
-    case Op::JmpIfNotZero:
-      St.pop();
-      break;
-    case Op::Call: {
-      St.popN((unsigned)I.B);
-      if (!Prog) {
-        St.clear(); // Unknown callee arity: stay conservative.
-      } else if ((uint64_t)I.A < Prog->Functions.size() &&
-                 Prog->Functions[I.A].ReturnsValue) {
-        St.push({});
-      }
-      break;
-    }
-    case Op::Ret:
-      St.pop();
-      St.clear();
-      break;
-    case Op::RetVoid:
-    case Op::Trap:
-      St.clear();
-      break;
-    case Op::SReg:
-      St.push(sregRange((unsigned)I.A / 4));
-      break;
-    case Op::SyncThreads:
-    case Op::ThreadFence:
-    case Op::CudaSync:
-      break;
-    case Op::WarpShfl:
-      St.popN(3);
-      St.push({});
-      break;
-    case Op::WarpBallot:
-      St.popN(2);
-      St.push(rangeOfTrunc(4, false));
-      break;
-    case Op::BlockReduce:
-      St.pop();
-      St.push({});
-      break;
-    case Op::AtomicAdd:
-    case Op::AtomicMax:
-    case Op::AtomicMin:
-    case Op::AtomicExch:
-    case Op::AtomicOr:
-    case Op::AtomicAnd:
-      St.popN(2);
-      St.push(I.A == 4 ? rangeOfTrunc(4, I.B != 0) : Range{});
-      break;
-    case Op::AtomicCAS:
-      St.popN(3);
-      St.push(I.A == 4 ? rangeOfTrunc(4, I.B != 0) : Range{});
-      break;
-    case Op::Launch:
-      St.popN(6 + (unsigned)I.B);
-      break;
-    case Op::SpecGuard:
-      St.popN(2);
-      St.push({true, 0, 1});
-      break;
-    case Op::CudaMalloc:
-      St.popN(2);
-      St.push({true, 0, 0});
-      break;
-    case Op::CudaFree:
-      St.pop();
-      St.push({true, 0, 0});
-      break;
-    case Op::CudaMemset:
-      St.popN(3);
-      St.push({true, 0, 0});
-      break;
-    case Op::CudaMemcpy:
-      St.popN(4);
-      St.push({true, 0, 0});
-      break;
-    case Op::LoadLocal2:
-      St.push(SlotR(I.A));
-      St.push(SlotR(I.B));
-      break;
-    case Op::LoadLocalImmAddI:
-      St.push(rAddConst(SlotR(I.A), I.B));
-      break;
-    case Op::LoadLoadAddI:
-      St.push(rAdd(SlotR(I.A), SlotR(I.B)));
-      break;
-    case Op::AddImmI:
-      St.push(rAddConst(St.pop(), I.A));
-      break;
-    case Op::MulImmI:
-      St.push(rMul(St.pop(), {true, I.A, I.A}));
-      break;
-    case Op::MulImmAddI: {
-      Range Y = St.pop(), X = St.pop();
-      St.push(rAdd(X, rMul(Y, {true, I.A, I.A})));
-      break;
-    }
-    case Op::IncLocalI32:
-      Store(I.A, rangeOfTrunc(4, 1));
-      break;
-    case Op::IncLocalI64:
-      Store(I.A, rAddConst(SlotR(I.A), I.B));
-      break;
-    case Op::GlobalTidX:
-      St.push(rangeOfTrunc(4, I.B));
-      break;
-    case Op::JmpIfLTI:
-    case Op::JmpIfGEI:
-    case Op::JmpIfLEI:
-    case Op::JmpIfGTI:
-    case Op::JmpIfEQ:
-    case Op::JmpIfNE:
-    case Op::JmpIfLTU:
-    case Op::JmpIfGEU:
-    case Op::JmpIfLEU:
-    case Op::JmpIfGTU:
-      St.popN(2);
-      break;
-    case Op::LdI32Idx:
-    case Op::LdU32Idx:
-    case Op::LdI64Idx:
-    case Op::LdF32Idx:
-    case Op::LdF64Idx:
-      St.push(producerRange(I, Cur));
-      break;
-    case Op::LdI32Sc:
-    case Op::LdU32Sc:
-    case Op::LdI64Sc:
-    case Op::LdF32Sc:
-    case Op::LdF64Sc:
-      St.popN(2);
-      St.push(producerRange(I, Cur));
-      break;
-    case Op::StI32Sc:
-    case Op::StI64Sc:
-    case Op::StF32Sc:
-    case Op::StF64Sc:
-      St.popN(3);
-      break;
-    default:
-      // Unmodeled opcode: drop all stack knowledge (sound — subsequent
-      // pops read unknown), and poison every slot to be safe (both the
-      // iterated accumulators and the Linear-mode running ranges).
-      St.clear();
-      for (SlotAcc &A : Acc)
-        A.Unknown = true;
-      for (Range &R : Running)
-        R = Range{};
-      break;
-    }
+    rangeTransfer(St, F.Code[PC], Prog);
   }
 
   if (Linear)
-    return Running;
+    return St.Running;
   if (!NeedStores)
     return {};
+  const std::vector<SlotAcc> &Acc = St.Acc;
   std::vector<Range> Out(F.NumLocals);
   for (unsigned S = 0; S < F.NumLocals; ++S) {
     if (Acc[S].Unknown) {
@@ -1257,7 +888,7 @@ bool matchAt(const std::vector<Instr> &C, size_t PC, size_t N,
     }
     // Redundant re-normalization: producer already fits the trunc width.
     if (I1.Code == Op::TruncI &&
-        rangeFits(producerRange(I0, SlotRanges), I1.A, I1.B)) {
+        slotRangeFits(producerRange(I0, SlotRanges), I1.A, I1.B)) {
       RW = {2, 1, {I0, {}}};
       return true;
     }
@@ -1312,7 +943,7 @@ bool matchAt(const std::vector<Instr> &C, size_t PC, size_t N,
   // stack here (tracked through AddImmI/LoadLoadAddI/... chains by the
   // abstract interpreter) provably already fits the requested width.
   if (I0.Code == Op::TruncI && PC < TopBefore.size() &&
-      rangeFits(TopBefore[PC], I0.A, I0.B)) {
+      slotRangeFits(TopBefore[PC], I0.A, I0.B)) {
     RW = {1, 0, {{}, {}}};
     return true;
   }

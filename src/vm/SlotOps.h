@@ -58,11 +58,12 @@ inline int64_t wrapToWidth(int64_t V, int64_t Width, int64_t SignExtend) {
   return V;
 }
 
-/// Closed interval of values a stack slot / local can hold, shared
-/// between the peephole's whole-function dataflow (vm/Peephole.cpp,
-/// which publishes per-slot dynamic invariants) and the trace former
-/// (vm/ExecIR.cpp, which refines those invariants along the not-taken
-/// edges of trace guards). Unknown (Known == false) means "any int64".
+/// Closed interval of values a stack slot / local can hold: the domain of
+/// rangeTransfer (vm/Peephole.h), which both range analyses run — the
+/// peephole's whole-function dataflow (vm/Peephole.cpp, which publishes
+/// per-slot dynamic invariants) and the trace former (vm/ExecIR.cpp,
+/// which refines those invariants along the not-taken edges of trace
+/// guards). Unknown (Known == false) means "any int64".
 struct SlotRange {
   bool Known = false;
   int64_t Lo = 0, Hi = 0;
