@@ -795,12 +795,21 @@ private:
       Params.push_back(Ctx.create<VarDecl>(P->type(), P->name()));
     }
 
+    // Size a multi-block group by the blocks it can hold, min(G,
+    // _aggGrid.x), not by the knob: a grid smaller than G forms one group,
+    // so the device's slot `group * G * blockDim.x + parent` stays below
+    // _aggGrid.x * _aggBlock.x.
+    Expr *Capacity = capacity("_aggGrid", "_aggBlock");
+    if (Options.Granularity == AggGranularity::MultiBlock)
+      Capacity = Ctx.paren(Ctx.binary(
+          BinaryOpKind::Mul,
+          Ctx.call("min", {groupSize(), Ctx.member("_aggGrid", "x")}),
+          Ctx.member("_aggBlock", "x")));
     std::vector<Stmt *> Body;
     Body.push_back(declUInt("_aggNumGroups", numGroupsHost()));
     Body.push_back(declUInt("_aggSlots",
                             Ctx.binary(BinaryOpKind::Mul,
-                                       Ctx.ref("_aggNumGroups"),
-                                       capacity("_aggGrid", "_aggBlock"))));
+                                       Ctx.ref("_aggNumGroups"), Capacity)));
     std::vector<std::string> AllBuffers;
     for (const auto *Gen : Sites) {
       for (const BufferParam &Buf : bufferParams(Gen->Site, Gen->K)) {

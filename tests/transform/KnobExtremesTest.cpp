@@ -12,7 +12,8 @@
 ///    literal, which has type long, so the coarsened launch still covers
 ///    every child block (typed int, the grid came out 0);
 ///  - `aggregate[multiblock:N]` is refused once `N * blockDim.x` can
-///    wrap 32 bits, through the pipeline text and through the knobs.
+///    wrap 32 bits, through the pipeline text and through the knobs, and
+///    runs payload-exact up to that bound, far past the parent grid.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +31,9 @@ using namespace dpo;
 
 namespace {
 
-TEST(KnobExtremesTest, CoarsenByLargestFactorIsPayloadExact) {
+/// Runs quickstart through \p Pipeline on both engines and checks the
+/// payload against the native result.
+void expectQuickstartExact(const std::string &Pipeline) {
   const std::vector<int32_t> Counts = {3, 0, 100, 7, 45, 0, 260, 1};
   std::vector<int32_t> Offsets, Native;
   for (int32_t C : Counts) {
@@ -42,7 +45,7 @@ TEST(KnobExtremesTest, CoarsenByLargestFactorIsPayloadExact) {
   for (ExecMode Mode : {ExecMode::Decoded, ExecMode::Bytecode}) {
     DiagnosticEngine Diags;
     std::optional<VmProgram> Program =
-        compileWithPipeline(quickstartVmSource(), "coarsen[4294967295]",
+        compileWithPipeline(quickstartVmSource(), Pipeline,
                             literalKnobConfig(), VmCompileOptions(), Diags);
     ASSERT_TRUE(Program) << Diags.str();
     Device Dev(std::move(*Program), Device::DefaultMemoryBytes, Mode);
@@ -53,10 +56,22 @@ TEST(KnobExtremesTest, CoarsenByLargestFactorIsPayloadExact) {
         Dev, "parent", (uint32_t)Counts.size(), 64,
         {(int64_t)DataA, (int64_t)CountsA, (int64_t)OffsetsA,
          (int64_t)Counts.size()}))
-        << Dev.error();
+        << Pipeline << " " << execModeName(Mode) << ": " << Dev.error();
     EXPECT_EQ(Dev.readI32Array(DataA, Native.size()), Native)
-        << execModeName(Mode);
+        << Pipeline << " " << execModeName(Mode);
   }
+}
+
+TEST(KnobExtremesTest, CoarsenByLargestFactorIsPayloadExact) {
+  expectQuickstartExact("coarsen[4294967295]");
+}
+
+TEST(KnobExtremesTest, GroupSizesPastTheGridArePayloadExact) {
+  // Both exceed quickstart's one-block parent grid; the buffers are sized
+  // by the grid, so neither runs out of device memory.
+  expectQuickstartExact("aggregate[multiblock:65536]");
+  expectQuickstartExact("aggregate[multiblock:" +
+                        std::to_string(MaxAggGroupSize) + "]");
 }
 
 TEST(KnobExtremesTest, GroupSizeBoundIsAcceptedAndOneMoreRefused) {
