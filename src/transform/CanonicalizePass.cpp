@@ -165,8 +165,7 @@ void canonicalizeSite(ASTContext &Ctx, const FunctionDecl *Caller,
 
 } // namespace
 
-CanonicalizeResult dpo::applyCanonicalize(ASTContext &Ctx, TranslationUnit *TU,
-                                          DiagnosticEngine &Diags,
+CanonicalizeResult dpo::applyCanonicalize(ASTContext &Ctx,
                                           AnalysisManager &AM) {
   CanonicalizeResult Result;
   Counters C;
@@ -177,7 +176,7 @@ CanonicalizeResult dpo::applyCanonicalize(ASTContext &Ctx, TranslationUnit *TU,
   return Result;
 }
 
-void CanonicalizePass::run(ASTContext &Ctx, TranslationUnit *TU,
-                           AnalysisManager &AM, DiagnosticEngine &Diags) {
-  Result = applyCanonicalize(Ctx, TU, Diags, AM);
+void CanonicalizePass::run(ASTContext &Ctx, TranslationUnit *,
+                           AnalysisManager &AM, DiagnosticEngine &) {
+  Result = applyCanonicalize(Ctx, AM);
 }

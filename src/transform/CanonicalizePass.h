@@ -52,11 +52,9 @@ struct CanonicalizeResult {
   bool ok() const { return true; } ///< Normalization never fails the build.
 };
 
-/// Canonicalizes the launch-dimension expressions of every launch site in
-/// \p TU, in place, finding them through \p AM.
-CanonicalizeResult applyCanonicalize(ASTContext &Ctx, TranslationUnit *TU,
-                                     DiagnosticEngine &Diags,
-                                     AnalysisManager &AM);
+/// Canonicalizes the launch-dimension expressions of every launch site
+/// \p AM finds in its translation unit, in place.
+CanonicalizeResult applyCanonicalize(ASTContext &Ctx, AnalysisManager &AM);
 
 /// The canonicalizer as a pipeline pass. Run it ahead of threshold/coarsen
 /// so their grid-dimension matcher sees canonical spellings.

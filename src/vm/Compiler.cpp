@@ -61,11 +61,6 @@ public:
 
   VmProgram compile();
 
-  unsigned trapMessage(const std::string &Message) {
-    Program.TrapMessages.push_back(Message);
-    return Program.TrapMessages.size() - 1;
-  }
-
   /// Registers one launch site and returns its 1-based ordinal (the
   /// Launch instruction's C operand). Sites are named
   /// "<caller>-><kernel>#<n>" with n counting that caller/kernel pair in
@@ -248,9 +243,6 @@ private:
   void compileLaunch(const LaunchExpr *L);
   void compileArithmetic(BinaryOpKind OpKind, const Type &OpTy);
   void loadFromLValue(const LValue &LV);
-  void trap(SourceLocation Loc, const std::string &Message) {
-    emit(Op::Trap, PC.trapMessage(Message));
-  }
 
   ProgramCompiler &PC;
   const FunctionDecl *F;

@@ -89,7 +89,7 @@ TEST(CanonicalizePassTest, ShiftDivisionBecomesDivision) {
   TranslationUnit *TU = parseOrDie(ShiftSource, Ctx, Diags);
 
   AnalysisManager AM(Ctx, TU);
-  CanonicalizeResult R = applyCanonicalize(Ctx, TU, Diags, AM);
+  CanonicalizeResult R = applyCanonicalize(Ctx, AM);
   EXPECT_EQ(R.NormalizedShiftDivs, 1u);
   EXPECT_EQ(R.FoldedLiterals, 0u);
 
@@ -115,7 +115,7 @@ TEST(CanonicalizePassTest, MakesShiftSpelledLaunchThresholdable) {
     DiagnosticEngine Diags;
     TranslationUnit *TU = parseOrDie(ShiftSource, Ctx, Diags);
     AnalysisManager AM(Ctx, TU);
-    applyCanonicalize(Ctx, TU, Diags, AM);
+    applyCanonicalize(Ctx, AM);
     ThresholdingResult T = applyThresholding(Ctx, TU, {}, Diags, AM);
     EXPECT_EQ(T.TransformedLaunches, 1u) << Diags.str();
     std::string Output = printTranslationUnit(TU);
@@ -130,7 +130,7 @@ TEST(CanonicalizePassTest, FollowsAssignedOnceLocals) {
   TranslationUnit *TU = parseOrDie(ShiftViaLocalSource, Ctx, Diags);
   AnalysisManager AM(Ctx, TU);
 
-  CanonicalizeResult R = applyCanonicalize(Ctx, TU, Diags, AM);
+  CanonicalizeResult R = applyCanonicalize(Ctx, AM);
   EXPECT_EQ(R.NormalizedShiftDivs, 1u);
   EXPECT_NE(printTranslationUnit(TU).find("int blocks = (count + 63) / 64;"),
             std::string::npos);
@@ -145,7 +145,7 @@ TEST(CanonicalizePassTest, FoldsLiteralShiftsForStructuralMatching) {
   TranslationUnit *TU = parseOrDie(LiteralShiftSource, Ctx, Diags);
   AnalysisManager AM(Ctx, TU);
 
-  CanonicalizeResult R = applyCanonicalize(Ctx, TU, Diags, AM);
+  CanonicalizeResult R = applyCanonicalize(Ctx, AM);
   EXPECT_GE(R.FoldedLiterals, 2u); // Both (1 << 5) occurrences.
   EXPECT_NE(printTranslationUnit(TU).find("(count + 32 - 1) / 32"),
             std::string::npos)
@@ -226,7 +226,7 @@ __global__ void parent(int *data, int numV) {
   DiagnosticEngine Diags;
   TranslationUnit *TU = parseOrDie(Source, Ctx, Diags);
   AnalysisManager AM(Ctx, TU);
-  CanonicalizeResult R = applyCanonicalize(Ctx, TU, Diags, AM);
+  CanonicalizeResult R = applyCanonicalize(Ctx, AM);
   EXPECT_EQ(R.total(), 0u);
   EXPECT_NE(printTranslationUnit(TU).find("data[i] >> 2"), std::string::npos);
 }
