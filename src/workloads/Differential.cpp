@@ -18,15 +18,12 @@ using namespace dpo;
 
 namespace {
 
-/// The parent launch shape for one program (the wrapper routing itself
-/// lives in launchWorkloadParent, shared with the empirical tuner).
-struct ParentEntry {
-  uint32_t ParentBlockDim = 128;
-};
-
-bool launchParent(Device &Dev, const ParentEntry &E, uint32_t NumParents,
+/// Launches the parent grid at \p BlockDim threads per block (the wrapper
+/// routing itself lives in launchWorkloadParent, shared with the
+/// empirical tuner).
+bool launchParent(Device &Dev, uint32_t BlockDim, uint32_t NumParents,
                   const std::vector<int64_t> &Args, std::string &Error) {
-  if (launchWorkloadParent(Dev, "parent", NumParents, E.ParentBlockDim, Args))
+  if (launchWorkloadParent(Dev, "parent", NumParents, BlockDim, Args))
     return true;
   Error = "parent launch failed: " + Dev.error();
   return false;
@@ -39,7 +36,7 @@ bool launchParent(Device &Dev, const ParentEntry &E, uint32_t NumParents,
 // frontier/worklist, so the rounds themselves are VM-computed state.
 //===----------------------------------------------------------------------===//
 
-bool driveBfs(Device &Dev, const KernelImage &Img, const ParentEntry &E,
+bool driveBfs(Device &Dev, const KernelImage &Img, uint32_t BlockDim,
               WorkloadOutput &P, std::string &Error) {
   uint64_t Cur = Img.Frontier, Nxt = Img.Next;
   uint32_t NumF = 1; // staged frontier: the source vertex
@@ -49,7 +46,7 @@ bool driveBfs(Device &Dev, const KernelImage &Img, const ParentEntry &E,
       return false;
     }
     Dev.writeI32(Img.NextSize, 0);
-    if (!launchParent(Dev, E,
+    if (!launchParent(Dev, BlockDim,
                       NumF, kernelParentArgs(Img, Cur, Nxt, NumF, Round),
                       Error))
       return false;
@@ -63,7 +60,7 @@ bool driveBfs(Device &Dev, const KernelImage &Img, const ParentEntry &E,
   return true;
 }
 
-bool driveSssp(Device &Dev, const KernelImage &Img, const ParentEntry &E,
+bool driveSssp(Device &Dev, const KernelImage &Img, uint32_t BlockDim,
                WorkloadOutput &P, std::string &Error) {
   uint64_t Cur = Img.Frontier, Nxt = Img.Next;
   uint32_t NumF = 1;
@@ -77,7 +74,7 @@ bool driveSssp(Device &Dev, const KernelImage &Img, const ParentEntry &E,
     for (int32_t M : Members)
       Dev.writeI32(Img.InList + (uint64_t)M * 4, 0);
     Dev.writeI32(Img.NextSize, 0);
-    if (!launchParent(Dev, E,
+    if (!launchParent(Dev, BlockDim,
                       NumF, kernelParentArgs(Img, Cur, Nxt, NumF, 0), Error))
       return false;
     NumF = (uint32_t)Dev.readI32(Img.NextSize);
@@ -90,7 +87,7 @@ bool driveSssp(Device &Dev, const KernelImage &Img, const ParentEntry &E,
   return true;
 }
 
-bool driveMstf(Device &Dev, const KernelImage &Img, const ParentEntry &E,
+bool driveMstf(Device &Dev, const KernelImage &Img, uint32_t BlockDim,
                WorkloadOutput &P, std::string &Error) {
   uint32_t NumV = Img.NumParents;
   std::vector<uint32_t> Comp(NumV), Active(NumV);
@@ -121,7 +118,7 @@ bool driveMstf(Device &Dev, const KernelImage &Img, const ParentEntry &E,
     std::vector<int32_t> ActiveI(Active.begin(), Active.end());
     Dev.writeI32Array(Img.Active, ActiveI);
 
-    if (!launchParent(Dev, E, (uint32_t)Active.size(),
+    if (!launchParent(Dev, BlockDim, (uint32_t)Active.size(),
                       kernelParentArgs(Img, 0, 0, (uint32_t)Active.size(), 0),
                       Error))
       return false;
@@ -170,9 +167,9 @@ bool driveMstf(Device &Dev, const KernelImage &Img, const ParentEntry &E,
   return true;
 }
 
-bool driveMstv(Device &Dev, const KernelImage &Img, const ParentEntry &E,
+bool driveMstv(Device &Dev, const KernelImage &Img, uint32_t BlockDim,
                WorkloadOutput &P, std::string &Error) {
-  if (!launchParent(Dev, E, Img.NumParents,
+  if (!launchParent(Dev, BlockDim, Img.NumParents,
                     kernelParentArgs(Img, 0, 0, Img.NumParents, 0), Error))
     return false;
   std::vector<int32_t> MinW = Dev.readI32Array(Img.MinW, Img.NumParents);
@@ -184,22 +181,22 @@ bool driveMstv(Device &Dev, const KernelImage &Img, const ParentEntry &E,
   return true;
 }
 
-bool driveTc(Device &Dev, const KernelImage &Img, const ParentEntry &E,
+bool driveTc(Device &Dev, const KernelImage &Img, uint32_t BlockDim,
              WorkloadOutput &P, std::string &Error) {
-  if (!launchParent(Dev, E, Img.NumParents,
+  if (!launchParent(Dev, BlockDim, Img.NumParents,
                     kernelParentArgs(Img, 0, 0, Img.NumParents, 0), Error))
     return false;
   P.TriangleCount = (uint64_t)Dev.readI64(Img.Tri);
   return true;
 }
 
-bool driveSp(Device &Dev, const KernelImage &Img, const ParentEntry &E,
+bool driveSp(Device &Dev, const KernelImage &Img, uint32_t BlockDim,
              WorkloadOutput &P, std::string &Error) {
   uint64_t Bias = Img.Bias, NextBias = Img.NextBias;
   double MaxDelta = 1.0;
   const unsigned MaxIters = 24; // runSurveyProp's default
   for (unsigned Iter = 0; Iter < MaxIters && MaxDelta > 1e-3; ++Iter) {
-    if (!launchParent(Dev, E, Img.NumParents,
+    if (!launchParent(Dev, BlockDim, Img.NumParents,
                       kernelParentArgs(Img, Bias, 0, Img.NumParents, 0),
                       Error))
       return false;
@@ -226,9 +223,9 @@ bool driveSp(Device &Dev, const KernelImage &Img, const ParentEntry &E,
   return true;
 }
 
-bool driveBt(Device &Dev, const KernelImage &Img, const ParentEntry &E,
+bool driveBt(Device &Dev, const KernelImage &Img, uint32_t BlockDim,
              WorkloadOutput &P, std::string &Error) {
-  if (!launchParent(Dev, E, Img.NumParents,
+  if (!launchParent(Dev, BlockDim, Img.NumParents,
                     kernelParentArgs(Img, 0, 0, Img.NumParents, 0), Error))
     return false;
   std::vector<double> Points = Dev.readF64Array(Img.Out, Img.TotalPoints);
@@ -293,18 +290,17 @@ DifferentialRun dpo::runKernelCaseOnVmProgram(const KernelCase &Case,
     return R;
   }
 
-  ParentEntry E;
-  E.ParentBlockDim = kernelParentBlockDim(Case.Bench);
+  uint32_t BlockDim = kernelParentBlockDim(Case.Bench);
 
   bool Ok = false;
   switch (Case.Bench) {
-  case BenchmarkId::BFS: Ok = driveBfs(*Dev, Img, E, R.Payload, R.Error); break;
-  case BenchmarkId::SSSP: Ok = driveSssp(*Dev, Img, E, R.Payload, R.Error); break;
-  case BenchmarkId::MSTF: Ok = driveMstf(*Dev, Img, E, R.Payload, R.Error); break;
-  case BenchmarkId::MSTV: Ok = driveMstv(*Dev, Img, E, R.Payload, R.Error); break;
-  case BenchmarkId::TC: Ok = driveTc(*Dev, Img, E, R.Payload, R.Error); break;
-  case BenchmarkId::SP: Ok = driveSp(*Dev, Img, E, R.Payload, R.Error); break;
-  case BenchmarkId::BT: Ok = driveBt(*Dev, Img, E, R.Payload, R.Error); break;
+  case BenchmarkId::BFS: Ok = driveBfs(*Dev, Img, BlockDim, R.Payload, R.Error); break;
+  case BenchmarkId::SSSP: Ok = driveSssp(*Dev, Img, BlockDim, R.Payload, R.Error); break;
+  case BenchmarkId::MSTF: Ok = driveMstf(*Dev, Img, BlockDim, R.Payload, R.Error); break;
+  case BenchmarkId::MSTV: Ok = driveMstv(*Dev, Img, BlockDim, R.Payload, R.Error); break;
+  case BenchmarkId::TC: Ok = driveTc(*Dev, Img, BlockDim, R.Payload, R.Error); break;
+  case BenchmarkId::SP: Ok = driveSp(*Dev, Img, BlockDim, R.Payload, R.Error); break;
+  case BenchmarkId::BT: Ok = driveBt(*Dev, Img, BlockDim, R.Payload, R.Error); break;
   }
   if (!Ok)
     return R;
