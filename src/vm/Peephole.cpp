@@ -94,7 +94,7 @@ struct SlotAcc {
 /// mode it joins into the running range that later loads read. An
 /// unmodeled opcode poisons every slot.
 struct DataflowState : AbsStack<Range, 128> {
-  const std::vector<Range> *Cur = nullptr; ///< Slot estimates loads read.
+  const std::vector<Range> *Cur = nullptr; ///< What loads read.
   std::vector<SlotAcc> Acc;                ///< Store joins (iterated mode).
   std::vector<Range> Running;              ///< Slot ranges (Linear mode).
   bool Linear = false;
@@ -102,8 +102,7 @@ struct DataflowState : AbsStack<Range, 128> {
   Range popR() { return pop(); }
   void pushR(const Range &R) { push(R); }
   Range slot(int64_t S) const {
-    const std::vector<Range> &Slots = Linear ? Running : *Cur;
-    return (uint64_t)S < Slots.size() ? Slots[S] : Range{};
+    return (uint64_t)S < Cur->size() ? (*Cur)[S] : Range{};
   }
   void load(int64_t S) { push(slot(S)); }
   void store(int64_t S, const Range &V) {
@@ -170,10 +169,12 @@ std::vector<Range> dataflowStep(const FuncDef &F,
   // positions — one flow-sensitive pass over a running accumulation IS
   // the fixpoint, and is strictly more precise than iterating the
   // flow-insensitive merge.
-  if (Linear)
+  if (Linear) {
     St.Running = Entry;
-  else if (NeedStores)
+    St.Cur = &St.Running;
+  } else if (NeedStores) {
     St.Acc.resize(F.NumLocals);
+  }
 
   for (size_t PC = 0; PC < F.Code.size(); ++PC) {
     if (Target[PC])
